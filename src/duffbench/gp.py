@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import numkit as nk
+from .nets import TrainingDivergedError
 from .numkit import linalg
 
 
@@ -205,7 +206,7 @@ def fit(inputs, targets, spec: KernelSpec, optimize=True, seed=7,
         try:
             theta, _ = _adam_ascent(closure, theta0, steps, lr)
             neg, _ = closure(theta)
-        except linalg.FactorizationError:
+        except (linalg.FactorizationError, TrainingDivergedError):
             continue
         if np.isfinite(neg) and (best is None or neg < best[0]):
             best = (neg, theta)

@@ -18,10 +18,11 @@ from . import numkit as nk
 
 
 class TrainingDivergedError(Exception):
-    """Loss became non-finite; carries the history up to the failure."""
+    """Loss or gradient became non-finite; carries the history up to the
+    failure."""
 
     def __init__(self, history):
-        super().__init__("training loss became non-finite")
+        super().__init__("training loss or gradient became non-finite")
         self.history = list(history)
 
 
@@ -99,8 +100,8 @@ def mlp_apply_tangent(spec: MlpSpec, param_nodes, x):
     for W, b in param_nodes[:-1]:
         a = h @ W + b
         if spec.activation == "sin":
-            h = nk.sin(a)
-            s = (s @ W) * nk.cos(a)
+            h, cos_a = nk.sincos(a)
+            s = (s @ W) * cos_a
         else:
             h = nk.tanh(a)
             s = (s @ W) * (1.0 - h * h)
@@ -230,6 +231,10 @@ def fit_arrays(arrays0, loss_builder, config: TrainConfig):
     return unflatten(theta, metas), history
 
 
+def _finite(loss, g):
+    return np.isfinite(loss) and np.all(np.isfinite(g))
+
+
 def adam(closure, theta0, iters, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8,
          history=None, log_every=0):
     """Deterministic Adam on a closure theta -> (loss, grad)."""
@@ -239,7 +244,7 @@ def adam(closure, theta0, iters, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8,
     history = [] if history is None else history
     for t in range(1, iters + 1):
         loss, g = closure(theta)
-        if not np.isfinite(loss):
+        if not _finite(loss, g):
             raise TrainingDivergedError(history)
         history.append(float(loss))
         if log_every and t % log_every == 0:
@@ -258,7 +263,7 @@ def lbfgs(closure, theta0, iters, memory=10, c1=1e-4, max_linesearch=25,
     theta = np.array(theta0, dtype=float)
     history = [] if history is None else history
     loss, g = closure(theta)
-    if not np.isfinite(loss):
+    if not _finite(loss, g):
         raise TrainingDivergedError(history)
     history.append(float(loss))
     pairs = []
@@ -293,6 +298,8 @@ def lbfgs(closure, theta0, iters, memory=10, c1=1e-4, max_linesearch=25,
             step *= 0.5
         if not accepted:
             break
+        if not np.all(np.isfinite(g_new)):
+            raise TrainingDivergedError(history)
         s_vec = theta_new - theta
         y_vec = g_new - g
         sy = s_vec @ y_vec

@@ -20,6 +20,7 @@ from .tape import (
     tanh,
     sin,
     cos,
+    sincos,
     sigmoid,
     softplus,
     matmul,
@@ -30,7 +31,6 @@ from .tape import (
     vmean,
     take,
     concat,
-    stack_scalars,
 )
 from .linalg import (
     CholeskyFactor,
@@ -50,9 +50,8 @@ from .sobol import sobol_sequence, sobol_sample, sobol_indices
 __all__ = [
     "Tape", "Node", "TapeError", "NumericError", "grad", "backward",
     "add", "sub", "mul", "div", "neg", "powc", "exp", "log", "sqrt",
-    "tanh", "sin", "cos", "sigmoid", "softplus", "matmul", "outer",
-    "transpose", "reshape", "vsum", "vmean", "take", "concat",
-    "stack_scalars",
+    "tanh", "sin", "cos", "sincos", "sigmoid", "softplus", "matmul",
+    "outer", "transpose", "reshape", "vsum", "vmean", "take", "concat",
     "CholeskyFactor", "FactorizationError", "cholesky",
     "cholesky_jittered", "cholesky_solve", "solve_lower", "solve_upper",
     "symmetrize", "spd_solve", "spd_logdet",

@@ -106,30 +106,22 @@ def symmetrize(A):
 def spd_solve(A, b):
     """Tape op: x = A⁻¹ b for an SPD matrix node A; b is (n,) or (n, m).
 
-    The backward rule is expressed through `spd_solve` again, so the op
-    can sit inside twice-differentiated graphs.
+    The backward rule reuses the forward Cholesky factor.
     """
     factor = cholesky_jittered(A.value)
-    x_val = factor.solve(b.value)
+    x = factor.solve(b.value)
 
     def backward(g):
-        gb = spd_solve(A, g)
-        if x.value.ndim == 1:
-            gA = tp.neg(tp.outer(gb, x))
-        else:
-            gA = tp.neg(tp.matmul(gb, tp.transpose(x)))
+        gb = factor.solve(g)
+        gA = -np.outer(gb, x) if x.ndim == 1 else -(gb @ x.T)
         return (gA, gb)
 
-    x = tp.Node(A.tape, x_val, (A, b), backward, "spd_solve")
-    return x
+    return tp.Node(A.tape, x, (A, b), backward, "spd_solve")
 
 
 def spd_logdet(A):
-    """Tape op: log|A| for an SPD matrix node, via Cholesky."""
+    """Tape op: log|A| for an SPD matrix node, via Cholesky; VJP g·A⁻¹."""
     factor = cholesky_jittered(A.value)
     inv = factor.solve(np.eye(A.value.shape[0]))
-
-    def backward(g):
-        return (tp.mul(g, A.tape.constant(inv)),)
-
-    return tp.Node(A.tape, np.array(factor.log_det), (A,), backward, "spd_logdet")
+    return tp.Node(A.tape, np.array(factor.log_det), (A,),
+                   lambda g: (g * inv,), "spd_logdet")

@@ -1,10 +1,10 @@
-"""Reverse-mode automatic differentiation on a scalar/array tape.
+"""First-order reverse-mode automatic differentiation on an array tape.
 
 Values are float64 numpy arrays. Every operation appends a node to the
 tape of its operands, so construction order is a topological order by
-design. Backward rules are themselves written with tape operations,
-which makes second-order derivatives available by differentiating the
-nodes a backward pass produces.
+design. Each node's backward rule (VJP) maps the output adjoint to one
+adjoint per parent with plain numpy on the parents' forward values, so
+a backward sweep accumulates arrays and never grows the tape.
 
 Supported matmul shapes are (2D, 2D) and (2D, 1D); everything else is
 elementwise with numpy broadcasting.
@@ -119,16 +119,20 @@ def _lift(x, tape):
 
 def _shrink(g, shape):
     """Sum an adjoint over broadcast axes so it matches `shape`."""
-    extra = g.value.ndim - len(shape)
+    if g.shape == shape:
+        return g
+    extra = g.ndim - len(shape)
     if extra > 0:
-        g = vsum(g, axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.value.shape[i] != 1)
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
     if axes:
-        g = vsum(g, axis=axes, keepdims=True)
+        g = g.sum(axis=axes, keepdims=True)
     return g
 
 
 # -- primitive operations ---------------------------------------------------
+# Each VJP maps the output adjoint g (an ndarray) to one ndarray per parent,
+# computed from the parents' forward values.
 
 def add(a, b):
     return Node(a.tape, a.value + b.value, (a, b),
@@ -138,64 +142,74 @@ def add(a, b):
 
 def sub(a, b):
     return Node(a.tape, a.value - b.value, (a, b),
-                lambda g: (_shrink(g, a.value.shape), _shrink(neg(g), b.value.shape)),
+                lambda g: (_shrink(g, a.value.shape), _shrink(-g, b.value.shape)),
                 "sub")
 
 
 def neg(a):
-    return Node(a.tape, -a.value, (a,), lambda g: (neg(g),), "neg")
+    return Node(a.tape, -a.value, (a,), lambda g: (-g,), "neg")
 
 
 def mul(a, b):
     return Node(a.tape, a.value * b.value, (a, b),
-                lambda g: (_shrink(mul(g, b), a.value.shape),
-                           _shrink(mul(g, a), b.value.shape)),
+                lambda g: (_shrink(g * b.value, a.value.shape),
+                           _shrink(g * a.value, b.value.shape)),
                 "mul")
 
 
 def div(a, b):
     return Node(a.tape, a.value / b.value, (a, b),
-                lambda g: (_shrink(div(g, b), a.value.shape),
-                           _shrink(neg(div(mul(g, a), mul(b, b))), b.value.shape)),
+                lambda g: (_shrink(g / b.value, a.value.shape),
+                           _shrink(-((g * a.value) / (b.value * b.value)),
+                                   b.value.shape)),
                 "div")
 
 
 def powc(a, exponent):
     c = float(exponent)
-    out = Node(a.tape, a.value ** c, (a,), None, "pow")
-    out.vjp = lambda g: (mul(g, c * powc(a, c - 1.0)),)
-    return out
+    return Node(a.tape, a.value ** c, (a,),
+                lambda g: (g * (c * a.value ** (c - 1.0)),), "pow")
 
 
 def exp(a):
     out = Node(a.tape, np.exp(a.value), (a,), None, "exp")
-    out.vjp = lambda g: (mul(g, out),)
+    out.vjp = lambda g: (g * out.value,)
     return out
 
 
 def log(a):
-    return Node(a.tape, np.log(a.value), (a,), lambda g: (div(g, a),), "log")
+    return Node(a.tape, np.log(a.value), (a,), lambda g: (g / a.value,), "log")
 
 
 def sqrt(a):
     out = Node(a.tape, np.sqrt(a.value), (a,), None, "sqrt")
-    out.vjp = lambda g: (div(g, 2.0 * out),)
+    out.vjp = lambda g: (g / (2.0 * out.value),)
     return out
 
 
 def tanh(a):
     out = Node(a.tape, np.tanh(a.value), (a,), None, "tanh")
-    out.vjp = lambda g: (mul(g, 1.0 - mul(out, out)),)
+    out.vjp = lambda g: (g * (1.0 - out.value * out.value),)
     return out
 
 
 def sin(a):
-    return Node(a.tape, np.sin(a.value), (a,), lambda g: (mul(g, cos(a)),), "sin")
+    return Node(a.tape, np.sin(a.value), (a,),
+                lambda g: (g * np.cos(a.value),), "sin")
 
 
 def cos(a):
     return Node(a.tape, np.cos(a.value), (a,),
-                lambda g: (neg(mul(g, sin(a))),), "cos")
+                lambda g: (-(g * np.sin(a.value)),), "cos")
+
+
+def sincos(a):
+    """sin(a) and cos(a) as two nodes; each VJP reuses the other's value."""
+    s = Node(a.tape, np.sin(a.value), (a,), None, "sin")
+    c = Node(a.tape, np.cos(a.value), (a,), None, "cos")
+    s.vjp = lambda g: (g * c.value,)
+    c.vjp = lambda g: (-(g * s.value),)
+    return s, c
 
 
 def _sigmoid_stable(x):
@@ -210,53 +224,51 @@ def _sigmoid_stable(x):
 
 def sigmoid(a):
     out = Node(a.tape, _sigmoid_stable(a.value), (a,), None, "sigmoid")
-    out.vjp = lambda g: (mul(g, mul(out, 1.0 - out)),)
+    out.vjp = lambda g: (g * (out.value * (1.0 - out.value)),)
     return out
 
 
 def softplus(a):
     return Node(a.tape, np.logaddexp(0.0, a.value), (a,),
-                lambda g: (mul(g, sigmoid(a)),), "softplus")
+                lambda g: (g * _sigmoid_stable(a.value),), "softplus")
 
 
 def matmul(a, b):
     def backward(g):
-        ga = matmul(g, transpose(b)) if b.value.ndim == 2 else outer(g, b)
-        gb = matmul(transpose(a), g)
-        return (ga, gb)
+        ga = g @ b.value.T if b.value.ndim == 2 else np.outer(g, b.value)
+        return (ga, a.value.T @ g)
 
     return Node(a.tape, a.value @ b.value, (a, b), backward, "matmul")
 
 
 def outer(a, b):
     return Node(a.tape, np.outer(a.value, b.value), (a, b),
-                lambda g: (matmul(g, b), matmul(transpose(g), a)), "outer")
+                lambda g: (g @ b.value, g.T @ a.value), "outer")
 
 
 def transpose(a):
-    return Node(a.tape, a.value.T, (a,), lambda g: (transpose(g),), "transpose")
+    return Node(a.tape, a.value.T, (a,), lambda g: (g.T,), "transpose")
 
 
 def reshape(a, shape):
     old = a.value.shape
     return Node(a.tape, a.value.reshape(shape), (a,),
-                lambda g: (reshape(g, old),), "reshape")
+                lambda g: (g.reshape(old),), "reshape")
 
 
 def vsum(a, axis=None, keepdims=False):
+    kshape = None
     if axis is not None:
         axis = tuple(ax % a.value.ndim for ax in
                      (axis if isinstance(axis, tuple) else (axis,)))
+        if not keepdims:
+            kshape = tuple(1 if i in axis else n
+                           for i, n in enumerate(a.value.shape))
 
     def backward(g):
-        if axis is None:
-            return (mul(g, a.tape.constant(np.ones_like(a.value))),)
-        if not keepdims:
-            kshape = list(a.value.shape)
-            for i in axis:
-                kshape[i] = 1
-            g = reshape(g, tuple(kshape))
-        return (mul(g, a.tape.constant(np.ones_like(a.value))),)
+        if kshape is not None:
+            g = g.reshape(kshape)
+        return (g * np.ones_like(a.value),)
 
     return Node(a.tape, np.sum(a.value, axis=axis, keepdims=keepdims), (a,),
                 backward, "sum")
@@ -281,15 +293,12 @@ def _is_fancy(index):
 
 def take(a, index):
     def backward(g):
-        def scatter_vjp(h):
-            return (take(h, index),)
-
         z = np.zeros_like(a.value)
         if _is_fancy(index):
-            np.add.at(z, index, g.value)
+            np.add.at(z, index, g)
         else:
-            z[index] += g.value
-        return (Node(a.tape, z, (g,), scatter_vjp, "scatter"),)
+            z[index] += g
+        return (z,)
 
     return Node(a.tape, a.value[index], (a,), backward, "take")
 
@@ -305,27 +314,21 @@ def concat(nodes, axis=0):
         for i in range(len(nodes)):
             sl = [slice(None)] * ndim
             sl[axis] = slice(int(offsets[i]), int(offsets[i + 1]))
-            outs.append(take(g, tuple(sl)))
+            outs.append(g[tuple(sl)])
         return tuple(outs)
 
     return Node(tape, np.concatenate([n.value for n in nodes], axis=axis),
                 tuple(nodes), backward, "concat")
 
 
-def stack_scalars(nodes):
-    """Pack scalar nodes into a length-n vector node."""
-    return concat([reshape(n, (1,)) for n in nodes], axis=0)
-
-
 # -- backward pass ----------------------------------------------------------
 
-def backward(output, wrt, create_graph=False, check_finite=False):
+def backward(output, wrt, check_finite=False):
     """Adjoints of `output` with respect to the nodes in `wrt`.
 
-    Returns one adjoint per entry of `wrt`, in order; nodes that do not
-    influence the output get an exactly-zero adjoint. With
-    ``create_graph`` the adjoints are tape nodes and can be
-    differentiated again.
+    Returns one ndarray per entry of `wrt`, in order; nodes that do not
+    influence the output get an exactly-zero adjoint. The sweep runs on
+    numpy arrays only and appends nothing to the tape.
     """
     tape = output.tape
     if output.value.size != 1:
@@ -337,28 +340,25 @@ def backward(output, wrt, create_graph=False, check_finite=False):
             if not np.all(np.isfinite(node.value)):
                 raise NumericError(node.idx, node.op)
     wrt_ids = {w.idx for w in wrt}
-    adjoints = {output.idx: tape.constant(np.ones_like(output.value))}
+    # adjoints[i] is the adjoint of node i, None until a consumer adds to it
+    adjoints = [None] * len(span)
+    adjoints[-1] = np.ones_like(output.value, dtype=float)
     for node in reversed(span):
-        g = adjoints.get(node.idx)
+        i = node.idx
+        g = adjoints[i]
         if g is None:
             continue
-        if node.idx not in wrt_ids:
-            del adjoints[node.idx]
+        if i not in wrt_ids:
+            adjoints[i] = None
         if node.vjp is None:
             continue
         for parent, contrib in zip(node.parents, node.vjp(g)):
-            if contrib is None:
-                continue
-            if parent.idx in adjoints:
-                adjoints[parent.idx] = add(adjoints[parent.idx], contrib)
-            else:
-                adjoints[parent.idx] = contrib
+            prev = adjoints[parent.idx]
+            adjoints[parent.idx] = contrib if prev is None else prev + contrib
     results = []
     for w in wrt:
-        g = adjoints.get(w.idx)
-        if g is None:
-            g = tape.constant(np.zeros_like(w.value))
-        results.append(g if create_graph else g.value)
+        g = adjoints[w.idx] if w.idx < len(span) else None
+        results.append(np.zeros_like(w.value) if g is None else np.asarray(g))
     return results
 
 
@@ -372,5 +372,5 @@ def grad(output, wrt=None, check_finite=True):
     tape = output.tape
     if wrt is None:
         wrt = [n for n in tape.nodes[: output.idx + 1] if n.op == "leaf"]
-    gs = backward(output, wrt, create_graph=False, check_finite=check_finite)
+    gs = backward(output, wrt, check_finite=check_finite)
     return dict(zip(wrt, gs))

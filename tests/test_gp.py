@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from duffbench import gp
+from duffbench import nets
 from duffbench import numkit as nk
 from duffbench.duffing import add_noise, rms, simulate, subsample
 from duffbench.metrics import rmse
@@ -160,3 +161,47 @@ def test_physics_kernel_coverage(fitted_pair):
     traj, _, sdof = fitted_pair
     pred = sdof.predict(traj.t)
     assert pred.covers(traj.u).mean() >= 0.90
+
+
+def test_lml_gradient_evaluation_factorizes_twice(monkeypatch):
+    """One LML+gradient evaluation: one Cholesky for the solve, one for
+    the log-determinant; the solve's backward reuses its factor."""
+    calls = []
+    real = nk.linalg.cholesky
+
+    def counting(A):
+        calls.append(A.shape)
+        return real(A)
+
+    counts = []
+
+    def one_evaluation(closure, theta0, steps, lr):
+        del calls[:]
+        closure(theta0)
+        counts.append(len(calls))
+        return theta0, []
+
+    monkeypatch.setattr(nk.linalg, "cholesky", counting)
+    monkeypatch.setattr(gp, "_adam_ascent", one_evaluation)
+    t = np.linspace(0.0, 10.0, 20)
+    for kind in ("se", "sdof"):
+        gp.fit(t, np.sin(t), gp.KernelSpec(kind=kind, noise_var=1e-2),
+               restarts=1)
+    assert counts == [2, 2]
+
+
+def test_diverged_restart_is_skipped(monkeypatch):
+    attempts = []
+
+    def diverge_first(closure, theta0, steps, lr):
+        attempts.append(theta0)
+        if len(attempts) == 1:
+            raise nets.TrainingDivergedError([])
+        return theta0, []
+
+    monkeypatch.setattr(gp, "_adam_ascent", diverge_first)
+    t = np.linspace(0.0, 10.0, 20)
+    model = gp.fit(t, np.sin(t), gp.KernelSpec(kind="se", noise_var=1e-2),
+                   restarts=2)
+    assert len(attempts) == 2
+    assert np.isfinite(model.log_marginal_likelihood)

@@ -81,34 +81,31 @@ def test_jitter_recovers_near_singular():
 
 
 def test_spd_solve_tape_gradient():
+    """Vector and matrix right-hand sides vs central differences."""
     stream = nk.RngStream(44).substream("spd-grad")
-    A0 = random_spd(stream, 4)
-    b0 = stream.normal(size=4)
-    tape = nk.Tape()
-    A = tape.leaf(A0)
-    b = tape.leaf(b0)
-    x = nk.spd_solve(A, b)
-    out = nk.vsum(x * x)
-    g = nk.grad(out, wrt=[A, b])
+    for rhs_shape in ((4,), (4, 3)):
+        A0 = random_spd(stream, 4)
+        b0 = stream.normal(size=rhs_shape)
+        tape = nk.Tape()
+        A = tape.leaf(A0)
+        b = tape.leaf(b0)
+        x = nk.spd_solve(A, b)
+        out = nk.vsum(x * x)
+        grads = nk.backward(out, [A, b])
 
-    def f(A_, b_):
-        return float(np.sum(np.linalg.solve(A_, b_) ** 2))
+        def f(A_, b_):
+            return float(np.sum(np.linalg.solve(A_, b_) ** 2))
 
-    h = 1e-6
-    for idx in [(0, 0), (1, 2), (3, 3)]:
-        P = A0.copy()
-        P[idx] += h
-        hi = f(P, b0)
-        P[idx] -= 2 * h
-        lo = f(P, b0)
-        assert g[A][idx] == pytest.approx((hi - lo) / (2 * h), rel=1e-4, abs=1e-6)
-    for i in range(4):
-        p = b0.copy()
-        p[i] += h
-        hi = f(A0, p)
-        p[i] -= 2 * h
-        lo = f(A0, p)
-        assert g[b][i] == pytest.approx((hi - lo) / (2 * h), rel=1e-5, abs=1e-7)
+        for k, (arr, g) in enumerate(zip((A0, b0), grads)):
+            assert g.shape == arr.shape
+            for idx in np.ndindex(arr.shape):
+                step = 1e-6 * max(1.0, abs(arr[idx]))
+                hi, lo = arr.copy(), arr.copy()
+                hi[idx] += step
+                lo[idx] -= step
+                args = ((hi, b0), (lo, b0)) if k == 0 else ((A0, hi), (A0, lo))
+                ref = (f(*args[0]) - f(*args[1])) / (2.0 * step)
+                assert abs(g[idx] - ref) / max(1.0, abs(ref)) < 1e-6
 
 
 def test_spd_logdet_tape_gradient():

@@ -155,6 +155,39 @@ def test_train_diverged_error_carries_history():
     assert len(err.value.history) == 3
 
 
+def _nan_gradient(theta):
+    return 1.0, np.full_like(theta, np.nan)
+
+
+def test_adam_rejects_non_finite_gradient():
+    with pytest.raises(nets.TrainingDivergedError) as err:
+        nets.adam(_nan_gradient, np.zeros(2), 10)
+    assert err.value.history == []
+
+
+def test_lbfgs_rejects_non_finite_first_gradient():
+    with pytest.raises(nets.TrainingDivergedError) as err:
+        nets.lbfgs(_nan_gradient, np.zeros(2), 10)
+    assert err.value.history == []
+
+
+def test_lbfgs_rejects_non_finite_gradient_at_accepted_step():
+    calls = {"n": 0}
+
+    def closure(theta):
+        calls["n"] += 1
+        loss = float(np.sum((theta - 1.0) ** 2))
+        if calls["n"] > 1:  # every line-search point
+            return loss, np.full_like(theta, np.nan)
+        return loss, 2.0 * (theta - 1.0)
+
+    with pytest.raises(nets.TrainingDivergedError) as err:
+        nets.lbfgs(closure, np.zeros(2), 10)
+    assert err.value.history == [2.0]
+    # the full step is rejected by the Armijo test, the half step accepted
+    assert calls["n"] == 3
+
+
 def test_seed_determinism_of_training():
     def run():
         stream = nk.RngStream(77).substream("det")

@@ -75,13 +75,18 @@ def test_cross_tape_operands_rejected():
         a + b
 
 
-def test_second_order_derivative():
+def test_backward_appends_no_nodes_and_returns_arrays():
     tape = nk.Tape()
-    x = tape.leaf(2.0)
-    y = x * x * x
-    (gx,) = nk.backward(y, [x], create_graph=True)
-    (gxx,) = nk.backward(gx, [x])
-    assert gxx == pytest.approx(12.0, abs=1e-12)
+    x = tape.leaf(0.7)
+    w = tape.leaf(np.array([[0.5, -1.0], [2.0, 0.25]]))
+    unused = tape.leaf(1.0)
+    a = x * w
+    y = nk.vsum(nk.tanh(nk.sin(a) @ nk.cos(a)) / (1.0 + a * a))
+    n_nodes = len(tape.nodes)
+    grads = nk.backward(y, [x, w, unused])
+    assert len(tape.nodes) == n_nodes
+    assert all(isinstance(g, np.ndarray) for g in grads)
+    assert [g.shape for g in grads] == [(), (2, 2), ()]
 
 
 def _random_graph(stream, n_leaves, size):
@@ -254,3 +259,83 @@ def test_softplus_sigmoid_stability_and_grad():
     assert np.allclose(g[1:4], ref, atol=1e-12)
     assert g[0] == pytest.approx(0.0, abs=1e-300)
     assert g[4] == pytest.approx(1.0, abs=1e-12)
+
+
+def fd_check(op, arrays, h=1e-6, tol=1e-6):
+    """Tape gradient of sum(op(leaves) * W) vs central differences in
+    every entry of every input; W is a fixed non-uniform weighting."""
+    arrays = [np.asarray(a, dtype=float) for a in arrays]
+    probe = nk.Tape()
+    shape = op(*[probe.leaf(a) for a in arrays]).value.shape
+    W = np.linspace(-1.5, 2.0, int(np.prod(shape))).reshape(shape)
+
+    def loss(tape, leaves):
+        return nk.vsum(op(*leaves) * tape.constant(W))
+
+    tape = nk.Tape()
+    leaves = [tape.leaf(a) for a in arrays]
+    grads = nk.backward(loss(tape, leaves), leaves)
+
+    def value(arrs):
+        t = nk.Tape()
+        return float(loss(t, [t.leaf(a) for a in arrs]).value)
+
+    for k, (arr, g) in enumerate(zip(arrays, grads)):
+        assert g.shape == arr.shape
+        for idx in np.ndindex(arr.shape):
+            step = h * max(1.0, abs(arr[idx]))
+            hi = [a.copy() for a in arrays]
+            lo = [a.copy() for a in arrays]
+            hi[k][idx] += step
+            lo[k][idx] -= step
+            ref = (value(hi) - value(lo)) / (2.0 * step)
+            err = abs(g[idx] - ref) / max(1.0, abs(ref))
+            assert err < tol, f"input {k} at {idx}: ad={g[idx]} fd={ref}"
+
+
+_S = nk.RngStream(17).substream("primitive-grads")
+_X = _S.uniform(-1.0, 1.0, size=(3, 4))
+_Y = _S.uniform(-1.0, 1.0, size=(3, 4))
+_POS = _S.uniform(0.5, 2.0, size=(3, 4))
+
+
+def _sincos_mix(a):
+    s, c = nk.sincos(a)
+    return s * c - 2.0 * c
+
+
+PRIMITIVES = {
+    "sub": (lambda a, b: a - b, [_X, _Y]),
+    "neg": (lambda a: -a, [_X]),
+    "div": (lambda a, b: a / b, [_X, _POS]),
+    "exp": (nk.exp, [_X]),
+    "log": (nk.log, [_POS]),
+    "sqrt": (nk.sqrt, [_POS]),
+    "cos": (nk.cos, [_X]),
+    "sincos": (_sincos_mix, [3.0 * _X]),
+    "sigmoid": (nk.sigmoid, [3.0 * _X]),
+    "outer": (nk.outer, [_X[0], _Y[1]]),
+    "transpose": (nk.transpose, [_X]),
+    "reshape": (lambda a: nk.reshape(a, (2, 6)), [_X]),
+    "vmean": (lambda a: nk.vmean(a, axis=0), [_X]),
+    "vmean-all": (nk.vmean, [_X]),
+    "vsum-axis": (lambda a: nk.vsum(a, axis=1), [_X]),
+    "vsum-negative-axis": (lambda a: nk.vsum(a, axis=(-2,)), [_X]),
+    "vsum-keepdims": (lambda a: nk.vsum(a, axis=0, keepdims=True), [_X]),
+    "take-slice": (lambda a: a[1:, ::2], [_X]),
+    "take-repeated-fancy": (lambda a: a[np.array([2, 0, 2, 2])], [_X]),
+    "concat-axis1": (lambda a, b: nk.concat([a, b], axis=1),
+                     [_X[:, :2], _Y]),
+    "matmul-2d": (lambda a, b: a @ b, [_X, _Y.T]),
+    "matmul-1d": (lambda a, b: a @ b, [_X, _Y[0]]),
+    "add-col-row": (lambda a, b: a + b, [_X[:, :1], _Y[:1]]),
+    "mul-col-row": (lambda a, b: a * b, [_X[:, :1], _Y[:1]]),
+    "add-matrix-vector": (lambda a, b: a + b, [_X, _Y[0]]),
+    "mul-matrix-vector": (lambda a, b: a * b, [_X, _Y[0]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRIMITIVES))
+def test_primitive_gradient_matches_finite_differences(name):
+    op, arrays = PRIMITIVES[name]
+    fd_check(op, arrays)
