@@ -30,19 +30,12 @@ from .duffing import (
     simulate,
     subsample,
 )
+from .errors import ConfigError, NumericFailure
 from .metrics import nmse, percent_error, rmse
 
 METHODS = ("ukf", "pf", "sindy", "nn-baseline", "pinn-discovery",
            "pinn-enhanced", "pinn-forward", "pgnn", "gp-se", "gp-sdof",
            "node", "hnn")
-
-
-class ConfigError(Exception):
-    pass
-
-
-class NumericFailure(Exception):
-    pass
 
 
 class Config:
@@ -154,13 +147,11 @@ def build_simulation(cfg: Config):
     return params, forcing, traj
 
 
-def train_config(cfg: Config, section, adam_iters, adam_lr, lbfgs_iters,
-                 seed):
+def train_config(cfg: Config, section, adam_iters, adam_lr, lbfgs_iters):
     return nets.TrainConfig(
         adam_iters=cfg.get(section, "adam_iters", adam_iters, int),
         adam_lr=cfg.get(section, "adam_lr", adam_lr, float),
         lbfgs_iters=cfg.get(section, "lbfgs_iters", lbfgs_iters, int),
-        seed=seed,
     )
 
 
@@ -179,6 +170,8 @@ def state_csv_rows(t, truth_u, truth_v, pred):
 
 
 # -- method runners -----------------------------------------------------------
+# Every runner takes (method, cfg, out, seed): `method` names the config
+# section its hyperparameters live in.
 
 
 def run_filter_method(method, cfg, out, seed):
@@ -220,14 +213,14 @@ def run_filter_method(method, cfg, out, seed):
     return metrics
 
 
-def run_sindy(cfg, out, seed):
+def run_sindy(method, cfg, out, seed):
     params, forcing, traj = build_simulation(cfg)
     lib = dictionary.build_library(traj)
     target = params.m * traj.a
     coeffs = dictionary.stlsq(
         lib, target,
-        threshold=cfg.get("sindy", "threshold", 0.1, float),
-        ridge=cfg.get("sindy", "ridge", 0.0, float))
+        threshold=cfg.get(method, "threshold", 0.1, float),
+        ridge=cfg.get(method, "ridge", 0.0, float))
     coeffs.to_csv(out / "model.csv")
     (out / "equation.txt").write_text(coeffs.equation_string("m*dv/dt") + "\n")
     recon = lib.theta @ coeffs.values
@@ -247,7 +240,7 @@ def run_pinn_method(method, cfg, out, seed):
     params, forcing, traj = build_simulation(cfg)
     spec = net_spec(cfg, method, (1, 32, 32, 32, 2))
     if method == "pinn-discovery":
-        tcfg = train_config(cfg, method, 5000, 1e-3, 500, seed)
+        tcfg = train_config(cfg, method, 5000, 1e-3, 500)
         nonlinear = cfg.get(method, "nonlinear", True, bool)
         res = pinn.run_equation_discovery(
             traj, nonlinear=nonlinear, seed=seed, truth=params, net=spec,
@@ -265,7 +258,7 @@ def run_pinn_method(method, cfg, out, seed):
         metrics.update({f"param_{n}_estimate": res.estimates[n]
                         for n in res.errors_percent})
     elif method == "pinn-enhanced":
-        tcfg = train_config(cfg, method, 5000, 1e-3, 500, seed)
+        tcfg = train_config(cfg, method, 5000, 1e-3, 500)
         res = pinn.run_enhanced_learning(
             traj, stride=cfg.get(method, "stride", 16, int), seed=seed,
             truth=params, net=spec, train=tcfg)
@@ -281,7 +274,7 @@ def run_pinn_method(method, cfg, out, seed):
     else:  # pinn-forward
         windows = cfg.get(method, "windows", 12, int)
         margin = cfg.get(method, "margin", 6, int)
-        tcfg = train_config(cfg, method, 3000, 2e-3, 2000, seed)
+        tcfg = train_config(cfg, method, 3000, 2e-3, 2000)
         res = pinn.run_forward_model(
             params=params, forcing=forcing, seed=seed, net=spec, train=tcfg,
             reference=traj, windows=windows, margin=margin)
@@ -298,11 +291,11 @@ def run_pinn_method(method, cfg, out, seed):
     return metrics
 
 
-def run_nn_baseline(cfg, out, seed):
+def run_nn_baseline(method, cfg, out, seed):
     params, forcing, traj = build_simulation(cfg)
-    spec = net_spec(cfg, "nn-baseline", (1, 32, 32, 32, 2))
-    tcfg = train_config(cfg, "nn-baseline", 5000, 1e-3, 500, seed)
-    stride = cfg.get("nn-baseline", "stride", 16, int)
+    spec = net_spec(cfg, method, (1, 32, 32, 32, 2))
+    tcfg = train_config(cfg, method, 5000, 1e-3, 500)
+    stride = cfg.get(method, "stride", 16, int)
     res = pinn.run_enhanced_learning(traj, stride=stride, seed=seed,
                                      truth=params, net=spec, train=tcfg,
                                      baseline_only=True)
@@ -316,11 +309,11 @@ def run_nn_baseline(cfg, out, seed):
             "nmse_v": nmse(pred[:, 1], traj.v)}
 
 
-def run_pgnn(cfg, out, seed):
+def run_pgnn(method, cfg, out, seed):
     params, forcing, traj = build_simulation(cfg)
-    tcfg = train_config(cfg, "pgnn", 2000, 2e-3, 300, seed)
+    tcfg = train_config(cfg, method, 2000, 2e-3, 300)
     res = pgnn.run_guided(traj, forcing, params,
-                          stride=cfg.get("pgnn", "stride", 1, int),
+                          stride=cfg.get(method, "stride", 1, int),
                           seed=seed, train=tcfg)
     nets.save_loss_history(out / "history.csv", res.history)
     write_csv(out / "result.csv",
@@ -363,15 +356,15 @@ def run_gp(method, cfg, out, seed):
     }
 
 
-def run_node(cfg, out, seed):
+def run_node(method, cfg, out, seed):
     params, forcing, traj = build_simulation(cfg)
     dataset = node_mod.OneStepDataset.from_trajectory(traj, forcing)
-    spec = net_spec(cfg, "node", (3, 32, 32, 2), activation="tanh")
-    tcfg = train_config(cfg, "node", 2000, 3e-3, 300, seed)
+    spec = net_spec(cfg, method, (3, 32, 32, 2), activation="tanh")
+    tcfg = train_config(cfg, method, 2000, 3e-3, 300)
     func, history = node_mod.train_k1_predictor(
         dataset, spec=spec, seed=seed, train=tcfg,
-        refine=cfg.get("node", "refine", True, bool),
-        refine_iters=cfg.get("node", "refine_iters", 250, int))
+        refine=cfg.get(method, "refine", True, bool),
+        refine_iters=cfg.get(method, "refine_iters", 250, int))
     path = node_mod.rollout(func, np.array([traj.u[0], traj.v[0]]), forcing,
                             len(traj), traj.rate)
     nets.save_loss_history(out / "history.csv", history)
@@ -385,18 +378,18 @@ def run_node(cfg, out, seed):
     }
 
 
-def run_hnn(cfg, out, seed):
+def run_hnn(method, cfg, out, seed):
     params, forcing, traj = build_simulation(cfg)
     cons = OscillatorParams(m=params.m, c=0.0, k=params.k, k3=params.k3)
-    u0 = cfg.get("hnn", "u0", 1.0, float)
+    u0 = cfg.get(method, "u0", 1.0, float)
     cons_traj = simulate(cons, ForcingSpec(amplitudes=0.0),
                          n=len(traj), rate=traj.rate, z0=(u0, 0.0))
     q, p, qd, pd = node_mod.conservative_batch(cons_traj, cons.m)
-    tcfg = train_config(cfg, "hnn", 3000, 3e-3, 300, seed)
+    tcfg = train_config(cfg, method, 3000, 3e-3, 300)
     hnet, history = node_mod.hnn_train(q, p, qd, pd, seed=seed, train=tcfg)
     nets.save_loss_history(out / "history.csv", history)
-    h_step = cfg.get("hnn", "step", 5e-3, float)
-    steps = cfg.get("hnn", "steps", 1000, int)
+    h_step = cfg.get(method, "step", 5e-3, float)
+    steps = cfg.get(method, "steps", 1000, int)
     qs, ps, H = node_mod.integrate_hamiltonian(hnet, q[0], p[0], h_step, steps)
     t = np.arange(steps + 1) * h_step
     ref = simulate(cons, ForcingSpec(amplitudes=0.0), n=steps + 1,
@@ -420,16 +413,16 @@ def run_hnn(cfg, out, seed):
 
 
 _RUNNERS = {
-    "ukf": lambda cfg, out, seed: run_filter_method("ukf", cfg, out, seed),
-    "pf": lambda cfg, out, seed: run_filter_method("pf", cfg, out, seed),
+    "ukf": run_filter_method,
+    "pf": run_filter_method,
     "sindy": run_sindy,
     "nn-baseline": run_nn_baseline,
-    "pinn-discovery": lambda c, o, s: run_pinn_method("pinn-discovery", c, o, s),
-    "pinn-enhanced": lambda c, o, s: run_pinn_method("pinn-enhanced", c, o, s),
-    "pinn-forward": lambda c, o, s: run_pinn_method("pinn-forward", c, o, s),
+    "pinn-discovery": run_pinn_method,
+    "pinn-enhanced": run_pinn_method,
+    "pinn-forward": run_pinn_method,
     "pgnn": run_pgnn,
-    "gp-se": lambda c, o, s: run_gp("gp-se", c, o, s),
-    "gp-sdof": lambda c, o, s: run_gp("gp-sdof", c, o, s),
+    "gp-se": run_gp,
+    "gp-sdof": run_gp,
     "node": run_node,
     "hnn": run_hnn,
 }
@@ -447,11 +440,10 @@ def run_experiment(cfg: Config, seed_override=None, out_override=None):
     out.mkdir(parents=True, exist_ok=True)
     start = time.time()
     try:
-        metrics = _RUNNERS[method](cfg, out, seed)
-    except (nets.TrainingDivergedError, flt.FilterDivergenceError,
-            flt.DegeneracyError, nk.NumericError, FloatingPointError) as err:
+        metrics = _RUNNERS[method](method, cfg, out, seed)
+    except NumericFailure:
         write_manifest(out / "manifest.txt", cfg, seed, time.time() - start)
-        raise NumericFailure(str(err)) from err
+        raise
     metrics["config_hash_int"] = float(int(cfg.hash()[:8], 16))
     write_metrics(out / "metrics.csv", metrics)
     write_manifest(out / "manifest.txt", cfg, seed, time.time() - start)

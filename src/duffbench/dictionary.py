@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duffing import Trajectory
+from .errors import ConfigError
 
 DEFAULT_FEATURES = ("1", "u", "v", "u^2", "u*v", "v^2", "u^3", "u^2*v",
                     "u*v^2", "v^3", "f")
@@ -32,8 +33,9 @@ _FEATURE_FUNCS = {
 }
 
 
-class FeatureError(Exception):
-    """A feature column is unknown or evaluated to a non-finite value."""
+class FeatureError(ConfigError):
+    """The requested library cannot be built: a feature is unknown,
+    repeated, or non-finite on the given record."""
 
 
 @dataclass
@@ -108,7 +110,7 @@ def stlsq(lib: CandidateLibrary, y, threshold: float,
     meaningful across features of very different magnitudes.
     """
     if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
+        raise ConfigError("threshold must be nonnegative")
     y = np.asarray(y, dtype=float)
     theta = lib.theta
     norms = np.linalg.norm(theta, axis=0)

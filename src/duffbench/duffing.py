@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError, NumericFailure
 from .numkit import RngStream, sobol_indices
 
 DEFAULT_FREQUENCIES = (0.7, 0.85, 1.6, 1.8)
@@ -21,7 +22,7 @@ DEFAULT_N = 1024
 DEFAULT_RATE = 8.525
 
 
-class DivergenceError(Exception):
+class DivergenceError(NumericFailure):
     """Integration produced a non-finite state."""
 
     def __init__(self, step):
@@ -40,9 +41,9 @@ class OscillatorParams:
 
     def __post_init__(self):
         if self.m <= 0:
-            raise ValueError("mass must be positive")
+            raise ConfigError("mass must be positive")
         if self.k < 0 or self.c < 0:
-            raise ValueError("stiffness and damping must be nonnegative")
+            raise ConfigError("stiffness and damping must be nonnegative")
 
     def state_matrices(self):
         return StateMatrices(self)
@@ -72,7 +73,7 @@ class ForcingSpec:
 
     def __post_init__(self):
         if any(w <= 0 for w in self.frequencies):
-            raise ValueError("frequencies must be strictly positive")
+            raise ConfigError("frequencies must be strictly positive")
 
     @property
     def amplitude_array(self):
@@ -188,11 +189,11 @@ def simulate(params: OscillatorParams = None, forcing: ForcingSpec = None,
     if forcing is None:
         forcing = ForcingSpec()
     if rate <= 0:
-        raise ValueError("rate must be positive")
+        raise ConfigError("rate must be positive")
     if n < 2:
-        raise ValueError("need at least two samples")
+        raise ConfigError("need at least two samples")
     if substeps < 1:
-        raise ValueError("substeps must be >= 1")
+        raise ConfigError("substeps must be >= 1")
 
     h = 1.0 / (rate * substeps)
     m, c, k, k3 = params.m, params.c, params.k, params.k3
@@ -249,26 +250,31 @@ def simulate(params: OscillatorParams = None, forcing: ForcingSpec = None,
     return Trajectory(t, u, v, a, f)
 
 
-def rk4_increment(params: OscillatorParams, z, h, f1, f2, f4):
-    """One classical RK4 increment of ż = A z + A_n u³ + B f.
+def stage_forces(forcing: ForcingSpec, t, h):
+    """Force at the RK4 stage times (t, t+h/2, t+h) of each step start t.
 
-    `z` may be a single state (2,) or a batch (..., 2); forces are the
-    stage values f(t), f(t+h/2), f(t+h). Shared by the filters and the
-    integrator checks so all stepping uses one increment formula.
+    One vectorised evaluation for a whole grid of steps; every value
+    equals the scalar `multisine_force` call at that time bit for bit.
     """
-    z = np.asarray(z, dtype=float)
-    u, v = z[..., 0], z[..., 1]
+    t = np.asarray(t, dtype=float)
+    f1, f2, f4 = multisine_force(forcing, np.stack([t, t + 0.5 * h, t + h]))
+    return f1, f2, f4
 
-    def rhs(u, v, f):
-        return v, params.acceleration(u, v, f)
 
-    k1u, k1v = rhs(u, v, f1)
-    k2u, k2v = rhs(u + 0.5 * h * k1u, v + 0.5 * h * k1v, f2)
-    k3u, k3v = rhs(u + 0.5 * h * k2u, v + 0.5 * h * k2v, f2)
-    k4u, k4v = rhs(u + h * k3u, v + h * k3v, f4)
-    du = h / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-    dv = h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    return np.stack([du, dv], axis=-1)
+def rk4_increment(flow, z, f_stages, h):
+    """One classical RK4 increment of ż = flow(z, f).
+
+    `f_stages` holds the force at (t, t+h/2, t+h). Works on numpy
+    states of any batch shape and on tape nodes alike, so every stepped
+    loop in the package (filters, neural-ODE training and rollout)
+    shares it; `simulate` keeps its own scalar loop as the fast path.
+    """
+    f1, f2, f4 = f_stages
+    k1 = flow(z, f1)
+    k2 = flow(z + 0.5 * h * k1, f2)
+    k3 = flow(z + 0.5 * h * k2, f2)
+    k4 = flow(z + h * k3, f4)
+    return h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def rms(x):
@@ -278,7 +284,7 @@ def rms(x):
 def add_noise(signal, ratio, stream: RngStream):
     """Add zero-mean Gaussian noise with std = ratio · RMS(signal)."""
     if ratio < 0:
-        raise ValueError("noise ratio must be nonnegative")
+        raise ConfigError("noise ratio must be nonnegative")
     signal = np.asarray(signal, dtype=float)
     if ratio == 0.0:
         return signal.copy()
@@ -299,12 +305,12 @@ def subsample(traj: Trajectory, stride: int = None, sobol_n: int = None):
         raise ValueError("give exactly one of stride or sobol_n")
     if stride is not None:
         if stride < 1:
-            raise ValueError("stride must be >= 1")
+            raise ConfigError("stride must be >= 1")
         idx = np.arange(0, len(traj), stride)
     else:
         idx = sobol_indices(sobol_n, len(traj))
     if len(idx) == 0:
-        raise ValueError("empty observation selection")
+        raise ConfigError("empty observation selection")
     domain = DomainSpec(collocation=traj.t.copy(), observation_idx=idx)
     return domain, traj.select(idx)
 

@@ -16,7 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numkit as nk
-from .duffing import ForcingSpec, OscillatorParams, Trajectory, multisine_force
+from .duffing import (
+    ForcingSpec,
+    OscillatorParams,
+    Trajectory,
+    rk4_increment,
+    stage_forces,
+)
+from .errors import ConfigError, NumericFailure
 from .numkit import linalg
 
 PARAM_NAMES = ("k", "c", "k3")
@@ -27,11 +34,11 @@ UKF_BETA = 2.0
 UKF_KAPPA = 0.0
 
 
-class FilterDivergenceError(Exception):
+class FilterDivergenceError(NumericFailure):
     """Covariance lost positive definiteness beyond jitter repair."""
 
 
-class DegeneracyError(Exception):
+class DegeneracyError(NumericFailure):
     """All particle weights vanished."""
 
 
@@ -51,17 +58,13 @@ class NoiseConfig:
     r_measurement: float = 1e-18
 
     @classmethod
-    def paper_preset(cls):
-        return cls()
-
-    @classmethod
     def matched(cls, clean_signal, ratio):
         from .duffing import rms
         return cls(r_measurement=max((ratio * rms(clean_signal)) ** 2, 1e-18))
 
     def validate(self):
         if min(self.q_velocity, self.q_param, self.r_measurement) < 0:
-            raise ValueError("noise variances must be nonnegative")
+            raise ConfigError("noise variances must be nonnegative")
 
 
 @dataclass
@@ -74,7 +77,7 @@ class AugmentedState:
     def __post_init__(self):
         bad = [n for n in self.theta_names if n not in PARAM_NAMES]
         if bad:
-            raise ValueError(f"cannot estimate {bad}; choose from {PARAM_NAMES}")
+            raise ConfigError(f"cannot estimate {bad}; choose from {PARAM_NAMES}")
 
     @property
     def dim(self):
@@ -129,33 +132,26 @@ class ParticleEnsemble:
         return np.sqrt(np.maximum(var, 0.0))
 
 
+def _accel(p, u, v, f):
+    return (f - p["c"] * v - p["k"] * u - p["k3"] * u ** 3) / p["m"]
+
+
 def measurement(x, layout: AugmentedState, base: OscillatorParams, f):
     """Acceleration measurement model at augmented state(s) x."""
-    p = layout.params_from(x, base)
-    u, v = x[..., 0], x[..., 1]
-    return (f - p["c"] * v - p["k"] * u - p["k3"] * u ** 3) / p["m"]
+    return _accel(layout.params_from(x, base), x[..., 0], x[..., 1], f)
 
 
 def _propagate(x, layout, base, h, f_stages):
     """One RK4 step of every augmented state row; parameters ride along."""
     p = layout.params_from(x, base)
-    z = x[..., :2]
-    u, v = z[..., 0], z[..., 1]
-    f1, f2, f4 = f_stages
 
-    def accel(u_, v_, f_):
-        return (f_ - p["c"] * v_ - p["k"] * u_ - p["k3"] * u_ ** 3) / p["m"]
+    def flow(z, f):
+        u, v = z[..., 0], z[..., 1]
+        return np.stack([v, _accel(p, u, v, f)], axis=-1)
 
-    k1u, k1v = v, accel(u, v, f1)
-    k2u = v + 0.5 * h * k1v
-    k2v = accel(u + 0.5 * h * k1u, v + 0.5 * h * k1v, f2)
-    k3u = v + 0.5 * h * k2v
-    k3v = accel(u + 0.5 * h * k2u, v + 0.5 * h * k2v, f2)
-    k4u = v + h * k3v
-    k4v = accel(u + h * k3u, v + h * k3v, f4)
     out = np.array(x, copy=True)
-    out[..., 0] = u + h / 6.0 * (k1u + 2 * k2u + 2 * k3u + k4u)
-    out[..., 1] = v + h / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
+    z = x[..., :2]
+    out[..., :2] = z + rk4_increment(flow, z, f_stages, h)
     return out
 
 
@@ -303,11 +299,8 @@ def run_ukf(traj: Trajectory, forcing: ForcingSpec, y_meas,
     means = np.empty((n, layout.dim))
     stds = np.empty((n, layout.dim))
     means[0], stds[0] = _raw_moments_from_gaussian(belief, layout)
-    for k in range(1, n):
-        t_prev = traj.t[k - 1]
-        f_stages = (float(multisine_force(forcing, t_prev)),
-                    float(multisine_force(forcing, t_prev + 0.5 * h)),
-                    float(multisine_force(forcing, t_prev + h)))
+    stages = stage_forces(forcing, traj.t[:-1], h)
+    for k, f_stages in enumerate(zip(*stages), start=1):
         belief = ukf_step(belief, layout, base, f_stages,
                           float(traj.f[k]), float(y_meas[k]), h, noise)
         means[k], stds[k] = _raw_moments_from_gaussian(belief, layout)
@@ -340,11 +333,8 @@ def run_pf(traj: Trajectory, forcing: ForcingSpec, y_meas,
     means[0], stds[0] = raw_moments(ensemble)
     ess = np.empty(n)
     ess[0] = ensemble.ess
-    for k in range(1, n):
-        t_prev = traj.t[k - 1]
-        f_stages = (float(multisine_force(forcing, t_prev)),
-                    float(multisine_force(forcing, t_prev + 0.5 * h)),
-                    float(multisine_force(forcing, t_prev + h)))
+    stages = stage_forces(forcing, traj.t[:-1], h)
+    for k, f_stages in enumerate(zip(*stages), start=1):
         ensemble = pf_step(ensemble, layout, base, f_stages,
                            float(traj.f[k]), float(y_meas[k]), h, noise, stream)
         means[k], stds[k] = raw_moments(ensemble)
@@ -372,6 +362,8 @@ def default_ukf_init(layout: AugmentedState, z0=(0.0, 0.0),
 def default_pf_init(layout: AugmentedState, n_particles=1000, z0=(0.0, 0.0),
                     stream: nk.RngStream = None) -> ParticleEnsemble:
     """Uniform parameter box from the paper: k∈[5,20], c∈[0.5,2], k3∈[50,160]."""
+    if n_particles < 1:
+        raise ConfigError("need at least one particle")
     stream = stream or nk.RngStream(0).substream("pf-init")
     box = {"k": (5.0, 20.0), "c": (0.5, 2.0), "k3": (50.0, 160.0)}
     cols = [np.full(n_particles, z0[0]), np.full(n_particles, z0[1])]

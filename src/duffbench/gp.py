@@ -21,11 +21,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import numkit as nk
+from .errors import ConfigError, NumericFailure
 from .nets import TrainingDivergedError
 from .numkit import linalg
 
 
-class KernelError(Exception):
+class KernelError(ConfigError):
     """Invalid hyperparameters (e.g. overdamped oscillator kernel)."""
 
 
@@ -113,7 +114,7 @@ class GpModel:
         self.inputs = np.asarray(inputs, dtype=float)
         self.targets = np.asarray(targets, dtype=float)
         if len(self.inputs) < 2:
-            raise ValueError("need at least two training points")
+            raise ConfigError("need at least two training points")
         self.spec = spec
         K = kernel_matrix(spec, self.inputs)
         K[np.diag_indices_from(K)] += spec.noise_var
@@ -176,7 +177,10 @@ def fit(inputs, targets, spec: KernelSpec, optimize=True, seed=7,
     targets = np.asarray(targets, dtype=float)
     if not optimize:
         return GpModel(inputs, targets, spec)
-
+    if len(inputs) < 2:
+        raise ConfigError("need at least two training points")
+    if restarts < 1:
+        raise KernelError("need at least one restart")
     stream = nk.RngStream(seed).substream(f"gp-{spec.kind}")
     span = float(inputs.max() - inputs.min())
     std_y = max(float(np.std(targets)), 1e-12)
@@ -211,7 +215,7 @@ def fit(inputs, targets, spec: KernelSpec, optimize=True, seed=7,
         if np.isfinite(neg) and (best is None or neg < best[0]):
             best = (neg, theta)
     if best is None:
-        raise KernelError("hyperparameter search failed on every restart")
+        raise NumericFailure("hyperparameter search failed on every restart")
     theta = best[1]
     if spec.kind == "se":
         tuned = replace(spec, lengthscale=math.exp(theta[0]),

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit as nk
+from .errors import ConfigError, NumericFailure
 
 
-class TrainingDivergedError(Exception):
+class TrainingDivergedError(NumericFailure):
     """Loss or gradient became non-finite; carries the history up to the
     failure."""
 
@@ -41,11 +42,11 @@ class MlpSpec:
 
     def __post_init__(self):
         if len(self.widths) < 2:
-            raise ValueError("need at least input and output widths")
+            raise ConfigError("need at least input and output widths")
         if any(w < 1 for w in self.widths):
-            raise ValueError("layer widths must be positive")
+            raise ConfigError("layer widths must be positive")
         if self.activation not in ("tanh", "sin"):
-            raise ValueError("activation must be 'tanh' or 'sin'")
+            raise ConfigError("activation must be 'tanh' or 'sin'")
 
     @property
     def n_in(self):
@@ -179,13 +180,10 @@ class TrainConfig:
     adam_iters: int = 5000
     adam_lr: float = 1e-3
     lbfgs_iters: int = 500
-    seed: int = 0
-    normalization: Normalization = None
-    log_every: int = 0
 
     def __post_init__(self):
         if self.adam_iters + self.lbfgs_iters < 1:
-            raise ValueError("iteration budget must be >= 1")
+            raise ConfigError("iteration budget must be >= 1")
 
 
 def flatten(arrays):
@@ -236,7 +234,7 @@ def _finite(loss, g):
 
 
 def adam(closure, theta0, iters, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8,
-         history=None, log_every=0):
+         history=None):
     """Deterministic Adam on a closure theta -> (loss, grad)."""
     theta = np.array(theta0, dtype=float)
     m = np.zeros_like(theta)
@@ -247,8 +245,6 @@ def adam(closure, theta0, iters, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8,
         if not _finite(loss, g):
             raise TrainingDivergedError(history)
         history.append(float(loss))
-        if log_every and t % log_every == 0:
-            print(f"adam iter {t}: loss {loss:.6g}")
         m = beta1 * m + (1.0 - beta1) * g
         v = beta2 * v + (1.0 - beta2) * g * g
         m_hat = m / (1.0 - beta1 ** t)
@@ -258,7 +254,7 @@ def adam(closure, theta0, iters, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8,
 
 
 def lbfgs(closure, theta0, iters, memory=10, c1=1e-4, max_linesearch=25,
-          gtol=1e-12, history=None, log_every=0):
+          gtol=1e-12, history=None):
     """Limited-memory BFGS with Armijo backtracking; deterministic."""
     theta = np.array(theta0, dtype=float)
     history = [] if history is None else history
@@ -267,7 +263,7 @@ def lbfgs(closure, theta0, iters, memory=10, c1=1e-4, max_linesearch=25,
         raise TrainingDivergedError(history)
     history.append(float(loss))
     pairs = []
-    for it in range(iters):
+    for _ in range(iters):
         q = g.copy()
         alphas = []
         for s, y, rho in reversed(pairs):
@@ -309,8 +305,6 @@ def lbfgs(closure, theta0, iters, memory=10, c1=1e-4, max_linesearch=25,
                 pairs.pop(0)
         theta, loss, g = theta_new, loss_new, g_new
         history.append(float(loss))
-        if log_every and (it + 1) % log_every == 0:
-            print(f"lbfgs iter {it + 1}: loss {loss:.6g}")
         if np.linalg.norm(g) < gtol:
             break
     return theta, history
@@ -322,11 +316,10 @@ def train(closure, theta0, config: TrainConfig):
     theta = np.array(theta0, dtype=float)
     if config.adam_iters > 0:
         theta, history = adam(closure, theta, config.adam_iters,
-                              lr=config.adam_lr, history=history,
-                              log_every=config.log_every)
+                              lr=config.adam_lr, history=history)
     if config.lbfgs_iters > 0:
         theta, history = lbfgs(closure, theta, config.lbfgs_iters,
-                               history=history, log_every=config.log_every)
+                               history=history)
     return theta, history
 
 

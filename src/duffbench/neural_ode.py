@@ -15,7 +15,14 @@ import numpy as np
 
 from . import numkit as nk
 from . import nets
-from .duffing import ForcingSpec, OscillatorParams, Trajectory, multisine_force
+from .duffing import (
+    ForcingSpec,
+    OscillatorParams,
+    Trajectory,
+    rk4_increment,
+    stage_forces,
+)
+from .errors import ConfigError, NumericFailure
 
 
 INTEGRATORS = ("euler", "rk4")
@@ -41,7 +48,7 @@ class OdeFunc:
 
     def __init__(self, spec: nets.MlpSpec, params, scale=None):
         if spec.n_in != 3 or spec.n_out != 2:
-            raise ValueError("flow network maps (u, v, f) to (u̇, v̇)")
+            raise ConfigError("flow network maps (u, v, f) to (u̇, v̇)")
         self.spec = spec
         self.params = params
         # input scaling keeps unit-ish activations; identity by default
@@ -61,20 +68,16 @@ class OdeFunc:
         return nets.mlp_apply(self.spec, pairs, x)
 
 
+class StepDivergenceError(NumericFailure, FloatingPointError):
+    """A flow step produced a non-finite state; still the
+    FloatingPointError that `node_step` has always raised."""
+
+
 def _euler_increment(eval_fn, z, f_stages, h):
     return h * eval_fn(z, f_stages[0])
 
 
-def _rk4_increment(eval_fn, z, f_stages, h):
-    f1, f2, f4 = f_stages
-    k1 = eval_fn(z, f1)
-    k2 = eval_fn(z + 0.5 * h * k1, f2)
-    k3 = eval_fn(z + 0.5 * h * k2, f2)
-    k4 = eval_fn(z + h * k3, f4)
-    return h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-_INCREMENTS = {"euler": _euler_increment, "rk4": _rk4_increment}
+_INCREMENTS = {"euler": _euler_increment, "rk4": rk4_increment}
 
 
 def node_step(func, z, f_stages, integ: IntegratorSpec):
@@ -86,7 +89,7 @@ def node_step(func, z, f_stages, integ: IntegratorSpec):
     z = np.asarray(z, dtype=float)
     out = z + _INCREMENTS[integ.kind](func, z, f_stages, integ.h)
     if not np.all(np.isfinite(out)):
-        raise FloatingPointError("non-finite state after step")
+        raise StepDivergenceError("non-finite state after step")
     return out
 
 
@@ -102,13 +105,9 @@ class OneStepDataset:
     @classmethod
     def from_trajectory(cls, traj: Trajectory, forcing: ForcingSpec):
         h = 1.0 / traj.rate
-        t = traj.t[:-1]
         z = np.column_stack([traj.u[:-1], traj.v[:-1]])
         z_next = np.column_stack([traj.u[1:], traj.v[1:]])
-        stages = (multisine_force(forcing, t),
-                  multisine_force(forcing, t + 0.5 * h),
-                  multisine_force(forcing, t + h))
-        return cls(z, z_next, stages, h)
+        return cls(z, z_next, stage_forces(forcing, traj.t[:-1], h), h)
 
     def __len__(self):
         return len(self.z)
@@ -136,20 +135,12 @@ def node_train(dataset: OneStepDataset, integ: IntegratorSpec = None,
     def build(tape, leaves):
         pairs = nets.arrays_to_pairs(leaves)
         z = tape.constant(dataset.z)
-        f1, f2, f4 = (tape.constant(s) for s in stage_cols)
+        stages = [tape.constant(s) for s in stage_cols]
 
         def eval_fn(zn, fn):
             return func.tape_apply(tape, pairs, zn, fn)
 
-        if integ.kind == "euler":
-            inc = integ.h * eval_fn(z, f1)
-        else:
-            k1 = eval_fn(z, f1)
-            k2 = eval_fn(z + 0.5 * integ.h * k1, f2)
-            k3 = eval_fn(z + 0.5 * integ.h * k2, f2)
-            k4 = eval_fn(z + integ.h * k3, f4)
-            inc = integ.h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        pred = z + inc
+        pred = z + _INCREMENTS[integ.kind](eval_fn, z, stages, integ.h)
         return nets.observation_loss(pred, dataset.z_next)
 
     arrays, history = nets.fit_arrays(nets.pairs_to_arrays(params0), build,
@@ -168,7 +159,7 @@ def multistep_refine(func: OdeFunc, dataset: OneStepDataset, horizon: int,
     """
     n_pairs = len(dataset)
     if horizon < 1 or horizon >= n_pairs:
-        raise ValueError("horizon must fit inside the dataset")
+        raise ConfigError("horizon must fit inside the dataset")
     starts = np.arange(0, n_pairs - horizon, max(horizon // 2, 1))
     z0 = dataset.z[starts]
     targets = [dataset.z_next[starts + j] for j in range(horizon)]
@@ -185,12 +176,8 @@ def multistep_refine(func: OdeFunc, dataset: OneStepDataset, horizon: int,
         z = tape.constant(z0)
         loss = None
         for j in range(horizon):
-            f1, f2, f4 = (tape.constant(c) for c in stage_cols[j])
-            k1 = ev(z, f1)
-            k2 = ev(z + 0.5 * h * k1, f2)
-            k3 = ev(z + 0.5 * h * k2, f2)
-            k4 = ev(z + h * k3, f4)
-            z = z + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            stages = [tape.constant(c) for c in stage_cols[j]]
+            z = z + rk4_increment(ev, z, stages, h)
             term = nets.observation_loss(z, targets[j])
             loss = term if loss is None else loss + term
         return loss / float(horizon)
@@ -231,12 +218,9 @@ def rollout(func, z0, forcing: ForcingSpec, n, rate,
     integ = integ or IntegratorSpec(h=h)
     out = np.empty((n, 2))
     out[0] = z0
-    for k in range(n - 1):
-        t = k * h
-        stages = (float(multisine_force(forcing, t)),
-                  float(multisine_force(forcing, t + 0.5 * h)),
-                  float(multisine_force(forcing, t + h)))
-        out[k + 1] = node_step(func, out[k], stages, integ)
+    stages = stage_forces(forcing, np.arange(n - 1) * h, h)
+    for k, f_k in enumerate(zip(*stages)):
+        out[k + 1] = node_step(func, out[k], f_k, integ)
     return out
 
 

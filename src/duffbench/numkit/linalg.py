@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import NumericFailure
 from . import tape as tp
 
 
-class FactorizationError(Exception):
+class FactorizationError(NumericFailure):
     """Cholesky hit a non-positive pivot: matrix not positive definite."""
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import ConfigError
+
 _BITS = 32
 _SCALE = float(1 << _BITS)
 
@@ -17,7 +19,7 @@ _SCALE = float(1 << _BITS)
 def sobol_sequence(n):
     """First n points of the dimension-1 Sobol sequence in [0, 1)."""
     if n < 1:
-        raise ValueError("need n >= 1")
+        raise ConfigError("need n >= 1")
     out = np.empty(n)
     x = 0
     out[0] = 0.0
@@ -47,7 +49,7 @@ def sobol_indices(n, length):
     regular net, so the mapped indices are automatically distinct.
     """
     if n > length:
-        raise ValueError("cannot pick more indices than grid points")
+        raise ConfigError("cannot pick more indices than grid points")
     idx = np.unique((sobol_sequence(n) * length).astype(int))
     i = n
     while len(idx) < n:

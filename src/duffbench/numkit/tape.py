@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import NumericFailure
+
 
 class TapeError(Exception):
     """Structural problem in the graph (cross-tape ops, broken order)."""
 
 
-class NumericError(Exception):
+class NumericError(NumericFailure):
     """Non-finite value encountered on the tape."""
 
     def __init__(self, node_id, op):

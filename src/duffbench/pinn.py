@@ -31,10 +31,10 @@ from .duffing import (
     ForcingSpec,
     OscillatorParams,
     Trajectory,
-    multisine_force,
     simulate,
     subsample,
 )
+from .errors import ConfigError
 from .metrics import percent_error, rmse
 
 PARAM_ORDER = ("m", "c", "k", "k3")
@@ -47,10 +47,6 @@ WORKING_NET = nets.MlpSpec(widths=(1, 32, 32, 32, 2), activation="sin",
                            omega0=60.0)
 
 _SOFTPLUS_ONE = float(np.log(np.e - 1.0))  # softplus(_SOFTPLUS_ONE) == 1
-
-
-class ConfigError(Exception):
-    """Mode/weight/parameter combination violates the application table."""
 
 
 @dataclass(frozen=True)

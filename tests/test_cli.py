@@ -173,3 +173,38 @@ def test_shipped_configs_parse_and_name_valid_methods():
         assert parser.read(path)
         method = parser.get("experiment", "method")
         assert method in cli.METHODS, path.name
+
+
+# configs that once crashed with a traceback: (method, extra INI, exit code)
+HOSTILE = {
+    "one-sample": ("sindy", "[simulator]\nn = 1\n", 2),
+    "diverging-simulation": ("sindy", "[simulator]\nk3 = -1e6\nu0 = 5\n", 3),
+    "overdamped-gp-sdof": ("gp-sdof", "[simulator]\nn = 256\nc = 100\n", 2),
+    "zero-forward-windows": ("pinn-forward",
+                             "[simulator]\nn = 256\n\n"
+                             "[pinn-forward]\nwindows = 0\n", 2),
+    "relu-activation": ("nn-baseline",
+                        "[simulator]\nn = 256\n\n"
+                        "[nn-baseline]\nactivation = relu\n", 2),
+    "zero-particles": ("pf", "[simulator]\nn = 64\n\n[pf]\nparticles = 0\n",
+                       2),
+    "one-gp-observation": ("gp-se",
+                           "[simulator]\nn = 256\n\n[gp-se]\nstride = 300\n",
+                           2),
+    "zero-gp-restarts": ("gp-se",
+                         "[simulator]\nn = 256\n\n[gp-se]\nrestarts = 0\n",
+                         2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE))
+def test_hostile_config_exits_with_contract_code(tmp_path, capsys, case):
+    method, extra, expected = HOSTILE[case]
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, f"[experiment]\nmethod = {method}\n"
+                              f"out = {out}\n\n{extra}")
+    assert cli.main(["run", cfg]) == expected
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1, err
+    if expected == 3:
+        assert (out / "manifest.txt").exists()

@@ -17,6 +17,7 @@ from duffbench.duffing import (
     multisine_force,
     rms,
     simulate,
+    stage_forces,
     subsample,
 )
 
@@ -38,6 +39,17 @@ def test_single_component_sine_identity():
     # evaluate where the sine argument hits pi/2
     t = (math.pi / 2.0 - phase) / 1.0
     assert multisine_force(spec, t) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_stage_forces_match_scalar_calls_bitwise(default_traj):
+    forcing = ForcingSpec()
+    h = 1.0 / default_traj.rate
+    starts = default_traj.t[:-1]
+    assert len(starts) == 1023
+    ref = np.array([[multisine_force(forcing, t) for t in starts],
+                    [multisine_force(forcing, t + 0.5 * h) for t in starts],
+                    [multisine_force(forcing, t + h) for t in starts]])
+    assert np.array_equal(np.array(stage_forces(forcing, starts, h)), ref)
 
 
 def test_forcing_spectrum_peaks_at_stated_frequencies(default_traj):

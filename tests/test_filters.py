@@ -7,6 +7,7 @@ import pytest
 
 from duffbench import numkit as nk
 from duffbench import filters as flt
+from duffbench import neural_ode as node
 from duffbench.duffing import (
     ForcingSpec,
     OscillatorParams,
@@ -293,3 +294,35 @@ def test_result_csv_layout(tmp_path, default_setup):
     res.to_csv(path)
     header = path.read_text().splitlines()[0]
     assert header == "t,u_hat,v_hat,k_hat,c_hat,k3_hat,sd_u,sd_v,sd_k,sd_c,sd_k3"
+
+
+def test_stepped_runs_read_forcing_phases_at_most_three_times(monkeypatch):
+    """Stage forces are evaluated once per run, not once per step."""
+    forcing = ForcingSpec()
+    traj = simulate(TRUTH, forcing, n=64)
+    y = add_noise(traj.a, 0.085, nk.RngStream(3))
+    noise = flt.NoiseConfig.matched(traj.a, 0.085)
+    layout = flt.AugmentedState()
+    reads = []
+    phases = ForcingSpec.phases
+    monkeypatch.setattr(ForcingSpec, "phases", property(
+        lambda spec: reads.append(spec) or phases.fget(spec)))
+
+    def flow(z, f):
+        u, v = z[..., 0], z[..., 1]
+        return np.stack([v, TRUTH.acceleration(u, v, f)], axis=-1)
+
+    runs = {
+        "ukf": lambda: flt.run_ukf(traj, forcing, y, layout,
+                                   flt.default_ukf_init(layout), TRUTH, noise),
+        "pf": lambda: flt.run_pf(
+            traj, forcing, y, layout,
+            flt.default_pf_init(layout, 200, stream=nk.RngStream(4)),
+            TRUTH, noise, nk.RngStream(5)),
+        "rollout": lambda: node.rollout(flow, np.zeros(2), forcing,
+                                        len(traj), traj.rate),
+    }
+    for name, run in runs.items():
+        reads.clear()
+        run()
+        assert 1 <= len(reads) <= 3, (name, len(reads))
