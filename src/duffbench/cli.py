@@ -379,6 +379,10 @@ def run_node(method, cfg, out, seed):
 
 
 def run_hnn(method, cfg, out, seed):
+    h_step = cfg.get(method, "step", 5e-3, float)
+    if not h_step > 0.0:
+        raise ConfigError(f"[{method}] step must be positive, got {h_step}")
+    steps = cfg.get(method, "steps", 1000, int)
     params, forcing, traj = build_simulation(cfg)
     cons = OscillatorParams(m=params.m, c=0.0, k=params.k, k3=params.k3)
     u0 = cfg.get(method, "u0", 1.0, float)
@@ -388,8 +392,6 @@ def run_hnn(method, cfg, out, seed):
     tcfg = train_config(cfg, method, 3000, 3e-3, 300)
     hnet, history = node_mod.hnn_train(q, p, qd, pd, seed=seed, train=tcfg)
     nets.save_loss_history(out / "history.csv", history)
-    h_step = cfg.get(method, "step", 5e-3, float)
-    steps = cfg.get(method, "steps", 1000, int)
     qs, ps, H = node_mod.integrate_hamiltonian(hnet, q[0], p[0], h_step, steps)
     t = np.arange(steps + 1) * h_step
     ref = simulate(cons, ForcingSpec(amplitudes=0.0), n=steps + 1,

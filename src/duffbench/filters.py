@@ -351,6 +351,9 @@ def default_ukf_init(layout: AugmentedState, z0=(0.0, 0.0),
     the initial guess.
     """
     theta0 = dict({"k": 1.0, "c": 0.5, "k3": 40.0}, **(theta0 or {}))
+    bad = [f"{n}0" for n in layout.theta_names if not theta0[n] > 0.0]
+    if bad:
+        raise ConfigError(f"initial guess {', '.join(bad)} must be positive")
     raw_var = {"k": 25.0, "c": 0.25, "k3": 900.0}
     mean = np.concatenate([np.asarray(z0, dtype=float),
                            [np.log(theta0[n]) for n in layout.theta_names]])

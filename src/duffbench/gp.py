@@ -10,7 +10,8 @@ linear oscillator driven by white noise,
 with ω_n = √(k/m), ζ = c/(2√(km)), ω_d = ω_n √(1−ζ²) fixed by the
 known mass/damping/stiffness, leaving (σ_f, σ_n) as hyperparameters.
 Hyperparameters are chosen by multi-start gradient ascent of the log
-marginal likelihood on the autodiff tape.
+marginal likelihood, with its gradient in closed form (one Cholesky
+factorization per evaluation, no autodiff tape).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import numkit as nk
 from .errors import ConfigError, NumericFailure
-from .nets import TrainingDivergedError
+from .nets import TrainingDivergedError, adam
 from .numkit import linalg
 
 
@@ -138,27 +139,35 @@ class GpModel:
         return PredictiveDist(mean, np.sqrt(np.maximum(var, 0.0)))
 
 
-def predict(model: GpModel, query) -> PredictiveDist:
-    return model.predict(query)
+def _theta_free_matrix(spec: KernelSpec, t):
+    """d² for SE, the unit-σ_f Gram matrix for sdof: built once per fit."""
+    if spec.kind == "se":
+        return (t[:, None] - t[None, :]) ** 2
+    return kernel_matrix(replace(spec, sigma_f=1.0), t)
 
 
-def _lml_node(tape, spec_kind, log_params, t, y, fixed: KernelSpec):
-    """Log marginal likelihood as a tape node of log-hyperparameters."""
-    n = len(t)
-    yc = tape.constant(y)
-    if spec_kind == "se":
-        log_l, log_a = log_params
-        d2 = tape.constant((t[:, None] - t[None, :]) ** 2)
-        K = nk.exp(2.0 * log_a) * nk.exp(-d2 / (2.0 * nk.exp(2.0 * log_l)))
+def _lml_and_grad(kind, theta, y, base, noise_var):
+    """LML and its gradient in θ = (log l, log α) for SE or (log σ_f,)
+    for sdof, from one Cholesky factor L and L⁻¹ (K⁻¹ = L⁻ᵀL⁻¹):
+    ∂LML/∂θ = ½ tr((ααᵀ − K⁻¹) ∂K/∂θ) (Rasmussen & Williams 2006,
+    eq. 5.9), with ∂K/∂log α = ∂K/∂log σ_f = 2K_f, ∂K/∂log l = K_f ⊙ d²/l².
+    """
+    n = len(y)
+    if kind == "se":
+        l2 = np.exp(2.0 * theta[0])
+        Kf = np.exp(2.0 * theta[1]) * np.exp(-base / (2.0 * l2))
     else:
-        (log_sf,) = log_params
-        base = replace(fixed, kind="sdof", sigma_f=1.0, noise_var=0.0)
-        C = tape.constant(kernel_matrix(base, t))
-        K = nk.exp(2.0 * log_sf) * C
-    K = K + tape.constant(fixed.noise_var * np.eye(n))
-    quad = nk.vsum(yc * nk.spd_solve(K, yc))
-    return -0.5 * quad - 0.5 * nk.spd_logdet(K) \
+        Kf = np.exp(2.0 * theta[0]) * base
+    eye = np.eye(n)
+    factor = linalg.cholesky_jittered(Kf + noise_var * eye)
+    Linv = factor.half_solve(eye)
+    w = Linv @ y
+    alpha = Linv.T @ w
+    lml = -0.5 * (w @ w) - 0.5 * factor.log_det \
         - 0.5 * n * math.log(2.0 * math.pi)
+    WK = (np.outer(alpha, alpha) - Linv.T @ Linv) * Kf
+    grad = [0.5 * np.sum(WK * base) / l2] if kind == "se" else []
+    return float(lml), np.array(grad + [np.sum(WK)])
 
 
 def fit(inputs, targets, spec: KernelSpec, optimize=True, seed=7,
@@ -184,13 +193,12 @@ def fit(inputs, targets, spec: KernelSpec, optimize=True, seed=7,
     stream = nk.RngStream(seed).substream(f"gp-{spec.kind}")
     span = float(inputs.max() - inputs.min())
     std_y = max(float(np.std(targets)), 1e-12)
+    base = _theta_free_matrix(spec, inputs)
 
     def closure(theta):
-        tape = nk.Tape()
-        leaves = [tape.leaf(v) for v in theta]
-        lml = _lml_node(tape, spec.kind, leaves, inputs, targets, spec)
-        gs = nk.backward(lml, leaves)
-        return -float(lml.value), -np.array([float(g) for g in gs])
+        lml, grad = _lml_and_grad(spec.kind, theta, targets, base,
+                                  spec.noise_var)
+        return -lml, -grad
 
     def random_start():
         if spec.kind == "se":
@@ -208,7 +216,7 @@ def fit(inputs, targets, spec: KernelSpec, optimize=True, seed=7,
     for _ in range(restarts):
         theta0 = random_start()
         try:
-            theta, _ = _adam_ascent(closure, theta0, steps, lr)
+            theta, _ = adam(closure, theta0, steps, lr=lr)
             neg, _ = closure(theta)
         except (linalg.FactorizationError, TrainingDivergedError):
             continue
@@ -223,8 +231,3 @@ def fit(inputs, targets, spec: KernelSpec, optimize=True, seed=7,
     else:
         tuned = replace(spec, sigma_f=math.exp(theta[0]))
     return GpModel(inputs, targets, tuned)
-
-
-def _adam_ascent(closure, theta0, steps, lr):
-    from .nets import adam
-    return adam(closure, theta0, steps, lr=lr)

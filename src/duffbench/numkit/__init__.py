@@ -37,12 +37,9 @@ from .linalg import (
     FactorizationError,
     cholesky,
     cholesky_jittered,
-    cholesky_solve,
     solve_lower,
     solve_upper,
     symmetrize,
-    spd_solve,
-    spd_logdet,
 )
 from .rng import RngStream
 from .sobol import sobol_sequence, sobol_sample, sobol_indices
@@ -53,7 +50,6 @@ __all__ = [
     "tanh", "sin", "cos", "sincos", "sigmoid", "softplus", "matmul",
     "outer", "transpose", "reshape", "vsum", "vmean", "take", "concat",
     "CholeskyFactor", "FactorizationError", "cholesky",
-    "cholesky_jittered", "cholesky_solve", "solve_lower", "solve_upper",
-    "symmetrize", "spd_solve", "spd_logdet",
+    "cholesky_jittered", "solve_lower", "solve_upper", "symmetrize",
     "RngStream", "sobol_sequence", "sobol_sample", "sobol_indices",
 ]

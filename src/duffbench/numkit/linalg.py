@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import NumericFailure
-from . import tape as tp
 
 
 class FactorizationError(NumericFailure):
@@ -71,11 +70,6 @@ def cholesky_jittered(A, max_tries=8):
     raise FactorizationError(f"not positive definite after {max_tries} jitter retries")
 
 
-def cholesky_solve(A, b):
-    """Solve A x = b for symmetric positive definite A."""
-    return cholesky(A).solve(np.asarray(b, dtype=float))
-
-
 def solve_lower(L, b):
     """Forward substitution for lower-triangular L."""
     b = np.asarray(b, dtype=float)
@@ -101,28 +95,3 @@ def solve_upper(U, b):
 def symmetrize(A):
     return 0.5 * (A + A.T)
 
-
-# -- tape primitives for SPD matrices ---------------------------------------
-
-def spd_solve(A, b):
-    """Tape op: x = A⁻¹ b for an SPD matrix node A; b is (n,) or (n, m).
-
-    The backward rule reuses the forward Cholesky factor.
-    """
-    factor = cholesky_jittered(A.value)
-    x = factor.solve(b.value)
-
-    def backward(g):
-        gb = factor.solve(g)
-        gA = -np.outer(gb, x) if x.ndim == 1 else -(gb @ x.T)
-        return (gA, gb)
-
-    return tp.Node(A.tape, x, (A, b), backward, "spd_solve")
-
-
-def spd_logdet(A):
-    """Tape op: log|A| for an SPD matrix node, via Cholesky; VJP g·A⁻¹."""
-    factor = cholesky_jittered(A.value)
-    inv = factor.solve(np.eye(A.value.shape[0]))
-    return tp.Node(A.tape, np.array(factor.log_det), (A,),
-                   lambda g: (g * inv,), "spd_logdet")

@@ -74,25 +74,43 @@ class Node:
     def __repr__(self):
         return f"Node({self.op}, idx={self.idx}, shape={self.value.shape})"
 
+    def _scalar(self, value, vjp, op):
+        """A one-parent node: this node combined with a scalar constant."""
+        return Node(self.tape, value, (self,), vjp, op)
+
     def __add__(self, other):
+        if isinstance(other, _SCALARS):
+            return self._scalar(self.value + other, lambda g: (g,), "add")
         return add(self, _lift(other, self.tape))
 
     def __radd__(self, other):
+        if isinstance(other, _SCALARS):
+            return self._scalar(other + self.value, lambda g: (g,), "add")
         return add(_lift(other, self.tape), self)
 
     def __sub__(self, other):
+        if isinstance(other, _SCALARS):
+            return self._scalar(self.value - other, lambda g: (g,), "sub")
         return sub(self, _lift(other, self.tape))
 
     def __rsub__(self, other):
+        if isinstance(other, _SCALARS):
+            return self._scalar(other - self.value, lambda g: (-g,), "sub")
         return sub(_lift(other, self.tape), self)
 
     def __mul__(self, other):
+        if isinstance(other, _SCALARS):
+            return self._scalar(self.value * other, lambda g: (g * other,), "mul")
         return mul(self, _lift(other, self.tape))
 
     def __rmul__(self, other):
+        if isinstance(other, _SCALARS):
+            return self._scalar(other * self.value, lambda g: (g * other,), "mul")
         return mul(_lift(other, self.tape), self)
 
     def __truediv__(self, other):
+        if isinstance(other, _SCALARS):
+            return self._scalar(self.value / other, lambda g: (g / other,), "div")
         return div(self, _lift(other, self.tape))
 
     def __rtruediv__(self, other):
@@ -109,6 +127,10 @@ class Node:
 
     def __getitem__(self, index):
         return take(self, index)
+
+
+# Python and numpy scalars combine with a node without becoming nodes
+_SCALARS = (int, float, np.floating)
 
 
 def _lift(x, tape):
@@ -308,14 +330,14 @@ def take(a, index):
 def concat(nodes, axis=0):
     tape = nodes[0].tape
     sizes = [n.value.shape[axis] for n in nodes]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    offsets = [sum(sizes[:i]) for i in range(len(sizes) + 1)]
     ndim = nodes[0].value.ndim
 
     def backward(g):
         outs = []
         for i in range(len(nodes)):
             sl = [slice(None)] * ndim
-            sl[axis] = slice(int(offsets[i]), int(offsets[i + 1]))
+            sl[axis] = slice(offsets[i], offsets[i + 1])
             outs.append(g[tuple(sl)])
         return tuple(outs)
 
@@ -355,6 +377,8 @@ def backward(output, wrt, check_finite=False):
         if node.vjp is None:
             continue
         for parent, contrib in zip(node.parents, node.vjp(g)):
+            if parent.vjp is None and parent.idx not in wrt_ids:
+                continue  # a constant, or a leaf nobody asked for
             prev = adjoints[parent.idx]
             adjoints[parent.idx] = contrib if prev is None else prev + contrib
     results = []

@@ -175,7 +175,8 @@ def test_shipped_configs_parse_and_name_valid_methods():
         assert method in cli.METHODS, path.name
 
 
-# configs that once crashed with a traceback: (method, extra INI, exit code)
+# configs that once crashed with a traceback:
+# (method, extra INI, exit code[, a word the one-line error must name])
 HOSTILE = {
     "one-sample": ("sindy", "[simulator]\nn = 1\n", 2),
     "diverging-simulation": ("sindy", "[simulator]\nk3 = -1e6\nu0 = 5\n", 3),
@@ -194,17 +195,24 @@ HOSTILE = {
     "zero-gp-restarts": ("gp-se",
                          "[simulator]\nn = 256\n\n[gp-se]\nrestarts = 0\n",
                          2),
+    "zero-hnn-step": ("hnn", "[simulator]\nn = 64\n\n[hnn]\nstep = 0\n", 2,
+                      "step"),
+    "zero-ukf-stiffness-guess": ("ukf", "[simulator]\nn = 64\n\n"
+                                 "[ukf]\nk0 = 0\n", 2, "k0"),
+    "negative-ukf-cubic-guess": ("ukf", "[simulator]\nn = 64\n\n"
+                                 "[ukf]\nk30 = -40\n", 2, "k30"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(HOSTILE))
 def test_hostile_config_exits_with_contract_code(tmp_path, capsys, case):
-    method, extra, expected = HOSTILE[case]
+    method, extra, expected, *named = HOSTILE[case]
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path, f"[experiment]\nmethod = {method}\n"
                               f"out = {out}\n\n{extra}")
     assert cli.main(["run", cfg]) == expected
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1, err
+    assert all(word in err for word in named), err
     if expected == 3:
         assert (out / "manifest.txt").exists()

@@ -1,23 +1,17 @@
 """GP kernels, marginal likelihood against a dense oracle, predictions."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import oracles
 from duffbench import gp
 from duffbench import nets
 from duffbench import numkit as nk
 from duffbench.duffing import add_noise, rms, simulate, subsample
 from duffbench.metrics import rmse
-
-
-def dense_lml_oracle(K, y):
-    """Closed-form LML via plain dense solve and slogdet."""
-    n = len(y)
-    _, logdet = np.linalg.slogdet(K)
-    return float(-0.5 * y @ np.linalg.solve(K, y) - 0.5 * logdet
-                 - 0.5 * n * math.log(2 * math.pi))
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +87,7 @@ def test_lml_matches_dense_oracle(stride12_task):
                          noise_var=1e-4)
     model = gp.fit(obs.t, y, spec, optimize=False)
     K = gp.kernel_matrix(spec, obs.t) + spec.noise_var * np.eye(len(obs.t))
-    ref = dense_lml_oracle(K, y)
+    ref = oracles.dense_lml(K, y)
     assert model.log_marginal_likelihood == pytest.approx(ref, rel=1e-8)
 
 
@@ -163,43 +157,92 @@ def test_physics_kernel_coverage(fitted_pair):
     assert pred.covers(traj.u).mean() >= 0.90
 
 
-def test_lml_gradient_evaluation_factorizes_twice(monkeypatch):
-    """One LML+gradient evaluation: one Cholesky for the solve, one for
-    the log-determinant; the solve's backward reuses its factor."""
-    calls = []
-    real = nk.linalg.cholesky
+# log-hyperparameters on both sides of each kernel's optimum on stride12
+LML_THETAS = {"se": ([-0.5, -2.5], [0.0, -1.5], [0.7, -3.0]),
+              "sdof": ([0.5], [1.5], [2.5])}
 
-    def counting(A):
-        calls.append(A.shape)
-        return real(A)
+
+def _lml_case(stride12_task, kind):
+    _, obs, y, noise_std = stride12_task
+    spec = gp.KernelSpec(kind=kind, noise_var=noise_std ** 2)
+    return obs.t, y, spec, gp._theta_free_matrix(spec, obs.t)
+
+
+@pytest.mark.parametrize("kind", sorted(LML_THETAS))
+def test_closed_form_lml_matches_dense_oracle(stride12_task, kind):
+    t, y, spec, base = _lml_case(stride12_task, kind)
+    for theta in LML_THETAS[kind]:
+        lml, _ = gp._lml_and_grad(kind, np.array(theta), y, base,
+                                  spec.noise_var)
+        if kind == "se":
+            tuned = replace(spec, lengthscale=math.exp(theta[0]),
+                            signal_scale=math.exp(theta[1]))
+        else:
+            tuned = replace(spec, sigma_f=math.exp(theta[0]))
+        K = gp.kernel_matrix(tuned, t) + spec.noise_var * np.eye(len(t))
+        assert lml == pytest.approx(oracles.dense_lml(K, y), rel=1e-10)
+
+
+@pytest.mark.parametrize("kind", sorted(LML_THETAS))
+def test_closed_form_lml_gradient_matches_central_differences(stride12_task,
+                                                              kind):
+    _, y, spec, base = _lml_case(stride12_task, kind)
+
+    def lml(theta):
+        return gp._lml_and_grad(kind, theta, y, base, spec.noise_var)[0]
+
+    for theta in map(np.array, LML_THETAS[kind]):
+        _, grad = gp._lml_and_grad(kind, theta, y, base, spec.noise_var)
+        assert grad.shape == theta.shape
+        for i in range(len(theta)):
+            step = np.zeros_like(theta)
+            step[i] = 1e-6 * max(1.0, abs(theta[i]))
+            ref = (lml(theta + step) - lml(theta - step)) / (2.0 * step[i])
+            assert abs(grad[i] - ref) <= 1e-6 * abs(ref)
+
+
+def test_lml_gradient_evaluation_factorizes_once(monkeypatch):
+    """One LML+gradient evaluation: one Cholesky factor and one forward
+    substitution (L⁻¹), and no back substitution."""
+    names = ("cholesky", "solve_lower", "solve_upper")
+    calls = []
+
+    def counting(name):
+        real = getattr(nk.linalg, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
 
     counts = []
 
-    def one_evaluation(closure, theta0, steps, lr):
+    def one_evaluation(closure, theta0, iters, lr):
         del calls[:]
         closure(theta0)
-        counts.append(len(calls))
+        counts.append(tuple(calls.count(name) for name in names))
         return theta0, []
 
-    monkeypatch.setattr(nk.linalg, "cholesky", counting)
-    monkeypatch.setattr(gp, "_adam_ascent", one_evaluation)
+    for name in names:
+        monkeypatch.setattr(nk.linalg, name, counting(name))
+    monkeypatch.setattr(gp, "adam", one_evaluation)
     t = np.linspace(0.0, 10.0, 20)
     for kind in ("se", "sdof"):
         gp.fit(t, np.sin(t), gp.KernelSpec(kind=kind, noise_var=1e-2),
                restarts=1)
-    assert counts == [2, 2]
+    assert counts == [(1, 1, 0), (1, 1, 0)]
 
 
 def test_diverged_restart_is_skipped(monkeypatch):
     attempts = []
 
-    def diverge_first(closure, theta0, steps, lr):
+    def diverge_first(closure, theta0, iters, lr):
         attempts.append(theta0)
         if len(attempts) == 1:
             raise nets.TrainingDivergedError([])
         return theta0, []
 
-    monkeypatch.setattr(gp, "_adam_ascent", diverge_first)
+    monkeypatch.setattr(gp, "adam", diverge_first)
     t = np.linspace(0.0, 10.0, 20)
     model = gp.fit(t, np.sin(t), gp.KernelSpec(kind="se", noise_var=1e-2),
                    restarts=2)

@@ -32,14 +32,14 @@ def random_spd(stream, n):
 
 
 def test_identity_solve():
-    x = nk.cholesky_solve(np.eye(3), [1.0, 2.0, 3.0])
+    x = nk.cholesky(np.eye(3)).solve([1.0, 2.0, 3.0])
     assert np.allclose(x, [1.0, 2.0, 3.0], atol=1e-15)
 
 
 def test_solve_matches_elimination_oracle():
     A = np.array([[4.0, 2.0], [2.0, 3.0]])
     b = np.array([2.0, 1.0])
-    x = nk.cholesky_solve(A, b)
+    x = nk.cholesky(A).solve(b)
     ref = gaussian_elimination_solve(A, b)
     assert np.allclose(x, ref, atol=1e-12)
 
@@ -59,7 +59,7 @@ def test_residual_bound_random_spd_up_to_64():
     for n in (2, 5, 16, 33, 64):
         A = random_spd(stream, n)
         b = stream.normal(size=n)
-        x = nk.cholesky_solve(A, b)
+        x = nk.cholesky(A).solve(b)
         res = np.max(np.abs(A @ x - b))
         assert res < 1e-10 * max(1.0, np.max(np.abs(b)))
 
@@ -78,44 +78,6 @@ def test_jitter_recovers_near_singular():
     assert np.all(np.isfinite(factor.L))
     with pytest.raises(nk.FactorizationError):
         nk.cholesky_jittered(np.array([[1.0, 3.0], [3.0, 1.0]]))  # indefinite
-
-
-def test_spd_solve_tape_gradient():
-    """Vector and matrix right-hand sides vs central differences."""
-    stream = nk.RngStream(44).substream("spd-grad")
-    for rhs_shape in ((4,), (4, 3)):
-        A0 = random_spd(stream, 4)
-        b0 = stream.normal(size=rhs_shape)
-        tape = nk.Tape()
-        A = tape.leaf(A0)
-        b = tape.leaf(b0)
-        x = nk.spd_solve(A, b)
-        out = nk.vsum(x * x)
-        grads = nk.backward(out, [A, b])
-
-        def f(A_, b_):
-            return float(np.sum(np.linalg.solve(A_, b_) ** 2))
-
-        for k, (arr, g) in enumerate(zip((A0, b0), grads)):
-            assert g.shape == arr.shape
-            for idx in np.ndindex(arr.shape):
-                step = 1e-6 * max(1.0, abs(arr[idx]))
-                hi, lo = arr.copy(), arr.copy()
-                hi[idx] += step
-                lo[idx] -= step
-                args = ((hi, b0), (lo, b0)) if k == 0 else ((A0, hi), (A0, lo))
-                ref = (f(*args[0]) - f(*args[1])) / (2.0 * step)
-                assert abs(g[idx] - ref) / max(1.0, abs(ref)) < 1e-6
-
-
-def test_spd_logdet_tape_gradient():
-    stream = nk.RngStream(45).substream("logdet-grad")
-    A0 = random_spd(stream, 4)
-    tape = nk.Tape()
-    A = tape.leaf(A0)
-    out = nk.spd_logdet(A)
-    g = nk.grad(out, wrt=[A])[A]
-    assert np.allclose(g, np.linalg.inv(A0), atol=1e-9)
 
 
 def test_rng_equal_seeds_equal_draws():

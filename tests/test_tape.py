@@ -89,6 +89,29 @@ def test_backward_appends_no_nodes_and_returns_arrays():
     assert [g.shape for g in grads] == [(), (2, 2), ()]
 
 
+def _scalar_mix(a, lift):
+    """Every Node operator with a scalar on either side; `lift` turns
+    the scalars into something else (or leaves them alone)."""
+    return (lift(2.0) - a) * lift(3) / lift(np.float64(1.5)) \
+        + lift(0.25) * a + (a - lift(1)) + (lift(-0.5) + a) * a \
+        + lift(0.125)
+
+
+def test_scalar_operands_add_no_nodes_and_keep_the_lifted_bits():
+    x0 = np.array([[0.3, -1.2], [2.5, 0.7]])
+    results = []
+    for lifted in (False, True):
+        tape = nk.Tape()
+        x = tape.leaf(x0)
+        lift = tape.constant if lifted else (lambda c: c)
+        y = nk.vsum(_scalar_mix(x, lift))
+        results.append((len(tape.nodes), y.value, nk.backward(y, [x])[0]))
+    (n_scalar, y_scalar, g_scalar), (n_lifted, y_lifted, g_lifted) = results
+    assert n_lifted - n_scalar == 7  # one constant per scalar operand
+    assert y_scalar == y_lifted
+    assert np.array_equal(g_scalar, g_lifted)
+
+
 def _random_graph(stream, n_leaves, size):
     """Build one random scalar graph over {+, ×, tanh, sin, pow}.
 
@@ -305,6 +328,7 @@ def _sincos_mix(a):
 
 
 PRIMITIVES = {
+    "scalar-operands": (lambda a: _scalar_mix(a, lambda c: c), [_X]),
     "sub": (lambda a, b: a - b, [_X, _Y]),
     "neg": (lambda a: -a, [_X]),
     "div": (lambda a, b: a / b, [_X, _POS]),
