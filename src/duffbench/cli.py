@@ -383,9 +383,15 @@ def run_hnn(method, cfg, out, seed):
     if not h_step > 0.0:
         raise ConfigError(f"[{method}] step must be positive, got {h_step}")
     steps = cfg.get(method, "steps", 1000, int)
+    if steps < 1:
+        raise ConfigError(f"[{method}] steps must be >= 1, got {steps}")
+    u0 = cfg.get(method, "u0", 1.0, float)
+    if u0 == 0.0:
+        # the conservative record would rest at H = 0: nothing to learn,
+        # and the energy drift is relative to H[0]
+        raise ConfigError(f"[{method}] u0 must be nonzero")
     params, forcing, traj = build_simulation(cfg)
     cons = OscillatorParams(m=params.m, c=0.0, k=params.k, k3=params.k3)
-    u0 = cfg.get(method, "u0", 1.0, float)
     cons_traj = simulate(cons, ForcingSpec(amplitudes=0.0),
                          n=len(traj), rate=traj.rate, z0=(u0, 0.0))
     q, p, qd, pd = node_mod.conservative_batch(cons_traj, cons.m)

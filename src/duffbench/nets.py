@@ -1,11 +1,12 @@
 """Fully-connected network machinery shared by the learning modules.
 
 A network is a list of (W, b) numpy pairs described by an MlpSpec.
-Forward evaluation happens on the autodiff tape; a tangent-propagation
-variant returns the derivative of the outputs with respect to the
-scalar input alongside the outputs, which is what the physics losses
-differentiate. Training is Adam followed by an optional L-BFGS
-refinement, both deterministic.
+Forward evaluation happens on the autodiff tape, one `mlp` node per
+application; a tangent-propagation variant returns the derivative of
+the outputs with respect to the scalar input alongside the outputs,
+which is what the physics losses differentiate. Frozen networks are
+evaluated by the plain-numpy twins of both. Training is Adam followed
+by an optional L-BFGS refinement, both deterministic.
 """
 
 from __future__ import annotations
@@ -77,13 +78,29 @@ def leaf_params(tape: nk.Tape, params):
 
 
 def mlp_apply(spec: MlpSpec, param_nodes, x):
-    """Feed-forward pass on the tape; x is a (N, n_in) node."""
-    act = nk.sin if spec.activation == "sin" else nk.tanh
+    """Feed-forward pass on the tape as one `mlp` node; x is a (N, n_in)
+    node."""
+    return nk.mlp(x, param_nodes, spec.activation)
+
+
+def _np_sincos(a):
+    return np.sin(a), np.cos(a)
+
+
+def _tangent_pass(spec, params, x, s, sincos, tanh):
+    """Outputs and d(outputs)/d(input) from the input tangent s; runs on
+    tape nodes or on numpy arrays, given the matching sincos and tanh."""
     h = x
-    for W, b in param_nodes[:-1]:
-        h = act(h @ W + b)
-    W, b = param_nodes[-1]
-    return h @ W + b
+    for W, b in params[:-1]:
+        a = h @ W + b
+        if spec.activation == "sin":
+            h, cos_a = sincos(a)
+            s = (s @ W) * cos_a
+        else:
+            h = tanh(a)
+            s = (s @ W) * (1.0 - h * h)
+    W, b = params[-1]
+    return h @ W + b, s @ W
 
 
 def mlp_apply_tangent(spec: MlpSpec, param_nodes, x):
@@ -96,28 +113,23 @@ def mlp_apply_tangent(spec: MlpSpec, param_nodes, x):
     """
     if x.value.ndim != 2 or x.value.shape[1] != 1:
         raise ValueError("tangent propagation expects (N, 1) inputs")
-    h = x
     s = x.tape.constant(np.ones_like(x.value))
-    for W, b in param_nodes[:-1]:
-        a = h @ W + b
-        if spec.activation == "sin":
-            h, cos_a = nk.sincos(a)
-            s = (s @ W) * cos_a
-        else:
-            h = nk.tanh(a)
-            s = (s @ W) * (1.0 - h * h)
-    W, b = param_nodes[-1]
-    return h @ W + b, s @ W
+    return _tangent_pass(spec, param_nodes, x, s, nk.sincos, nk.tanh)
 
 
 def mlp_predict(spec: MlpSpec, params, x):
     """Plain numpy forward pass for frozen parameters."""
-    act = np.sin if spec.activation == "sin" else np.tanh
-    h = np.asarray(x, dtype=float)
-    for W, b in params[:-1]:
-        h = act(h @ W + b)
-    W, b = params[-1]
-    return h @ W + b
+    return nk.mlp_forward(np.asarray(x, dtype=float), params, spec.activation)
+
+
+def mlp_predict_tangent(spec: MlpSpec, params, x):
+    """Plain numpy twin of `mlp_apply_tangent` for frozen parameters;
+    its values equal the tape's bit for bit."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != 1:
+        raise ValueError("tangent propagation expects (N, 1) inputs")
+    return _tangent_pass(spec, params, x, np.ones_like(x), _np_sincos,
+                         np.tanh)
 
 
 def observation_loss(pred, obs):

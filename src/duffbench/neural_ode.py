@@ -260,16 +260,24 @@ class HamiltonianNet:
                    nets.init_params(v_spec, stream.substream("hnn-V")),
                    sigma_q, sigma_p, s_t, s_v)
 
-    # tape-side pieces used by the loss
-    def grads_nodes(self, tape, t_pairs, v_pairs, q, p):
-        """(∂H/∂q, ∂H/∂p) nodes at constant (q, p) columns."""
-        pn = tape.constant(np.asarray(p, float).reshape(-1, 1) / self.sigma_p)
-        qn = tape.constant(np.asarray(q, float).reshape(-1, 1) / self.sigma_q)
-        _, dT = nets.mlp_apply_tangent(self.t_spec, t_pairs, pn)
-        _, dV = nets.mlp_apply_tangent(self.v_spec, v_pairs, qn)
+    def _grads(self, tangent, t_params, v_params, q, p):
+        """(∂H/∂q, ∂H/∂p) from `tangent(spec, params, x)`, the numpy
+        `mlp_predict_tangent` or a tape-side `mlp_apply_tangent`."""
+        _, dT = tangent(self.t_spec, t_params,
+                        np.asarray(p, float).reshape(-1, 1) / self.sigma_p)
+        _, dV = tangent(self.v_spec, v_params,
+                        np.asarray(q, float).reshape(-1, 1) / self.sigma_q)
         dH_dp = dT[(slice(None), 0)] * (self.s_t / self.sigma_p)
         dH_dq = dV[(slice(None), 0)] * (self.s_v / self.sigma_q)
         return dH_dq, dH_dp
+
+    # tape-side pieces used by the loss
+    def grads_nodes(self, tape, t_pairs, v_pairs, q, p):
+        """(∂H/∂q, ∂H/∂p) nodes at constant (q, p) columns."""
+        def tangent(spec, pairs, x):
+            return nets.mlp_apply_tangent(spec, pairs, tape.constant(x))
+
+        return self._grads(tangent, t_pairs, v_pairs, q, p)
 
     def arrays(self):
         return nets.pairs_to_arrays(self.t_params) \
@@ -291,11 +299,8 @@ class HamiltonianNet:
         return T + V
 
     def grads(self, q, p):
-        tape = nk.Tape()
-        t_pairs = [(tape.constant(W), tape.constant(b)) for W, b in self.t_params]
-        v_pairs = [(tape.constant(W), tape.constant(b)) for W, b in self.v_params]
-        dH_dq, dH_dp = self.grads_nodes(tape, t_pairs, v_pairs, q, p)
-        return dH_dq.value, dH_dp.value
+        return self._grads(nets.mlp_predict_tangent, self.t_params,
+                           self.v_params, q, p)
 
 
 class AnalyticHamiltonian:

@@ -24,6 +24,8 @@ from .tape import (
     sigmoid,
     softplus,
     matmul,
+    mlp,
+    mlp_forward,
     outer,
     transpose,
     reshape,
@@ -48,7 +50,8 @@ __all__ = [
     "Tape", "Node", "TapeError", "NumericError", "grad", "backward",
     "add", "sub", "mul", "div", "neg", "powc", "exp", "log", "sqrt",
     "tanh", "sin", "cos", "sincos", "sigmoid", "softplus", "matmul",
-    "outer", "transpose", "reshape", "vsum", "vmean", "take", "concat",
+    "mlp", "mlp_forward", "outer", "transpose", "reshape", "vsum", "vmean",
+    "take", "concat",
     "CholeskyFactor", "FactorizationError", "cholesky",
     "cholesky_jittered", "solve_lower", "solve_upper", "symmetrize",
     "RngStream", "sobol_sequence", "sobol_sample", "sobol_indices",

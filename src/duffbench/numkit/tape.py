@@ -7,7 +7,8 @@ adjoint per parent with plain numpy on the parents' forward values, so
 a backward sweep accumulates arrays and never grows the tape.
 
 Supported matmul shapes are (2D, 2D) and (2D, 1D); everything else is
-elementwise with numpy broadcasting.
+elementwise with numpy broadcasting. `mlp` records a whole network
+application as one node.
 """
 
 from __future__ import annotations
@@ -305,6 +306,52 @@ def vmean(a, axis=None, keepdims=False):
         ax = axis if isinstance(axis, tuple) else (axis,)
         n = int(np.prod([a.value.shape[i] for i in ax]))
     return vsum(a, axis=axis, keepdims=keepdims) / float(n)
+
+
+def mlp_forward(x, params, activation, hidden=None):
+    """Plain-numpy MLP: act(h @ W + b) per hidden layer, affine output.
+
+    `params` holds (W, b) arrays and `activation` is "tanh" or "sin".
+    With a `hidden` list, each hidden layer appends (its output, cos of
+    its pre-activation for sin or None for tanh): what `mlp`'s VJP reads.
+    """
+    act = np.sin if activation == "sin" else np.tanh
+    h = x
+    for W, b in params[:-1]:
+        a = h @ W + b
+        h = act(a)
+        if hidden is not None:
+            hidden.append((h, np.cos(a) if activation == "sin" else None))
+    W, b = params[-1]
+    return h @ W + b
+
+
+def mlp(x, params, activation):
+    """One node for a whole MLP application; parents x, W0, b0, W1, b1, ...
+
+    The VJP walks the layers in reverse with the float operations and
+    order of the per-op chain (matmul, add, activation), so every
+    adjoint equals that chain's bit for bit.
+    """
+    hidden = []
+    value = mlp_forward(x.value, [(W.value, b.value) for W, b in params],
+                        activation, hidden)
+    inputs = [x.value] + [h for h, _ in hidden]
+
+    def backward(g):
+        grads = []
+        for i in range(len(params) - 1, -1, -1):
+            W, b = params[i]
+            grads += [_shrink(g, b.value.shape), inputs[i].T @ g]
+            g = g @ W.value.T
+            if i:
+                h, cos_a = hidden[i - 1]
+                g = g * (1.0 - h * h) if cos_a is None else g * cos_a
+        grads.append(g)
+        return tuple(reversed(grads))
+
+    parents = (x,) + tuple(node for pair in params for node in pair)
+    return Node(x.tape, value, parents, backward, "mlp")
 
 
 def _is_fancy(index):

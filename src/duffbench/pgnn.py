@@ -58,21 +58,25 @@ class ResidualNet:
         self.params = params
         self.norm = norm
 
-    def correction_nodes(self, tape, pairs, t):
+    def _correction(self, tangent, params, t):
         tau = self.norm.t_in(t).reshape(-1, 1)
-        dz_hat, ddz_hat = nets.mlp_apply_tangent(self.spec, pairs,
-                                                 tape.constant(tau))
+        dz_hat, ddz_hat = tangent(self.spec, params, tau)
         su = self.norm.z_std[0]
         du = dz_hat[(slice(None), 0)] * su
         dv = ddz_hat[(slice(None), 0)] * (su / self.norm.t_half)
         return du, dv
 
+    def correction_nodes(self, tape, pairs, t):
+        def tangent(spec, pairs, x):
+            return nets.mlp_apply_tangent(spec, pairs, tape.constant(x))
+
+        return self._correction(tangent, pairs, t)
+
     def correction(self, t):
         """Δz values on frozen parameters: columns (Δu, Δv)."""
-        tape = nk.Tape()
-        pairs = [(tape.constant(W), tape.constant(b)) for W, b in self.params]
-        du, dv = self.correction_nodes(tape, pairs, np.asarray(t, dtype=float))
-        return np.column_stack([du.value, dv.value])
+        du, dv = self._correction(nets.mlp_predict_tangent, self.params,
+                                  np.asarray(t, dtype=float))
+        return np.column_stack([du, dv])
 
 
 @dataclass

@@ -2,8 +2,13 @@
 
 Everything here is deliberately written without touching the package's
 computation paths: finite differences, random scalar graphs evaluated
-with plain numpy, and a hand-rolled discrete Kalman filter.
+with plain numpy, a hand-rolled discrete Kalman filter, and the earlier
+forms of two fast paths (the per-op network on the tape and the
+simulator with scalar forcing) that the fast ones must match bit for
+bit.
 """
+
+import math
 
 import numpy as np
 
@@ -131,3 +136,64 @@ def dense_lml(K, y):
     _, logdet = np.linalg.slogdet(K)
     return float(-0.5 * y @ np.linalg.solve(K, y) - 0.5 * logdet
                  - 0.5 * n * np.log(2 * np.pi))
+
+
+def mlp_apply_per_op(spec, param_nodes, x):
+    """The network on the tape as a chain of primitive ops (matmul, add,
+    activation per layer): the reference the fused `mlp` node must match
+    bit for bit."""
+    act = nk.sin if spec.activation == "sin" else nk.tanh
+    h = x
+    for W, b in param_nodes[:-1]:
+        h = act(h @ W + b)
+    W, b = param_nodes[-1]
+    return h @ W + b
+
+
+def simulate_scalar_forcing(params, forcing, n, rate, z0=(0.0, 0.0),
+                            substeps=16):
+    """(u, v) of the simulator's RK4 loop with the force evaluated by
+    scalar `math.sin` calls at every sub-stage time."""
+    h = 1.0 / (rate * substeps)
+    m, c, k, k3 = params.m, params.c, params.k, params.k3
+    comps = list(zip((float(a) for a in forcing.amplitude_array),
+                     (float(w) for w in forcing.frequencies),
+                     forcing.phases))
+
+    def force(t):
+        s = 0.0
+        for a, w, p in comps:
+            s += a * math.sin(w * t + p)
+        return s
+
+    u = np.empty(n)
+    v = np.empty(n)
+    uk, vk = float(z0[0]), float(z0[1])
+    u[0], v[0] = uk, vk
+    half = 0.5 * h
+    sixth = h / 6.0
+    for i in range(n - 1):
+        t0 = i / rate
+        for j in range(substeps):
+            t = t0 + j * h
+            f1 = force(t)
+            f2 = force(t + half)
+            f4 = force(t + h)
+            k1u = vk
+            k1v = (f1 - c * vk - k * uk - k3 * uk * uk * uk) / m
+            u2 = uk + half * k1u
+            v2 = vk + half * k1v
+            k2u = v2
+            k2v = (f2 - c * v2 - k * u2 - k3 * u2 * u2 * u2) / m
+            u3 = uk + half * k2u
+            v3 = vk + half * k2v
+            k3u = v3
+            k3v = (f2 - c * v3 - k * u3 - k3 * u3 * u3 * u3) / m
+            u4 = uk + h * k3u
+            v4 = vk + h * k3v
+            k4u = v4
+            k4v = (f4 - c * v4 - k * u4 - k3 * u4 * u4 * u4) / m
+            uk = uk + sixth * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+            vk = vk + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        u[i + 1], v[i + 1] = uk, vk
+    return u, v

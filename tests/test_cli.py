@@ -201,6 +201,12 @@ HOSTILE = {
                                  "[ukf]\nk0 = 0\n", 2, "k0"),
     "negative-ukf-cubic-guess": ("ukf", "[simulator]\nn = 64\n\n"
                                  "[ukf]\nk30 = -40\n", 2, "k30"),
+    "negative-hnn-steps": ("hnn", "[simulator]\nn = 64\n\n"
+                           "[hnn]\nsteps = -1\n", 2, "steps"),
+    "zero-hnn-steps": ("hnn", "[simulator]\nn = 64\n\n[hnn]\nsteps = 0\n",
+                       2, "steps"),
+    "zero-hnn-amplitude": ("hnn", "[simulator]\nn = 64\n\n[hnn]\nu0 = 0\n",
+                           2, "u0"),
 }
 
 

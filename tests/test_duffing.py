@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from duffbench import numkit as nk
 from duffbench.duffing import (
+    FORCE_BLOCK,
     DivergenceError,
     DomainSpec,
     ForcingSpec,
@@ -130,6 +132,21 @@ def test_determinism_bitwise():
     b = simulate()
     for name in ("t", "u", "v", "a", "f"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+@pytest.mark.parametrize("case", [
+    {},
+    {"substeps": 1},
+    {"forcing": ForcingSpec(amplitudes=0.0), "z0": (1.0, 0.0)},
+    {"n": FORCE_BLOCK // 16 + 37, "z0": (0.2, -0.1)},
+], ids=["default", "one-substep", "zero-amplitude", "partial-block"])
+def test_vectorised_forcing_matches_scalar_loop_bitwise(case, default_traj):
+    kw = {"params": OscillatorParams(), "forcing": ForcingSpec(),
+          "n": 1024, "rate": 8.525, "z0": (0.0, 0.0), "substeps": 16}
+    kw.update(case)
+    traj = default_traj if not case else simulate(**kw)
+    u, v = oracles.simulate_scalar_forcing(**kw)
+    assert np.array_equal(traj.u, u) and np.array_equal(traj.v, v)
 
 
 def test_divergence_error_names_step():

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+import oracles
 from duffbench import numkit as nk
 from duffbench import nets
-from duffbench.duffing import simulate, subsample
+from duffbench.duffing import rk4_increment, simulate, subsample
 from duffbench.metrics import rmse
 
 TANH = nets.MlpSpec(widths=(1, 8, 2))
@@ -51,8 +52,13 @@ def test_tape_and_numpy_forward_agree(spec):
     x = stream.normal(size=(11, 1))
     tape = nk.Tape()
     nodes = nets.leaf_params(tape, params)
-    out = nets.mlp_apply(spec, nodes, tape.constant(x))
-    assert np.allclose(out.value, nets.mlp_predict(spec, params, x), atol=1e-14)
+    xn = tape.constant(x)
+    before = len(tape.nodes)
+    out = nets.mlp_apply(spec, nodes, xn)
+    # one fused node per application, sharing mlp_predict's layer loop
+    assert len(tape.nodes) == before + 1
+    assert out.op == "mlp" and out.parents[0] is xn
+    assert np.array_equal(out.value, nets.mlp_predict(spec, params, x))
 
 
 @pytest.mark.parametrize("spec", [nets.MlpSpec(widths=(1, 16, 16, 2)),
@@ -69,6 +75,77 @@ def test_tangent_matches_finite_difference_input_derivative(spec):
     fd = (nets.mlp_predict(spec, params, x + h)
           - nets.mlp_predict(spec, params, x - h)) / (2 * h)
     assert np.allclose(dz.value, fd, rtol=1e-5, atol=1e-8)
+
+
+FLOW_SPECS = [nets.MlpSpec(widths=(3, 16, 16, 2)),
+              nets.MlpSpec(widths=(3, 16, 16, 2), activation="sin",
+                           omega0=3.0)]
+
+
+def _constant_input(tape, apply, pairs, X, F):
+    x = tape.constant(X)
+    return apply(pairs, x), [x]
+
+
+def _input_on_path(tape, apply, pairs, X, F):
+    # the neural-ODE flow's input: a state leaf, a constant force, scaled
+    z = tape.leaf(X[:, :2])
+    x = nk.concat([z, tape.constant(F)], axis=1) / np.array([1.5, 2.0, 0.5])
+    return apply(pairs, x), [z, x]
+
+
+def _rk4_stages(tape, apply, pairs, X, F):
+    # four applications sharing every W and b, chained through the state
+    z = tape.leaf(X[:, :2])
+    stages = [tape.constant(F), tape.constant(F + 0.25),
+              tape.constant(F + 0.5)]
+
+    def flow(zn, fn):
+        return apply(pairs, nk.concat([zn, fn], axis=1))
+
+    return z + rk4_increment(flow, z, stages, 0.1), [z]
+
+
+@pytest.mark.parametrize("spec", FLOW_SPECS, ids=lambda s: s.activation)
+@pytest.mark.parametrize("program", [_constant_input, _input_on_path,
+                                     _rk4_stages])
+def test_fused_mlp_matches_per_op_chain_bitwise(spec, program):
+    stream = nk.RngStream(21).substream("fused-" + spec.activation)
+    arrays = nets.pairs_to_arrays(nets.init_params(spec, stream))
+    X = stream.normal(size=(13, 3))
+    F = stream.normal(size=(13, 1))
+    weights = stream.normal(size=(13, 2))
+    runs = []
+    for apply in (nets.mlp_apply, oracles.mlp_apply_per_op):
+        tape = nk.Tape()
+        leaves = [tape.leaf(a) for a in arrays]
+        out, inputs = program(
+            tape, lambda pairs, x: apply(spec, pairs, x),
+            nets.arrays_to_pairs(leaves), X, F)
+        loss = nk.vsum(out * tape.constant(weights))
+        runs.append((out.value, nk.backward(loss, inputs + leaves)))
+    (fused, fused_adj), (chain, chain_adj) = runs
+    assert np.array_equal(fused, chain)
+    assert len(fused_adj) == len(chain_adj)
+    for a, b in zip(fused_adj, chain_adj):
+        assert a.shape == b.shape and np.array_equal(a, b)
+        assert np.any(a != 0.0)
+
+
+@pytest.mark.parametrize("spec", [nets.MlpSpec(widths=(1, 16, 16, 2)),
+                                  SIN_NET])
+def test_numpy_tangent_equals_tape_tangent_bitwise(spec):
+    stream = nk.RngStream(23).substream("tangent-twin")
+    params = nets.init_params(spec, stream)
+    x = stream.normal(size=(9, 1))
+    tape = nk.Tape()
+    pairs = [(tape.constant(W), tape.constant(b)) for W, b in params]
+    z_node, dz_node = nets.mlp_apply_tangent(spec, pairs, tape.constant(x))
+    z, dz = nets.mlp_predict_tangent(spec, params, x)
+    assert np.array_equal(z, z_node.value)
+    assert np.array_equal(dz, dz_node.value)
+    with pytest.raises(ValueError):
+        nets.mlp_predict_tangent(spec, params, np.zeros((3, 2)))
 
 
 def test_observation_loss_values():

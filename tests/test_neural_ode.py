@@ -281,6 +281,19 @@ def test_hnn_loss_gradient_matches_fd(conservative_traj):
         assert abs(g_flat[i] - ref) / max(1.0, abs(ref)) < 1e-5
 
 
+def test_numpy_grads_equal_tape_grads_bitwise(conservative_traj):
+    params, traj = conservative_traj
+    q, p, qd, pd = node.conservative_batch(traj, params.m)
+    hnet = node.HamiltonianNet.for_data(q, p, qd, pd, seed=3)
+    tape = nk.Tape()
+    t_pairs = [(tape.constant(W), tape.constant(b)) for W, b in hnet.t_params]
+    v_pairs = [(tape.constant(W), tape.constant(b)) for W, b in hnet.v_params]
+    dq_node, dp_node = hnet.grads_nodes(tape, t_pairs, v_pairs, q, p)
+    dq, dp = hnet.grads(q, p)
+    assert np.array_equal(dq, dq_node.value)
+    assert np.array_equal(dp, dp_node.value)
+
+
 @pytest.fixture(scope="module")
 def trained_hnn(conservative_traj):
     params, traj = conservative_traj

@@ -52,6 +52,20 @@ def test_additivity_contract():
     assert np.array_equal(res.combined, prior + delta)
 
 
+def test_numpy_correction_equals_tape_correction_bitwise():
+    spec = nets.MlpSpec(widths=(1, 16, 16, 1), activation="sin", omega0=3.0)
+    stream = nk.RngStream(4).substream("correction")
+    t = np.linspace(0.0, 30.0, 97)
+    res = pgnn.ResidualNet(spec, nets.init_params(spec, stream),
+                           nets.Normalization(15.0, 15.0, np.zeros(1),
+                                              np.array([0.3])))
+    tape = nk.Tape()
+    pairs = [(tape.constant(W), tape.constant(b)) for W, b in res.params]
+    du, dv = res.correction_nodes(tape, pairs, t)
+    assert np.array_equal(res.correction(t),
+                          np.column_stack([du.value, dv.value]))
+
+
 def test_prior_immutable_through_training():
     traj = simulate(TRUTH, FORCING, n=256)
     prior = pgnn.PriorModel.from_known_physics(TRUTH, FORCING)
