@@ -235,6 +235,9 @@ def fit_arrays(arrays0, loss_builder, config: TrainConfig):
         leaves = [tape.leaf(a) for a in unflatten(theta, metas)]
         loss = loss_builder(tape, leaves)
         gs = nk.backward(loss, leaves)
+        # nodes and their tape refer to each other; unlinking them frees
+        # this evaluation's arrays now instead of at a later cyclic GC
+        tape.nodes.clear()
         return float(loss.value), np.concatenate([np.ravel(g) for g in gs])
 
     theta, history = train(closure, flat, config)

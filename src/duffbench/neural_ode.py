@@ -1,8 +1,10 @@
 """Learned flows: one-step neural ODE predictors and Hamiltonian nets.
 
-The neural ODE approximates ż from (u, v, f) and is trained as a k+1
-predictor by differentiating through the chosen integrator
-(discretize-then-optimize). The Hamiltonian route learns a separable
+The neural ODE approximates ż from (u, v, f) and is trained through its
+RK4 integrator (discretise-then-optimise), first as a k+1 predictor,
+then on multi-step rollout windows. Each of those losses is one tape
+node, `rk4_windows_loss`, whose backward rule is the discrete RK4
+adjoint in numpy. The Hamiltonian route learns a separable
 H(q, p) = T(p) + V(q) from conservative data by matching its partial
 derivatives to observed rates, and is integrated symplectically.
 """
@@ -62,11 +64,6 @@ class OdeFunc:
                                (x / self.scale).reshape(-1, 3))
         return out.reshape(z.shape)
 
-    def tape_apply(self, tape, pairs, z, f):
-        """z: (N, 2) node, f: (N, 1) constant; returns (N, 2) node."""
-        x = nk.concat([z, f], axis=1) / self.scale
-        return nets.mlp_apply(self.spec, pairs, x)
-
 
 class StepDivergenceError(NumericFailure, FloatingPointError):
     """A flow step produced a non-finite state; still the
@@ -113,38 +110,109 @@ class OneStepDataset:
         return len(self.z)
 
 
-def node_train(dataset: OneStepDataset, integ: IntegratorSpec = None,
-               spec: nets.MlpSpec = FLOW_NET, seed=1234,
-               train: nets.TrainConfig = None) -> tuple:
-    """Fit the flow so one integrator step reproduces z_{k+1}.
+def rollout_windows(dataset: OneStepDataset, starts, horizon):
+    """(start states, force columns per step, targets per step) of the
+    `horizon`-step windows beginning at the pair indices `starts`; each
+    step's force columns are (N, 1) arrays at (t, t+h/2, t+h)."""
+    starts = np.asarray(starts)
+    forces = [tuple(s[starts + j].reshape(-1, 1) for s in dataset.f_stages)
+              for j in range(horizon)]
+    targets = [dataset.z_next[starts + j] for j in range(horizon)]
+    return dataset.z[starts], forces, targets
 
-    Gradients go through the unrolled integrator on the tape; the
-    returned OdeFunc can be stepped or rolled out freely.
+
+def rk4_windows_loss(func: OdeFunc, pairs, windows, h):
+    """Mean over the horizon of `nets.observation_loss` after every RK4
+    step of the flow on all `windows` at once, as one tape node.
+
+    `pairs` holds the flow's (W, b) nodes, which are the node's parents;
+    `func` gives the activation and input scale. The value equals that
+    of the per-op chain (the network on the scaled (z, f) input inside
+    `rk4_increment`, one observation loss per step, their mean over the
+    horizon) bit for bit. The VJP runs the discrete RK4 adjoint in numpy
+    from the last step back to the first, reusing each stage's saved
+    layer inputs, and adds every contribution in the order the chain's
+    `backward` would, so the weight adjoints are bit-identical too.
+    """
+    z0, forces, targets = windows
+    weights = [(W.value, b.value) for W, b in pairs]
+    activation, scale = func.spec.activation, func.scale
+    n, horizon = len(z0), len(targets)
+    stage_io, residuals = [], []  # each stage's (input, hidden layers)
+
+    def flow(z, f):
+        x = np.concatenate([z, f], axis=1) / scale
+        hidden = []
+        stage_io.append((x, hidden))
+        return nk.mlp_forward(x, weights, activation, hidden)
+
+    z, total = z0, None
+    for f_stages, target in zip(forces, targets):
+        z = z + rk4_increment(flow, z, f_stages, h)
+        r = z - target
+        residuals.append(r)
+        term = np.sum(r * r) / float(n)
+        total = term if total is None else total + term
+
+    half, sixth = 0.5 * h, h / 6.0
+
+    def backward(g):
+        g_term = g / float(horizon) / float(n)
+        acc = [None] * (2 * len(weights))
+        gz = None  # adjoint of the state after step j
+        for j in range(horizon - 1, -1, -1):
+            # r * r's VJP adds g·r once per factor, as the chain does
+            g_res = g_term * residuals[j]
+            g_res = g_res + g_res
+            gz = g_res if gz is None else gz + g_res
+            g_inc = gz * sixth
+            # k_s enters the increment times (1, 2, 2, 1)[s] and the
+            # next stage's input times (h/2, h/2, h)[s]
+            g_in = None  # adjoint of the next stage's input state
+            uses = [gz]  # adjoints from the step's uses of its start state
+            for s in (3, 2, 1, 0):
+                g_k = g_inc if s in (0, 3) else g_inc * 2.0
+                if g_in is not None:
+                    g_k = g_k + g_in * (h if s == 2 else half)
+                x, hidden = stage_io[4 * j + s]
+                gx, grads = nk.mlp_vjp(g_k, weights, x, hidden)
+                for k, c in enumerate(grads):
+                    acc[k] = c if acc[k] is None else acc[k] + c
+                g_in = (gx / scale)[:, :2]
+                uses.append(g_in)
+            if j:  # step 0 starts from the constant z0
+                gz = uses[0]
+                for u in uses[1:]:
+                    gz = gz + u
+        return tuple(acc)
+
+    parents = tuple(node for pair in pairs for node in pair)
+    return nk.Node(parents[0].tape, total / float(horizon), parents,
+                   backward, "rk4_windows")
+
+
+def node_train(dataset: OneStepDataset, spec: nets.MlpSpec = FLOW_NET,
+               seed=1234, train: nets.TrainConfig = None) -> tuple:
+    """Fit the flow so one RK4 step reproduces z_{k+1}.
+
+    The loss is `rk4_windows_loss` on one-step windows from every pair;
+    the returned OdeFunc can be stepped or rolled out freely.
     """
     if len(dataset) == 0:
         raise ValueError("empty dataset")
-    integ = integ or IntegratorSpec(h=dataset.h)
     scale = np.array([max(np.abs(dataset.z[:, 0]).max(), 1e-9),
                       max(np.abs(dataset.z[:, 1]).max(), 1e-9),
                       max(np.abs(dataset.f_stages[0]).max(), 1e-9)])
     stream = nk.RngStream(seed).substream("node-init")
-    params0 = nets.init_params(spec, stream)
-    func = OdeFunc(spec, params0, scale)
-    stage_cols = [s.reshape(-1, 1) for s in dataset.f_stages]
+    func = OdeFunc(spec, nets.init_params(spec, stream), scale)
+    windows = rollout_windows(dataset, np.arange(len(dataset)), 1)
 
     def build(tape, leaves):
-        pairs = nets.arrays_to_pairs(leaves)
-        z = tape.constant(dataset.z)
-        stages = [tape.constant(s) for s in stage_cols]
+        return rk4_windows_loss(func, nets.arrays_to_pairs(leaves), windows,
+                                dataset.h)
 
-        def eval_fn(zn, fn):
-            return func.tape_apply(tape, pairs, zn, fn)
-
-        pred = z + _INCREMENTS[integ.kind](eval_fn, z, stages, integ.h)
-        return nets.observation_loss(pred, dataset.z_next)
-
-    arrays, history = nets.fit_arrays(nets.pairs_to_arrays(params0), build,
-                                      train or nets.TrainConfig())
+    arrays, history = nets.fit_arrays(nets.pairs_to_arrays(func.params),
+                                      build, train or nets.TrainConfig())
     return OdeFunc(spec, nets.arrays_to_pairs(arrays), scale), history
 
 
@@ -161,26 +229,11 @@ def multistep_refine(func: OdeFunc, dataset: OneStepDataset, horizon: int,
     if horizon < 1 or horizon >= n_pairs:
         raise ConfigError("horizon must fit inside the dataset")
     starts = np.arange(0, n_pairs - horizon, max(horizon // 2, 1))
-    z0 = dataset.z[starts]
-    targets = [dataset.z_next[starts + j] for j in range(horizon)]
-    stage_cols = [[dataset.f_stages[i][starts + j].reshape(-1, 1)
-                   for i in range(3)] for j in range(horizon)]
-    h = dataset.h
+    windows = rollout_windows(dataset, starts, horizon)
 
     def build(tape, leaves):
-        pairs = nets.arrays_to_pairs(leaves)
-
-        def ev(zn, fn):
-            return func.tape_apply(tape, pairs, zn, fn)
-
-        z = tape.constant(z0)
-        loss = None
-        for j in range(horizon):
-            stages = [tape.constant(c) for c in stage_cols[j]]
-            z = z + rk4_increment(ev, z, stages, h)
-            term = nets.observation_loss(z, targets[j])
-            loss = term if loss is None else loss + term
-        return loss / float(horizon)
+        return rk4_windows_loss(func, nets.arrays_to_pairs(leaves), windows,
+                                dataset.h)
 
     arrays, _ = nets.fit_arrays(nets.pairs_to_arrays(func.params), build,
                                 train)

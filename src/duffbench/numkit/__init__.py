@@ -14,25 +14,16 @@ from .tape import (
     div,
     neg,
     powc,
-    exp,
-    log,
-    sqrt,
     tanh,
     sin,
-    cos,
     sincos,
-    sigmoid,
     softplus,
     matmul,
     mlp,
     mlp_forward,
-    outer,
-    transpose,
-    reshape,
+    mlp_vjp,
     vsum,
-    vmean,
     take,
-    concat,
 )
 from .linalg import (
     CholeskyFactor,
@@ -48,10 +39,8 @@ from .sobol import sobol_sequence, sobol_sample, sobol_indices
 
 __all__ = [
     "Tape", "Node", "TapeError", "NumericError", "grad", "backward",
-    "add", "sub", "mul", "div", "neg", "powc", "exp", "log", "sqrt",
-    "tanh", "sin", "cos", "sincos", "sigmoid", "softplus", "matmul",
-    "mlp", "mlp_forward", "outer", "transpose", "reshape", "vsum", "vmean",
-    "take", "concat",
+    "add", "sub", "mul", "div", "neg", "powc", "tanh", "sin", "sincos",
+    "softplus", "matmul", "mlp", "mlp_forward", "mlp_vjp", "vsum", "take",
     "CholeskyFactor", "FactorizationError", "cholesky",
     "cholesky_jittered", "solve_lower", "solve_upper", "symmetrize",
     "RngStream", "sobol_sequence", "sobol_sample", "sobol_indices",

@@ -8,7 +8,8 @@ a backward sweep accumulates arrays and never grows the tape.
 
 Supported matmul shapes are (2D, 2D) and (2D, 1D); everything else is
 elementwise with numpy broadcasting. `mlp` records a whole network
-application as one node.
+application as one node; `mlp_vjp`, its reverse layer loop, also serves
+ops that fuse several applications into one node.
 """
 
 from __future__ import annotations
@@ -157,17 +158,24 @@ def _shrink(g, shape):
 
 # -- primitive operations ---------------------------------------------------
 # Each VJP maps the output adjoint g (an ndarray) to one ndarray per parent,
-# computed from the parents' forward values.
+# computed from the parents' forward values. The arithmetic ops return None
+# for a constant parent instead of an adjoint nothing reads.
 
 def add(a, b):
     return Node(a.tape, a.value + b.value, (a, b),
-                lambda g: (_shrink(g, a.value.shape), _shrink(g, b.value.shape)),
+                lambda g: (None if a.op == "const"
+                           else _shrink(g, a.value.shape),
+                           None if b.op == "const"
+                           else _shrink(g, b.value.shape)),
                 "add")
 
 
 def sub(a, b):
     return Node(a.tape, a.value - b.value, (a, b),
-                lambda g: (_shrink(g, a.value.shape), _shrink(-g, b.value.shape)),
+                lambda g: (None if a.op == "const"
+                           else _shrink(g, a.value.shape),
+                           None if b.op == "const"
+                           else _shrink(-g, b.value.shape)),
                 "sub")
 
 
@@ -177,16 +185,20 @@ def neg(a):
 
 def mul(a, b):
     return Node(a.tape, a.value * b.value, (a, b),
-                lambda g: (_shrink(g * b.value, a.value.shape),
-                           _shrink(g * a.value, b.value.shape)),
+                lambda g: (None if a.op == "const"
+                           else _shrink(g * b.value, a.value.shape),
+                           None if b.op == "const"
+                           else _shrink(g * a.value, b.value.shape)),
                 "mul")
 
 
 def div(a, b):
     return Node(a.tape, a.value / b.value, (a, b),
-                lambda g: (_shrink(g / b.value, a.value.shape),
-                           _shrink(-((g * a.value) / (b.value * b.value)),
-                                   b.value.shape)),
+                lambda g: (None if a.op == "const"
+                           else _shrink(g / b.value, a.value.shape),
+                           None if b.op == "const"
+                           else _shrink(-((g * a.value) / (b.value * b.value)),
+                                        b.value.shape)),
                 "div")
 
 
@@ -194,22 +206,6 @@ def powc(a, exponent):
     c = float(exponent)
     return Node(a.tape, a.value ** c, (a,),
                 lambda g: (g * (c * a.value ** (c - 1.0)),), "pow")
-
-
-def exp(a):
-    out = Node(a.tape, np.exp(a.value), (a,), None, "exp")
-    out.vjp = lambda g: (g * out.value,)
-    return out
-
-
-def log(a):
-    return Node(a.tape, np.log(a.value), (a,), lambda g: (g / a.value,), "log")
-
-
-def sqrt(a):
-    out = Node(a.tape, np.sqrt(a.value), (a,), None, "sqrt")
-    out.vjp = lambda g: (g / (2.0 * out.value),)
-    return out
 
 
 def tanh(a):
@@ -221,11 +217,6 @@ def tanh(a):
 def sin(a):
     return Node(a.tape, np.sin(a.value), (a,),
                 lambda g: (g * np.cos(a.value),), "sin")
-
-
-def cos(a):
-    return Node(a.tape, np.cos(a.value), (a,),
-                lambda g: (-(g * np.sin(a.value)),), "cos")
 
 
 def sincos(a):
@@ -247,12 +238,6 @@ def _sigmoid_stable(x):
     return out
 
 
-def sigmoid(a):
-    out = Node(a.tape, _sigmoid_stable(a.value), (a,), None, "sigmoid")
-    out.vjp = lambda g: (g * (out.value * (1.0 - out.value)),)
-    return out
-
-
 def softplus(a):
     return Node(a.tape, np.logaddexp(0.0, a.value), (a,),
                 lambda g: (g * _sigmoid_stable(a.value),), "softplus")
@@ -264,21 +249,6 @@ def matmul(a, b):
         return (ga, a.value.T @ g)
 
     return Node(a.tape, a.value @ b.value, (a, b), backward, "matmul")
-
-
-def outer(a, b):
-    return Node(a.tape, np.outer(a.value, b.value), (a, b),
-                lambda g: (g @ b.value, g.T @ a.value), "outer")
-
-
-def transpose(a):
-    return Node(a.tape, a.value.T, (a,), lambda g: (g.T,), "transpose")
-
-
-def reshape(a, shape):
-    old = a.value.shape
-    return Node(a.tape, a.value.reshape(shape), (a,),
-                lambda g: (g.reshape(old),), "reshape")
 
 
 def vsum(a, axis=None, keepdims=False):
@@ -299,21 +269,12 @@ def vsum(a, axis=None, keepdims=False):
                 backward, "sum")
 
 
-def vmean(a, axis=None, keepdims=False):
-    if axis is None:
-        n = a.value.size
-    else:
-        ax = axis if isinstance(axis, tuple) else (axis,)
-        n = int(np.prod([a.value.shape[i] for i in ax]))
-    return vsum(a, axis=axis, keepdims=keepdims) / float(n)
-
-
 def mlp_forward(x, params, activation, hidden=None):
     """Plain-numpy MLP: act(h @ W + b) per hidden layer, affine output.
 
     `params` holds (W, b) arrays and `activation` is "tanh" or "sin".
     With a `hidden` list, each hidden layer appends (its output, cos of
-    its pre-activation for sin or None for tanh): what `mlp`'s VJP reads.
+    its pre-activation for sin or None for tanh): what `mlp_vjp` reads.
     """
     act = np.sin if activation == "sin" else np.tanh
     h = x
@@ -326,29 +287,35 @@ def mlp_forward(x, params, activation, hidden=None):
     return h @ W + b
 
 
-def mlp(x, params, activation):
-    """One node for a whole MLP application; parents x, W0, b0, W1, b1, ...
+def mlp_vjp(g, weights, x, hidden):
+    """Adjoints of one MLP application from its output adjoint `g`.
 
-    The VJP walks the layers in reverse with the float operations and
-    order of the per-op chain (matmul, add, activation), so every
-    adjoint equals that chain's bit for bit.
+    `weights` holds the (W, b) arrays, `x` and `hidden` what
+    `mlp_forward` read and saved. Returns the input's adjoint and
+    [gW0, gb0, gW1, gb1, ...]. The layers are walked in reverse with the
+    float operations and order of the per-op chain (matmul, add,
+    activation), so every adjoint equals that chain's bit for bit.
     """
+    grads = [None] * (2 * len(weights))
+    for i in range(len(weights) - 1, -1, -1):
+        grads[2 * i] = (hidden[i - 1][0] if i else x).T @ g
+        grads[2 * i + 1] = g.sum(axis=0)
+        g = g @ weights[i][0].T
+        if i:
+            h, cos_a = hidden[i - 1]
+            g = g * (1.0 - h * h) if cos_a is None else g * cos_a
+    return g, grads
+
+
+def mlp(x, params, activation):
+    """One node for a whole MLP application; parents x, W0, b0, W1, b1, ..."""
+    weights = [(W.value, b.value) for W, b in params]
     hidden = []
-    value = mlp_forward(x.value, [(W.value, b.value) for W, b in params],
-                        activation, hidden)
-    inputs = [x.value] + [h for h, _ in hidden]
+    value = mlp_forward(x.value, weights, activation, hidden)
 
     def backward(g):
-        grads = []
-        for i in range(len(params) - 1, -1, -1):
-            W, b = params[i]
-            grads += [_shrink(g, b.value.shape), inputs[i].T @ g]
-            g = g @ W.value.T
-            if i:
-                h, cos_a = hidden[i - 1]
-                g = g * (1.0 - h * h) if cos_a is None else g * cos_a
-        grads.append(g)
-        return tuple(reversed(grads))
+        gx, grads = mlp_vjp(g, weights, x.value, hidden)
+        return (gx, *grads)
 
     parents = (x,) + tuple(node for pair in params for node in pair)
     return Node(x.tape, value, parents, backward, "mlp")
@@ -372,24 +339,6 @@ def take(a, index):
         return (z,)
 
     return Node(a.tape, a.value[index], (a,), backward, "take")
-
-
-def concat(nodes, axis=0):
-    tape = nodes[0].tape
-    sizes = [n.value.shape[axis] for n in nodes]
-    offsets = [sum(sizes[:i]) for i in range(len(sizes) + 1)]
-    ndim = nodes[0].value.ndim
-
-    def backward(g):
-        outs = []
-        for i in range(len(nodes)):
-            sl = [slice(None)] * ndim
-            sl[axis] = slice(offsets[i], offsets[i + 1])
-            outs.append(g[tuple(sl)])
-        return tuple(outs)
-
-    return Node(tape, np.concatenate([n.value for n in nodes], axis=axis),
-                tuple(nodes), backward, "concat")
 
 
 # -- backward pass ----------------------------------------------------------
@@ -424,7 +373,8 @@ def backward(output, wrt, check_finite=False):
         if node.vjp is None:
             continue
         for parent, contrib in zip(node.parents, node.vjp(g)):
-            if parent.vjp is None and parent.idx not in wrt_ids:
+            if contrib is None or (parent.vjp is None
+                                   and parent.idx not in wrt_ids):
                 continue  # a constant, or a leaf nobody asked for
             prev = adjoints[parent.idx]
             adjoints[parent.idx] = contrib if prev is None else prev + contrib

@@ -3,16 +3,18 @@
 Everything here is deliberately written without touching the package's
 computation paths: finite differences, random scalar graphs evaluated
 with plain numpy, a hand-rolled discrete Kalman filter, and the earlier
-forms of two fast paths (the per-op network on the tape and the
-simulator with scalar forcing) that the fast ones must match bit for
-bit.
+forms of three fast paths (the per-op network on the tape, the per-op
+neural-ODE loss on the tape and the simulator with scalar forcing) that
+the fast ones must match bit for bit.
 """
 
 import math
 
 import numpy as np
 
+from duffbench import nets
 from duffbench import numkit as nk
+from duffbench.duffing import rk4_increment
 
 NP_LIB = {"tanh": np.tanh, "sin": np.sin}
 TAPE_LIB = {"tanh": nk.tanh, "sin": nk.sin}
@@ -148,6 +150,48 @@ def mlp_apply_per_op(spec, param_nodes, x):
         h = act(h @ W + b)
     W, b = param_nodes[-1]
     return h @ W + b
+
+
+def concat(nodes, axis=0):
+    """Concatenation on the tape; its VJP slices the adjoint apart."""
+    sizes = [n.value.shape[axis] for n in nodes]
+    offsets = np.cumsum([0] + sizes)
+    ndim = nodes[0].value.ndim
+
+    def backward(g):
+        outs = []
+        for i in range(len(nodes)):
+            sl = [slice(None)] * ndim
+            sl[axis] = slice(offsets[i], offsets[i + 1])
+            outs.append(g[tuple(sl)])
+        return tuple(outs)
+
+    return nk.Node(nodes[0].tape,
+                   np.concatenate([n.value for n in nodes], axis=axis),
+                   tuple(nodes), backward, "concat")
+
+
+def rk4_windows_loss_per_op(func, pairs, windows, h):
+    """The neural-ODE window loss as a chain of tape ops: the per-op
+    flow network on the scaled (z, f) input inside `rk4_increment`, one
+    `observation_loss` per step, their mean over the horizon. The fused
+    `rk4_windows_loss` node must match its value and weight adjoints bit
+    for bit."""
+    z0, forces, targets = windows
+    tape = pairs[0][0].tape
+
+    def flow(z, f):
+        x = concat([z, f], axis=1) / func.scale
+        return mlp_apply_per_op(func.spec, pairs, x)
+
+    z = tape.constant(z0)
+    loss = None
+    for f_stages, target in zip(forces, targets):
+        z = z + rk4_increment(flow, z, [tape.constant(f) for f in f_stages],
+                              h)
+        term = nets.observation_loss(z, target)
+        loss = term if loss is None else loss + term
+    return loss / float(len(targets))
 
 
 def simulate_scalar_forcing(params, forcing, n, rate, z0=(0.0, 0.0),

@@ -90,7 +90,7 @@ def _constant_input(tape, apply, pairs, X, F):
 def _input_on_path(tape, apply, pairs, X, F):
     # the neural-ODE flow's input: a state leaf, a constant force, scaled
     z = tape.leaf(X[:, :2])
-    x = nk.concat([z, tape.constant(F)], axis=1) / np.array([1.5, 2.0, 0.5])
+    x = oracles.concat([z, tape.constant(F)], axis=1) / np.array([1.5, 2.0, 0.5])
     return apply(pairs, x), [z, x]
 
 
@@ -101,7 +101,7 @@ def _rk4_stages(tape, apply, pairs, X, F):
               tape.constant(F + 0.5)]
 
     def flow(zn, fn):
-        return apply(pairs, nk.concat([zn, fn], axis=1))
+        return apply(pairs, oracles.concat([zn, fn], axis=1))
 
     return z + rk4_increment(flow, z, stages, 0.1), [z]
 

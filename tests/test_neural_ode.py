@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from duffbench import filters as flt
 from duffbench import nets
 from duffbench import neural_ode as node
@@ -215,6 +216,103 @@ def test_multistep_refine_improves_undertrained_rollout():
     with pytest.raises(ValueError):
         node.multistep_refine(func, dataset, 0,
                               nets.TrainConfig(adam_iters=1, lbfgs_iters=0))
+
+
+# -- the fused window loss ---------------------------------------------------
+
+WINDOW_NETS = [nets.MlpSpec(widths=(3, 16, 16, 2)),
+               nets.MlpSpec(widths=(3, 16, 16, 2), activation="sin",
+                            omega0=3.0)]
+# (window starts, horizon): every pair one step ahead as in node_train,
+# the half-overlapping windows of multistep_refine, a single window
+WINDOWS = {
+    "one-step-all-pairs": (lambda n: np.arange(n), 1),
+    "h4": (lambda n: np.arange(0, n - 4, 2), 4),
+    "h16": (lambda n: np.arange(0, n - 16, 8), 16),
+    "h64": (lambda n: np.arange(0, n - 64, 32), 64),
+    "single-window": (lambda n: np.array([5]), 16),
+}
+
+
+@pytest.fixture(scope="module")
+def short_dataset():
+    forcing = ForcingSpec()
+    return node.OneStepDataset.from_trajectory(
+        simulate(TRUTH, forcing, n=160), forcing)
+
+
+def _flow(spec):
+    return node.OdeFunc(spec, nets.init_params(spec, nk.RngStream(3)),
+                        np.array([1.5, 2.0, 0.7]))
+
+
+def _loss_and_adjoints(build, func, windows, h):
+    tape = nk.Tape()
+    leaves = [tape.leaf(a) for a in nets.pairs_to_arrays(func.params)]
+    loss = build(func, nets.arrays_to_pairs(leaves), windows, h)
+    return loss, nk.backward(loss, leaves), len(tape.nodes) - len(leaves)
+
+
+@pytest.mark.parametrize("spec", WINDOW_NETS, ids=lambda s: s.activation)
+@pytest.mark.parametrize("case", sorted(WINDOWS))
+def test_window_loss_matches_per_op_chain_bitwise(short_dataset, spec, case):
+    starts, horizon = WINDOWS[case]
+    windows = node.rollout_windows(short_dataset,
+                                   starts(len(short_dataset)), horizon)
+    func = _flow(spec)
+    fused, fused_adj, fused_nodes = _loss_and_adjoints(
+        node.rk4_windows_loss, func, windows, short_dataset.h)
+    chain, chain_adj, _ = _loss_and_adjoints(
+        oracles.rk4_windows_loss_per_op, func, windows, short_dataset.h)
+    assert fused_nodes == 1 and fused.op == "rk4_windows"
+    assert fused.value == chain.value
+    for a, b in zip(fused_adj, chain_adj):
+        assert a.shape == b.shape and np.array_equal(a, b)
+        assert np.any(a != 0.0)
+
+
+@pytest.mark.parametrize("spec", WINDOW_NETS, ids=lambda s: s.activation)
+def test_window_loss_gradient_matches_finite_differences(short_dataset,
+                                                         spec):
+    windows = node.rollout_windows(short_dataset, np.arange(0, 100, 20), 8)
+    func = _flow(spec)
+    _, adjoints, _ = _loss_and_adjoints(node.rk4_windows_loss, func, windows,
+                                        short_dataset.h)
+    flat, metas = nets.flatten(nets.pairs_to_arrays(func.params))
+    g_flat = np.concatenate([np.ravel(g) for g in adjoints])
+
+    def value(theta):
+        tape = nk.Tape()
+        leaves = [tape.leaf(a) for a in nets.unflatten(theta, metas)]
+        return float(node.rk4_windows_loss(
+            func, nets.arrays_to_pairs(leaves), windows,
+            short_dataset.h).value)
+
+    for i in range(0, len(flat), 7):
+        step = 1e-6 * max(1.0, abs(flat[i]))
+        hi, lo = flat.copy(), flat.copy()
+        hi[i] += step
+        lo[i] -= step
+        ref = (value(hi) - value(lo)) / (2.0 * step)
+        assert abs(g_flat[i] - ref) / max(1.0, abs(ref)) < 1e-6
+
+
+def test_refine_evaluation_records_one_node(short_dataset, monkeypatch):
+    builds = []
+
+    def capture(arrays0, loss_builder, config):
+        builds.append(loss_builder)
+        return arrays0, []
+
+    monkeypatch.setattr(nets, "fit_arrays", capture)
+    func = _flow(node.FLOW_NET)
+    node.multistep_refine(func, short_dataset, 16,
+                          nets.TrainConfig(adam_iters=1, lbfgs_iters=0))
+    tape = nk.Tape()
+    leaves = [tape.leaf(a) for a in nets.pairs_to_arrays(func.params)]
+    loss = builds[0](tape, leaves)
+    assert len(tape.nodes) == len(leaves) + 1
+    assert loss.parents == tuple(leaves)
 
 
 # -- Hamiltonian side ---------------------------------------------------------
