@@ -271,6 +271,29 @@ def rk4_increment(flow, z, f_stages, h):
     return h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def rk4_step_vjp(stage_vjp, g, h):
+    """Reverse of one step z + rk4_increment(flow, z, f_stages, h).
+
+    `g` is the adjoint of the step's result; `stage_vjp(s, g_k)` maps the
+    adjoint of stage s's slope k (s = 0..3, called from 3 down to 0) to
+    that of the stage's input state. Returns the adjoint of z. The float
+    operations and their order are those a tape's `backward` runs on the
+    `rk4_increment` chain: k_s enters the increment times (1, 2, 2, 1)[s]
+    and the next stage's input times (h/2, h/2, h)[s], and z's five uses
+    are summed in reverse creation order, the step's own first.
+    """
+    g_inc = g * (h / 6.0)
+    g_in = None  # adjoint of the next stage's input state
+    gz = g
+    for s in (3, 2, 1, 0):
+        g_k = g_inc if s in (0, 3) else g_inc * 2.0
+        if g_in is not None:
+            g_k = g_k + g_in * (h if s == 2 else 0.5 * h)
+        g_in = stage_vjp(s, g_k)
+        gz = gz + g_in
+    return gz
+
+
 def rms(x):
     return float(np.sqrt(np.mean(np.square(np.asarray(x, dtype=float)))))
 

@@ -22,6 +22,7 @@ from .duffing import (
     OscillatorParams,
     Trajectory,
     rk4_increment,
+    rk4_step_vjp,
     stage_forces,
 )
 from .errors import ConfigError, NumericFailure
@@ -154,36 +155,24 @@ def rk4_windows_loss(func: OdeFunc, pairs, windows, h):
         term = np.sum(r * r) / float(n)
         total = term if total is None else total + term
 
-    half, sixth = 0.5 * h, h / 6.0
-
     def backward(g):
         g_term = g / float(horizon) / float(n)
         acc = [None] * (2 * len(weights))
+
+        def stage_vjp(s, g_k):  # stage s of step j, the step being reversed
+            x, hidden = stage_io[4 * j + s]
+            gx, grads = nk.mlp_vjp(g_k, weights, x, hidden)
+            for k, c in enumerate(grads):
+                acc[k] = c if acc[k] is None else acc[k] + c
+            return (gx / scale)[:, :2]
+
         gz = None  # adjoint of the state after step j
         for j in range(horizon - 1, -1, -1):
             # r * r's VJP adds g·r once per factor, as the chain does
             g_res = g_term * residuals[j]
             g_res = g_res + g_res
             gz = g_res if gz is None else gz + g_res
-            g_inc = gz * sixth
-            # k_s enters the increment times (1, 2, 2, 1)[s] and the
-            # next stage's input times (h/2, h/2, h)[s]
-            g_in = None  # adjoint of the next stage's input state
-            uses = [gz]  # adjoints from the step's uses of its start state
-            for s in (3, 2, 1, 0):
-                g_k = g_inc if s in (0, 3) else g_inc * 2.0
-                if g_in is not None:
-                    g_k = g_k + g_in * (h if s == 2 else half)
-                x, hidden = stage_io[4 * j + s]
-                gx, grads = nk.mlp_vjp(g_k, weights, x, hidden)
-                for k, c in enumerate(grads):
-                    acc[k] = c if acc[k] is None else acc[k] + c
-                g_in = (gx / scale)[:, :2]
-                uses.append(g_in)
-            if j:  # step 0 starts from the constant z0
-                gz = uses[0]
-                for u in uses[1:]:
-                    gz = gz + u
+            gz = rk4_step_vjp(stage_vjp, gz, h)
         return tuple(acc)
 
     parents = tuple(node for pair in pairs for node in pair)

@@ -158,24 +158,17 @@ def _shrink(g, shape):
 
 # -- primitive operations ---------------------------------------------------
 # Each VJP maps the output adjoint g (an ndarray) to one ndarray per parent,
-# computed from the parents' forward values. The arithmetic ops return None
-# for a constant parent instead of an adjoint nothing reads.
+# computed from the parents' forward values.
 
 def add(a, b):
     return Node(a.tape, a.value + b.value, (a, b),
-                lambda g: (None if a.op == "const"
-                           else _shrink(g, a.value.shape),
-                           None if b.op == "const"
-                           else _shrink(g, b.value.shape)),
+                lambda g: (_shrink(g, a.value.shape), _shrink(g, b.value.shape)),
                 "add")
 
 
 def sub(a, b):
     return Node(a.tape, a.value - b.value, (a, b),
-                lambda g: (None if a.op == "const"
-                           else _shrink(g, a.value.shape),
-                           None if b.op == "const"
-                           else _shrink(-g, b.value.shape)),
+                lambda g: (_shrink(g, a.value.shape), _shrink(-g, b.value.shape)),
                 "sub")
 
 
@@ -185,20 +178,16 @@ def neg(a):
 
 def mul(a, b):
     return Node(a.tape, a.value * b.value, (a, b),
-                lambda g: (None if a.op == "const"
-                           else _shrink(g * b.value, a.value.shape),
-                           None if b.op == "const"
-                           else _shrink(g * a.value, b.value.shape)),
+                lambda g: (_shrink(g * b.value, a.value.shape),
+                           _shrink(g * a.value, b.value.shape)),
                 "mul")
 
 
 def div(a, b):
     return Node(a.tape, a.value / b.value, (a, b),
-                lambda g: (None if a.op == "const"
-                           else _shrink(g / b.value, a.value.shape),
-                           None if b.op == "const"
-                           else _shrink(-((g * a.value) / (b.value * b.value)),
-                                        b.value.shape)),
+                lambda g: (_shrink(g / b.value, a.value.shape),
+                           _shrink(-((g * a.value) / (b.value * b.value)),
+                                   b.value.shape)),
                 "div")
 
 
@@ -373,8 +362,7 @@ def backward(output, wrt, check_finite=False):
         if node.vjp is None:
             continue
         for parent, contrib in zip(node.parents, node.vjp(g)):
-            if contrib is None or (parent.vjp is None
-                                   and parent.idx not in wrt_ids):
+            if parent.vjp is None and parent.idx not in wrt_ids:
                 continue  # a constant, or a leaf nobody asked for
             prev = adjoints[parent.idx]
             adjoints[parent.idx] = contrib if prev is None else prev + contrib

@@ -17,6 +17,8 @@ from duffbench.duffing import (
     add_noise,
     hamiltonian,
     multisine_force,
+    rk4_increment,
+    rk4_step_vjp,
     rms,
     simulate,
     stage_forces,
@@ -147,6 +149,30 @@ def test_vectorised_forcing_matches_scalar_loop_bitwise(case, default_traj):
     traj = default_traj if not case else simulate(**kw)
     u, v = oracles.simulate_scalar_forcing(**kw)
     assert np.array_equal(traj.u, u) and np.array_equal(traj.v, v)
+
+
+def test_rk4_step_vjp_matches_tape_backward_bitwise():
+    # a linear flow z @ A + f, reversed on the tape and by rk4_step_vjp
+    rng = np.random.default_rng(3)
+    A, W = rng.normal(size=(2, 2)), rng.normal(size=(5, 2))
+    f_stages = [rng.normal(size=(5, 1)) for _ in range(3)]
+    h = 0.117
+    tape = nk.Tape()
+    z = tape.leaf(rng.normal(size=(5, 2)))
+
+    def flow(zn, f):
+        return nk.matmul(zn, tape.constant(A)) + tape.constant(f)
+
+    out = z + rk4_increment(flow, z, f_stages, h)
+    (expected,) = nk.backward(nk.vsum(out * tape.constant(W)), [z])
+    stages = []
+
+    def stage_vjp(s, g_k):
+        stages.append(s)
+        return g_k @ A.T
+
+    assert np.array_equal(rk4_step_vjp(stage_vjp, W, h), expected)
+    assert stages == [3, 2, 1, 0]
 
 
 def test_divergence_error_names_step():
