@@ -1,16 +1,19 @@
 """Experiment harness: configure, run and compare every method.
 
-Configs are INI files with an [experiment] section (method, seed, out)
-plus optional [simulator] and per-method sections. One master seed
-drives named substreams (sim-noise, init, filter, ...) so outputs are
-byte-identical across reruns of the same config. Exit codes: 0 ok,
-2 config error, 3 numeric failure.
+Configs are INI files with an [experiment] section (method, seed, out),
+an optional [simulator] section and a section for the method. The
+{key: default} tables below are every key a run reads, each typed like
+its default; a run rejects any other key or an unparsable value before
+it simulates. One master seed drives named substreams (sim-noise, init,
+filter, ...), so reruns are byte-identical. Exit codes: 0 ok, 2 config
+error, 3 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import hashlib
 import sys
 import time
@@ -33,47 +36,60 @@ from .duffing import (
 from .errors import ConfigError, NumericFailure
 from .metrics import nmse, percent_error, rmse
 
-METHODS = ("ukf", "pf", "sindy", "nn-baseline", "pinn-discovery",
-           "pinn-enhanced", "pinn-forward", "pgnn", "gp-se", "gp-sdof",
-           "node", "hnn")
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
+def _parse(raw, default):
+    """`raw` as the type of `default`; str when there is no default."""
+    if isinstance(default, tuple):
+        return tuple(_parse(x, default[0])
+                     for x in raw.replace(",", " ").split())
+    if isinstance(default, bool):
+        return _BOOLS[raw.lower()]
+    return raw if default is None else type(default)(raw)
 
 
 class Config:
     """INI-backed config that tracks which keys a run consumed."""
 
-    def __init__(self, parser: configparser.ConfigParser, path=None):
+    def __init__(self, parser: configparser.ConfigParser):
         self._parser = parser
-        self.path = path
         self.consumed = {}
 
     @classmethod
     def from_file(cls, path):
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-        read = parser.read(path)
-        if not read:
+        if not parser.read(path):
             raise ConfigError(f"cannot read config file '{path}'")
-        return cls(parser, path)
+        return cls(parser)
 
-    def get(self, section, key, default=None, cast=str):
+    def get(self, section, key, default=None):
+        """[section] key, typed like `default`; required without one."""
         if self._parser.has_option(section, key):
             raw = self._parser.get(section, key).strip()
+            try:
+                value = _parse(raw, default)
+            except (ValueError, KeyError):
+                raise ConfigError(f"bad value for [{section}] {key}: '{raw}'")
         elif default is not None:
-            raw = str(default)
+            value = default
         else:
             raise ConfigError(f"missing required key [{section}] {key}")
-        try:
-            if cast is bool:
-                value = raw.lower() in ("1", "true", "yes", "on")
-            else:
-                value = cast(raw)
-        except ValueError:
-            raise ConfigError(f"bad value for [{section}] {key}: '{raw}'")
         self.consumed[f"{section}.{key}"] = value
         return value
 
-    def get_floats(self, section, key, default):
-        raw = self.get(section, key, default=default)
-        return tuple(float(x) for x in str(raw).replace(",", " ").split())
+    def read(self, tables):
+        """{section: {key: value}} of `tables`; the file may set no other."""
+        for section in self._parser.sections():
+            if section not in tables:
+                raise ConfigError(f"unknown section [{section}]")
+            for key in self._parser.options(section):
+                if key not in tables[section]:
+                    raise ConfigError(f"unknown key [{section}] {key}")
+        return {section: {key: self.get(section, key, default)
+                          for key, default in table.items()}
+                for section, table in tables.items()}
 
     def hash(self):
         lines = sorted(f"{sect}.{key}={self._parser.get(sect, key)}"
@@ -125,102 +141,105 @@ def write_manifest(path, cfg: Config, seed, wall_clock):
 
 # -- shared experiment pieces -------------------------------------------------
 
+SIMULATOR = {"m": 10.0, "c": 1.0, "k": 15.0, "k3": 100.0, "n": 1024,
+             "rate": 8.525, "u0": 0.0, "v0": 0.0, "amplitude": 1.0,
+             "frequencies": (0.7, 0.85, 1.6, 1.8), "phase_seed": 101}
 
-def build_simulation(cfg: Config):
-    params = OscillatorParams(
-        m=cfg.get("simulator", "m", 10.0, float),
-        c=cfg.get("simulator", "c", 1.0, float),
-        k=cfg.get("simulator", "k", 15.0, float),
-        k3=cfg.get("simulator", "k3", 100.0, float),
-    )
-    forcing = ForcingSpec(
-        frequencies=cfg.get_floats("simulator", "frequencies",
-                                   "0.7 0.85 1.6 1.8"),
-        amplitudes=cfg.get("simulator", "amplitude", 1.0, float),
-        phase_seed=cfg.get("simulator", "phase_seed", 101, int),
-    )
-    n = cfg.get("simulator", "n", 1024, int)
-    rate = cfg.get("simulator", "rate", 8.525, float)
-    z0 = (cfg.get("simulator", "u0", 0.0, float),
-          cfg.get("simulator", "v0", 0.0, float))
-    traj = simulate(params, forcing, n=n, rate=rate, z0=z0)
+
+def build_simulation(sim):
+    """(params, forcing, trajectory) of the parsed [simulator] section."""
+    params = OscillatorParams(m=sim["m"], c=sim["c"], k=sim["k"],
+                              k3=sim["k3"])
+    forcing = ForcingSpec(frequencies=sim["frequencies"],
+                          amplitudes=sim["amplitude"],
+                          phase_seed=sim["phase_seed"])
+    traj = simulate(params, forcing, n=sim["n"], rate=sim["rate"],
+                    z0=(sim["u0"], sim["v0"]))
     return params, forcing, traj
 
 
-def train_config(cfg: Config, section, adam_iters, adam_lr, lbfgs_iters):
-    return nets.TrainConfig(
-        adam_iters=cfg.get(section, "adam_iters", adam_iters, int),
-        adam_lr=cfg.get(section, "adam_lr", adam_lr, float),
-        lbfgs_iters=cfg.get(section, "lbfgs_iters", lbfgs_iters, int),
-    )
+def train_config(opts):
+    return nets.TrainConfig(adam_iters=opts["adam_iters"],
+                            adam_lr=opts["adam_lr"],
+                            lbfgs_iters=opts["lbfgs_iters"])
 
 
-def net_spec(cfg: Config, section, widths, activation="sin", omega0=60.0):
-    raw = cfg.get(section, "widths", " ".join(str(w) for w in widths))
-    widths = tuple(int(x) for x in str(raw).replace(",", " ").split())
-    return nets.MlpSpec(
-        widths=widths,
-        activation=cfg.get(section, "activation", activation),
-        omega0=cfg.get(section, "omega0", omega0, float),
-    )
+def net_spec(opts):
+    return nets.MlpSpec(widths=opts["widths"], activation=opts["activation"],
+                        omega0=opts["omega0"])
 
 
-def state_csv_rows(t, truth_u, truth_v, pred):
-    return zip(t, truth_u, pred[:, 0], truth_v, pred[:, 1])
+def state_metrics(traj, pred, path=None):
+    """rmse_*/nmse_* of a (u, v) prediction; written to `path` if given."""
+    if path is not None:
+        write_csv(path, "t,u_true,u_hat,v_true,v_hat",
+                  zip(traj.t, traj.u, pred[:, 0], traj.v, pred[:, 1]))
+    return {"rmse_u": rmse(pred[:, 0], traj.u),
+            "rmse_v": rmse(pred[:, 1], traj.v),
+            "nmse_u": nmse(pred[:, 0], traj.u),
+            "nmse_v": nmse(pred[:, 1], traj.v)}
 
 
-# -- method runners -----------------------------------------------------------
-# Every runner takes (method, cfg, out, seed): `method` names the config
-# section its hyperparameters live in.
-
-
-def run_filter_method(method, cfg, out, seed):
-    params, forcing, traj = build_simulation(cfg)
-    ratio = cfg.get(method, "noise_ratio", 0.085, float)
-    master = nk.RngStream(seed)
-    y = add_noise(traj.a, ratio, master.substream("sim-noise"))
-    noise = flt.NoiseConfig.matched(traj.a, ratio)
-    layout = flt.AugmentedState()
-    if method == "ukf":
-        init = flt.default_ukf_init(
-            layout,
-            theta0={"k": cfg.get(method, "k0", 1.0, float),
-                    "c": cfg.get(method, "c0", 0.5, float),
-                    "k3": cfg.get(method, "k30", 40.0, float)})
-        result = flt.run_ukf(traj, forcing, y, layout, init, params, noise)
-    else:
-        n_particles = cfg.get(method, "particles", 1000, int)
-        init = flt.default_pf_init(layout, n_particles,
-                                   stream=master.substream("init"))
-        result = flt.run_pf(traj, forcing, y, layout, init, params, noise,
-                            master.substream("filter"))
-    result.to_csv(out / "estimates.csv")
-    metrics = {
-        "rmse_u": rmse(result.mean[:, 0], traj.u),
-        "rmse_v": rmse(result.mean[:, 1], traj.v),
-        "nmse_u": nmse(result.mean[:, 0], traj.u),
-        "nmse_v": nmse(result.mean[:, 1], traj.v),
-    }
-    truth = {"k": params.k, "c": params.c, "k3": params.k3}
-    for name, est in result.final_params().items():
-        metrics[f"param_{name}_estimate"] = est
-        metrics[f"param_{name}_percent_error"] = percent_error(est, truth[name])
-    with open(out / "params.csv", "w", newline="") as fh:
+def param_metrics(path, truth, estimates):
+    """param_*_estimate/_percent_error metrics, also written to `path`."""
+    metrics = {}
+    with open(path, "w", newline="") as fh:
         fh.write("param,true,estimate,percent_error\n")
-        for name, est in result.final_params().items():
-            fh.write(f"{name},{_fmt(truth[name])},{_fmt(est)},"
-                     f"{_fmt(percent_error(est, truth[name]))}\n")
+        for name, est in estimates.items():
+            err = percent_error(est, truth[name])
+            fh.write(f"{name},{_fmt(truth[name])},{_fmt(est)},{_fmt(err)}\n")
+            metrics[f"param_{name}_estimate"] = est
+            metrics[f"param_{name}_percent_error"] = err
     return metrics
 
 
-def run_sindy(method, cfg, out, seed):
-    params, forcing, traj = build_simulation(cfg)
+# -- method runners -----------------------------------------------------------
+# Every runner takes (opts, sim, out, seed): its method's parsed section,
+# build_simulation's (params, forcing, traj), the output directory and the
+# master seed, and returns the run's metrics.
+
+
+def _noisy_filter_setup(opts, traj, seed):
+    master = nk.RngStream(seed)
+    y = add_noise(traj.a, opts["noise_ratio"], master.substream("sim-noise"))
+    noise = flt.NoiseConfig.matched(traj.a, opts["noise_ratio"])
+    return master, y, noise
+
+
+def _filter_metrics(result, params, traj, out):
+    result.to_csv(out / "estimates.csv")
+    truth = {"k": params.k, "c": params.c, "k3": params.k3}
+    return {**state_metrics(traj, result.mean),
+            **param_metrics(out / "params.csv", truth, result.final_params())}
+
+
+def run_ukf(opts, sim, out, seed):
+    params, forcing, traj = sim
+    _, y, noise = _noisy_filter_setup(opts, traj, seed)
+    layout = flt.AugmentedState()
+    init = flt.default_ukf_init(
+        layout, theta0={"k": opts["k0"], "c": opts["c0"], "k3": opts["k30"]})
+    result = flt.run_ukf(traj, forcing, y, layout, init, params, noise)
+    return _filter_metrics(result, params, traj, out)
+
+
+def run_pf(opts, sim, out, seed):
+    params, forcing, traj = sim
+    master, y, noise = _noisy_filter_setup(opts, traj, seed)
+    layout = flt.AugmentedState()
+    init = flt.default_pf_init(layout, opts["particles"],
+                               stream=master.substream("init"))
+    result = flt.run_pf(traj, forcing, y, layout, init, params, noise,
+                        master.substream("filter"))
+    return _filter_metrics(result, params, traj, out)
+
+
+def run_sindy(opts, sim, out, seed):
+    params, forcing, traj = sim
     lib = dictionary.build_library(traj)
     target = params.m * traj.a
-    coeffs = dictionary.stlsq(
-        lib, target,
-        threshold=cfg.get(method, "threshold", 0.1, float),
-        ridge=cfg.get(method, "ridge", 0.0, float))
+    coeffs = dictionary.stlsq(lib, target, threshold=opts["threshold"],
+                              ridge=opts["ridge"])
     coeffs.to_csv(out / "model.csv")
     (out / "equation.txt").write_text(coeffs.equation_string("m*dv/dt") + "\n")
     recon = lib.theta @ coeffs.values
@@ -236,114 +255,76 @@ def run_sindy(method, cfg, out, seed):
     return metrics
 
 
-def run_pinn_method(method, cfg, out, seed):
-    params, forcing, traj = build_simulation(cfg)
-    spec = net_spec(cfg, method, (1, 32, 32, 32, 2))
-    if method == "pinn-discovery":
-        tcfg = train_config(cfg, method, 5000, 1e-3, 500)
-        nonlinear = cfg.get(method, "nonlinear", True, bool)
-        res = pinn.run_equation_discovery(
-            traj, nonlinear=nonlinear, seed=seed, truth=params, net=spec,
-            train=tcfg, n_obs=cfg.get(method, "n_obs", 256, int))
-        pred = res.prediction(traj.t)
-        truth = res.truth
-        with open(out / "params.csv", "w", newline="") as fh:
-            fh.write("param,true,estimate,percent_error\n")
-            for name in res.errors_percent:
-                fh.write(f"{name},{_fmt(truth[name])},"
-                         f"{_fmt(res.estimates[name])},"
-                         f"{_fmt(res.errors_percent[name])}\n")
-        metrics = {f"param_{n}_percent_error": res.errors_percent[n]
-                   for n in res.errors_percent}
-        metrics.update({f"param_{n}_estimate": res.estimates[n]
-                        for n in res.errors_percent})
-    elif method == "pinn-enhanced":
-        tcfg = train_config(cfg, method, 5000, 1e-3, 500)
-        res = pinn.run_enhanced_learning(
-            traj, stride=cfg.get(method, "stride", 16, int), seed=seed,
-            truth=params, net=spec, train=tcfg)
-        pred = res.informed_pred
-        write_csv(out / "baseline.csv", "t,u_true,u_hat,v_true,v_hat",
-                  state_csv_rows(traj.t, traj.u, traj.v, res.baseline_pred))
-        metrics = {
-            "rmse_u": res.informed_rmse["u"],
-            "rmse_v": res.informed_rmse["v"],
-            "baseline_rmse_u": res.baseline_rmse["u"],
-            "baseline_rmse_v": res.baseline_rmse["v"],
-        }
-    else:  # pinn-forward
-        windows = cfg.get(method, "windows", 12, int)
-        margin = cfg.get(method, "margin", 6, int)
-        tcfg = train_config(cfg, method, 3000, 2e-3, 2000)
-        res = pinn.run_forward_model(
-            params=params, forcing=forcing, seed=seed, net=spec, train=tcfg,
-            reference=traj, windows=windows, margin=margin)
-        pred = res.pred
-        metrics = {"rmse_u": res.rmse["u"], "rmse_v": res.rmse["v"],
-                   "rel_rmse_u": res.rmse["u"] / rms(traj.u)}
-    write_csv(out / "result.csv", "t,u_true,u_hat,v_true,v_hat",
-              state_csv_rows(traj.t, traj.u, traj.v, pred))
-    nets.save_loss_history(out / "history.csv", res.history)
-    metrics.setdefault("rmse_u", rmse(pred[:, 0], traj.u))
-    metrics.setdefault("rmse_v", rmse(pred[:, 1], traj.v))
-    metrics["nmse_u"] = nmse(pred[:, 0], traj.u)
-    metrics["nmse_v"] = nmse(pred[:, 1], traj.v)
-    return metrics
-
-
-def run_nn_baseline(method, cfg, out, seed):
-    params, forcing, traj = build_simulation(cfg)
-    spec = net_spec(cfg, method, (1, 32, 32, 32, 2))
-    tcfg = train_config(cfg, method, 5000, 1e-3, 500)
-    stride = cfg.get(method, "stride", 16, int)
-    res = pinn.run_enhanced_learning(traj, stride=stride, seed=seed,
-                                     truth=params, net=spec, train=tcfg,
+def run_nn_baseline(opts, sim, out, seed):
+    params, forcing, traj = sim
+    res = pinn.run_enhanced_learning(traj, stride=opts["stride"], seed=seed,
+                                     truth=params, net=net_spec(opts),
+                                     train=train_config(opts),
                                      baseline_only=True)
-    pred = res.baseline_pred
     nets.save_loss_history(out / "history.csv", res.history)
-    write_csv(out / "result.csv", "t,u_true,u_hat,v_true,v_hat",
-              state_csv_rows(traj.t, traj.u, traj.v, pred))
-    return {"rmse_u": rmse(pred[:, 0], traj.u),
-            "rmse_v": rmse(pred[:, 1], traj.v),
-            "nmse_u": nmse(pred[:, 0], traj.u),
-            "nmse_v": nmse(pred[:, 1], traj.v)}
+    return state_metrics(traj, res.baseline_pred, out / "result.csv")
 
 
-def run_pgnn(method, cfg, out, seed):
-    params, forcing, traj = build_simulation(cfg)
-    tcfg = train_config(cfg, method, 2000, 2e-3, 300)
-    res = pgnn.run_guided(traj, forcing, params,
-                          stride=cfg.get(method, "stride", 1, int),
-                          seed=seed, train=tcfg)
+def run_pinn_discovery(opts, sim, out, seed):
+    params, forcing, traj = sim
+    res = pinn.run_equation_discovery(
+        traj, nonlinear=opts["nonlinear"], seed=seed, truth=params,
+        net=net_spec(opts), train=train_config(opts), n_obs=opts["n_obs"])
+    nets.save_loss_history(out / "history.csv", res.history)
+    estimates = {name: res.estimates[name] for name in res.errors_percent}
+    return {**state_metrics(traj, res.prediction(traj.t), out / "result.csv"),
+            **param_metrics(out / "params.csv", res.truth, estimates)}
+
+
+def run_pinn_enhanced(opts, sim, out, seed):
+    params, forcing, traj = sim
+    res = pinn.run_enhanced_learning(traj, stride=opts["stride"], seed=seed,
+                                     truth=params, net=net_spec(opts),
+                                     train=train_config(opts))
+    nets.save_loss_history(out / "history.csv", res.history)
+    base = state_metrics(traj, res.baseline_pred, out / "baseline.csv")
+    return {**state_metrics(traj, res.informed_pred, out / "result.csv"),
+            "baseline_rmse_u": base["rmse_u"],
+            "baseline_rmse_v": base["rmse_v"]}
+
+
+def run_pinn_forward(opts, sim, out, seed):
+    params, forcing, traj = sim
+    res = pinn.run_forward_model(
+        params=params, forcing=forcing, seed=seed, net=net_spec(opts),
+        train=train_config(opts), reference=traj, windows=opts["windows"],
+        margin=opts["margin"])
+    nets.save_loss_history(out / "history.csv", res.history)
+    metrics = state_metrics(traj, res.pred, out / "result.csv")
+    return {**metrics, "rel_rmse_u": metrics["rmse_u"] / rms(traj.u)}
+
+
+def run_pgnn(opts, sim, out, seed):
+    params, forcing, traj = sim
+    res = pgnn.run_guided(traj, forcing, params, stride=opts["stride"],
+                          seed=seed, train=train_config(opts))
     nets.save_loss_history(out / "history.csv", res.history)
     write_csv(out / "result.csv",
               "t,u_true,u_prior,u_hat,v_true,v_prior,v_hat",
               zip(traj.t, traj.u, res.prior_traj.u, res.combined[:, 0],
                   traj.v, res.prior_traj.v, res.combined[:, 1]))
-    return {
-        "rmse_u": res.combined_rmse["u"],
-        "rmse_v": res.combined_rmse["v"],
-        "prior_rmse_u": res.prior_rmse["u"],
-        "prior_rmse_v": res.prior_rmse["v"],
-        "nmse_u": nmse(res.combined[:, 0], traj.u),
-        "nmse_v": nmse(res.combined[:, 1], traj.v),
-    }
+    return {**state_metrics(traj, res.combined),
+            "prior_rmse_u": res.prior_rmse["u"],
+            "prior_rmse_v": res.prior_rmse["v"]}
 
 
-def run_gp(method, cfg, out, seed):
-    params, forcing, traj = build_simulation(cfg)
-    stride = cfg.get(method, "stride", 12, int)
-    ratio = cfg.get(method, "noise_ratio", 0.085, float)
-    _, obs = subsample(traj, stride=stride)
+def run_gp(kind, opts, sim, out, seed):
+    """Runner of gp-<kind> once `kind` is bound."""
+    params, forcing, traj = sim
+    ratio = opts["noise_ratio"]
+    obs = subsample(traj, stride=opts["stride"])
     master = nk.RngStream(seed)
     y = add_noise(obs.u, ratio, master.substream("sim-noise"))
     noise_var = max((ratio * rms(traj.u)) ** 2, 1e-12)
-    kind = "se" if method == "gp-se" else "sdof"
     spec = gp.KernelSpec(kind=kind, m=params.m, c=params.c, k=params.k,
                          noise_var=noise_var)
-    model = gp.fit(obs.t, y, spec, seed=seed,
-                   restarts=cfg.get(method, "restarts", 8, int),
-                   steps=cfg.get(method, "steps", 200, int))
+    model = gp.fit(obs.t, y, spec, seed=seed, restarts=opts["restarts"],
+                   steps=opts["steps"])
     pred = model.predict(traj.t)
     write_csv(out / "result.csv", "t,u_true,mean,sd",
               zip(traj.t, traj.u, pred.mean, pred.std))
@@ -356,47 +337,38 @@ def run_gp(method, cfg, out, seed):
     }
 
 
-def run_node(method, cfg, out, seed):
-    params, forcing, traj = build_simulation(cfg)
+def run_node(opts, sim, out, seed):
+    params, forcing, traj = sim
     dataset = node_mod.OneStepDataset.from_trajectory(traj, forcing)
-    spec = net_spec(cfg, method, (3, 32, 32, 2), activation="tanh")
-    tcfg = train_config(cfg, method, 2000, 3e-3, 300)
     func, history = node_mod.train_k1_predictor(
-        dataset, spec=spec, seed=seed, train=tcfg,
-        refine=cfg.get(method, "refine", True, bool),
-        refine_iters=cfg.get(method, "refine_iters", 250, int))
+        dataset, spec=net_spec(opts), seed=seed, train=train_config(opts),
+        refine=opts["refine"], refine_iters=opts["refine_iters"])
     path = node_mod.rollout(func, np.array([traj.u[0], traj.v[0]]), forcing,
                             len(traj), traj.rate)
     nets.save_loss_history(out / "history.csv", history)
-    write_csv(out / "rollout.csv", "t,u_true,u_hat,v_true,v_hat",
-              state_csv_rows(traj.t, traj.u, traj.v, path))
-    return {
-        "rmse_u": rmse(path[:, 0], traj.u),
-        "rmse_v": rmse(path[:, 1], traj.v),
-        "rel_rmse_u": rmse(path[:, 0], traj.u) / rms(traj.u),
-        "one_step_loss": history[-1],
-    }
+    metrics = state_metrics(traj, path, out / "rollout.csv")
+    return {"rmse_u": metrics["rmse_u"], "rmse_v": metrics["rmse_v"],
+            "rel_rmse_u": metrics["rmse_u"] / rms(traj.u),
+            "one_step_loss": history[-1]}
 
 
-def run_hnn(method, cfg, out, seed):
-    h_step = cfg.get(method, "step", 5e-3, float)
+def run_hnn(opts, sim, out, seed):
+    h_step, steps, u0 = opts["step"], opts["steps"], opts["u0"]
     if not h_step > 0.0:
-        raise ConfigError(f"[{method}] step must be positive, got {h_step}")
-    steps = cfg.get(method, "steps", 1000, int)
+        raise ConfigError(f"[hnn] step must be positive, got {h_step}")
     if steps < 1:
-        raise ConfigError(f"[{method}] steps must be >= 1, got {steps}")
-    u0 = cfg.get(method, "u0", 1.0, float)
+        raise ConfigError(f"[hnn] steps must be >= 1, got {steps}")
     if u0 == 0.0:
         # the conservative record would rest at H = 0: nothing to learn,
         # and the energy drift is relative to H[0]
-        raise ConfigError(f"[{method}] u0 must be nonzero")
-    params, forcing, traj = build_simulation(cfg)
+        raise ConfigError("[hnn] u0 must be nonzero")
+    params, forcing, traj = sim
     cons = OscillatorParams(m=params.m, c=0.0, k=params.k, k3=params.k3)
     cons_traj = simulate(cons, ForcingSpec(amplitudes=0.0),
                          n=len(traj), rate=traj.rate, z0=(u0, 0.0))
     q, p, qd, pd = node_mod.conservative_batch(cons_traj, cons.m)
-    tcfg = train_config(cfg, method, 3000, 3e-3, 300)
-    hnet, history = node_mod.hnn_train(q, p, qd, pd, seed=seed, train=tcfg)
+    hnet, history = node_mod.hnn_train(q, p, qd, pd, seed=seed,
+                                       train=train_config(opts))
     nets.save_loss_history(out / "history.csv", history)
     qs, ps, H = node_mod.integrate_hamiltonian(hnet, q[0], p[0], h_step, steps)
     t = np.arange(steps + 1) * h_step
@@ -420,19 +392,38 @@ def run_hnn(method, cfg, out, seed):
     }
 
 
-_RUNNERS = {
-    "ukf": run_filter_method,
-    "pf": run_filter_method,
-    "sindy": run_sindy,
-    "nn-baseline": run_nn_baseline,
-    "pinn-discovery": run_pinn_method,
-    "pinn-enhanced": run_pinn_method,
-    "pinn-forward": run_pinn_method,
-    "pgnn": run_pgnn,
-    "gp-se": run_gp,
-    "gp-sdof": run_gp,
-    "node": run_node,
-    "hnn": run_hnn,
+_GP = {"stride": 12, "noise_ratio": 0.085, "restarts": 8, "steps": 200}
+# nn-baseline is pinn-enhanced's data-only twin
+_ENHANCED = {"widths": (1, 32, 32, 32, 2), "activation": "sin",
+             "omega0": 60.0, "adam_iters": 5000, "adam_lr": 1e-3,
+             "lbfgs_iters": 500, "stride": 16}
+
+# method -> (runner, {key: default}): the keys its section may set
+METHODS = {
+    "ukf": (run_ukf, {"noise_ratio": 0.085, "k0": 1.0, "c0": 0.5,
+                      "k30": 40.0}),
+    "pf": (run_pf, {"noise_ratio": 0.085, "particles": 1000}),
+    "sindy": (run_sindy, {"threshold": 0.1, "ridge": 0.0}),
+    "nn-baseline": (run_nn_baseline, _ENHANCED),
+    "pinn-discovery": (run_pinn_discovery, {
+        "widths": (1, 32, 32, 32, 2), "activation": "sin", "omega0": 60.0,
+        "adam_iters": 5000, "adam_lr": 1e-3, "lbfgs_iters": 500,
+        "nonlinear": True, "n_obs": 256}),
+    "pinn-enhanced": (run_pinn_enhanced, _ENHANCED),
+    "pinn-forward": (run_pinn_forward, {
+        "widths": (1, 32, 32, 32, 2), "activation": "sin", "omega0": 60.0,
+        "adam_iters": 3000, "adam_lr": 2e-3, "lbfgs_iters": 2000,
+        "windows": 12, "margin": 6}),
+    "pgnn": (run_pgnn, {"adam_iters": 2000, "adam_lr": 2e-3,
+                        "lbfgs_iters": 300, "stride": 1}),
+    "gp-se": (functools.partial(run_gp, "se"), _GP),
+    "gp-sdof": (functools.partial(run_gp, "sdof"), _GP),
+    "node": (run_node, {
+        "widths": (3, 32, 32, 2), "activation": "tanh", "omega0": 60.0,
+        "adam_iters": 2000, "adam_lr": 3e-3, "lbfgs_iters": 300,
+        "refine": True, "refine_iters": 250}),
+    "hnn": (run_hnn, {"adam_iters": 3000, "adam_lr": 3e-3, "lbfgs_iters": 300,
+                      "step": 5e-3, "steps": 1000, "u0": 1.0}),
 }
 
 
@@ -441,14 +432,23 @@ def run_experiment(cfg: Config, seed_override=None, out_override=None):
     if method not in METHODS:
         raise ConfigError(f"unknown method '{method}' for [experiment] "
                           f"method; choose from {', '.join(METHODS)}")
-    seed = seed_override if seed_override is not None \
-        else cfg.get("experiment", "seed", 1234, int)
-    out = Path(out_override if out_override is not None
-               else cfg.get("experiment", "out", f"results/{method}"))
+    runner, keys = METHODS[method]
+    tables = {"experiment": {"method": None, "seed": 1234,
+                             "out": f"results/{method}"},
+              "simulator": SIMULATOR, method: keys}
+    exp, sim, opts = cfg.read(tables).values()
+    # the method fixes what its network takes in and gives out
+    ends = keys.get("widths")
+    widths = opts.get("widths", ())
+    if ends and widths[:1] + widths[-1:] != (ends[0], ends[-1]):
+        raise ConfigError(f"[{method}] widths must run from {ends[0]} to "
+                          f"{ends[-1]}")
+    seed = seed_override if seed_override is not None else exp["seed"]
+    out = Path(out_override if out_override is not None else exp["out"])
     out.mkdir(parents=True, exist_ok=True)
     start = time.time()
     try:
-        metrics = _RUNNERS[method](method, cfg, out, seed)
+        metrics = runner(opts, build_simulation(sim), out, seed)
     except NumericFailure:
         write_manifest(out / "manifest.txt", cfg, seed, time.time() - start)
         raise
@@ -459,7 +459,8 @@ def run_experiment(cfg: Config, seed_override=None, out_override=None):
 
 
 def run_simulate(cfg: Config, out_override=None):
-    _, _, traj = build_simulation(cfg)
+    _, _, traj = build_simulation({key: cfg.get("simulator", key, default)
+                                   for key, default in SIMULATOR.items()})
     out = Path(out_override if out_override is not None
                else cfg.get("experiment", "out", "results/simulate"))
     out.mkdir(parents=True, exist_ok=True)
@@ -468,21 +469,19 @@ def run_simulate(cfg: Config, out_override=None):
 
 
 def compare(dirs):
-    """Align metrics of several result directories into one table."""
-    rows = {}
-    methods = []
+    """Align metrics of several result directories into one table, one
+    column per directory in the order given."""
+    names, columns = [], []
     for d in dirs:
         path = Path(d) / "metrics.csv"
         if not path.exists():
             print(f"warning: {path} missing, skipped", file=sys.stderr)
             continue
-        methods.append(Path(d).name)
-        for key, value in read_metrics(path).items():
-            rows.setdefault(key, {})[Path(d).name] = value
-    lines = ["metric," + ",".join(methods)]
-    for key in sorted(rows):
-        cells = [("%s" % _fmt(rows[key][m])) if m in rows[key] else ""
-                 for m in methods]
+        names.append(Path(d).name)
+        columns.append(read_metrics(path))
+    lines = ["metric," + ",".join(names)]
+    for key in sorted(set().union(*columns)):
+        cells = [_fmt(col[key]) if key in col else "" for col in columns]
         lines.append(f"{key}," + ",".join(cells))
     return "\n".join(lines)
 

@@ -10,7 +10,7 @@ frequencies {0.7, 0.85, 1.6, 1.8} rad/s, 1024 samples at 8.525 Hz.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,22 +45,9 @@ class OscillatorParams:
         if self.k < 0 or self.c < 0:
             raise ConfigError("stiffness and damping must be nonnegative")
 
-    def state_matrices(self):
-        return StateMatrices(self)
-
     def acceleration(self, u, v, f):
         """ü from the equation of motion at the given state and force."""
         return (f - self.c * v - self.k * u - self.k3 * u ** 3) / self.m
-
-
-class StateMatrices:
-    """First-order form ż = A z + A_n u³ + B f, always derived from params."""
-
-    def __init__(self, params: OscillatorParams):
-        m, c, k, k3 = params.m, params.c, params.k, params.k3
-        self.A = np.array([[0.0, 1.0], [-k / m, -c / m]])
-        self.A_n = np.array([0.0, -k3 / m])
-        self.B = np.array([0.0, 1.0 / m])
 
 
 @dataclass(frozen=True)
@@ -131,41 +118,6 @@ class Trajectory:
             fh.write("t,u,v,a,f\n")
             for row in zip(self.t, self.u, self.v, self.a, self.f):
                 fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
-
-    @classmethod
-    def from_csv(cls, path):
-        data = np.genfromtxt(path, delimiter=",", names=True)
-        return cls(np.atleast_1d(data["t"]), np.atleast_1d(data["u"]),
-                   np.atleast_1d(data["v"]), np.atleast_1d(data["a"]),
-                   np.atleast_1d(data["f"]))
-
-
-@dataclass
-class DomainSpec:
-    """Collocation grid, observed subset and boundary subset of times."""
-
-    collocation: np.ndarray
-    observation_idx: np.ndarray = field(default=None)
-    boundary_idx: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.observation_idx is None:
-            self.observation_idx = np.arange(len(self.collocation))
-        if self.boundary_idx is None:
-            self.boundary_idx = np.array([0])
-        self.observation_idx = np.asarray(self.observation_idx, dtype=int)
-        self.boundary_idx = np.asarray(self.boundary_idx, dtype=int)
-        n = len(self.collocation)
-        if np.any(self.observation_idx >= n) or np.any(self.boundary_idx >= n):
-            raise ValueError("observation/boundary must lie inside collocation")
-
-    @property
-    def observation(self):
-        return self.collocation[self.observation_idx]
-
-    @property
-    def boundary(self):
-        return self.collocation[self.boundary_idx]
 
 
 DEFAULT_SUBSTEPS = 16
@@ -314,9 +266,8 @@ def add_noise(signal, ratio, stream: RngStream):
 def subsample(traj: Trajectory, stride: int = None, sobol_n: int = None):
     """Pick the observed subset of a trajectory.
 
-    Either every `stride`-th sample or `sobol_n` Sobol-chosen samples.
-    Returns the domain bookkeeping (full grid as collocation, chosen
-    indices as observation, t=0 as boundary) plus the observed rows.
+    Either every `stride`-th sample or `sobol_n` Sobol-chosen samples;
+    returns the observed rows.
     """
     if (stride is None) == (sobol_n is None):
         raise ValueError("give exactly one of stride or sobol_n")
@@ -328,8 +279,7 @@ def subsample(traj: Trajectory, stride: int = None, sobol_n: int = None):
         idx = sobol_indices(sobol_n, len(traj))
     if len(idx) == 0:
         raise ConfigError("empty observation selection")
-    domain = DomainSpec(collocation=traj.t.copy(), observation_idx=idx)
-    return domain, traj.select(idx)
+    return traj.select(idx)
 
 
 def hamiltonian(params: OscillatorParams, u, v):

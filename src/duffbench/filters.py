@@ -91,10 +91,6 @@ class AugmentedState:
             values[name] = np.exp(x[..., 2 + i])
         return values
 
-    def pack(self, z, theta_values):
-        log_theta = [np.log(theta_values[name]) for name in self.theta_names]
-        return np.concatenate([np.asarray(z, dtype=float), np.array(log_theta)])
-
 
 @dataclass
 class GaussianBelief:

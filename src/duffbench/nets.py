@@ -73,10 +73,6 @@ def init_params(spec: MlpSpec, stream: nk.RngStream):
     return params
 
 
-def leaf_params(tape: nk.Tape, params):
-    return [(tape.leaf(W), tape.leaf(b)) for W, b in params]
-
-
 def mlp_apply(spec: MlpSpec, param_nodes, x):
     """Feed-forward pass on the tape as one `mlp` node; x is a (N, n_in)
     node."""
@@ -173,10 +169,6 @@ class Normalization:
             z_std = z.std(axis=0)
             z_std = np.where(z_std > 0, z_std, 1.0)
         return cls(t_center, t_half, z_mean, z_std)
-
-    @classmethod
-    def identity(cls, n_out=2):
-        return cls(0.0, 1.0, np.zeros(n_out), np.ones(n_out))
 
     def t_in(self, t):
         return (np.asarray(t, dtype=float) - self.t_center) / self.t_half
@@ -336,37 +328,6 @@ def train(closure, theta0, config: TrainConfig):
         theta, history = lbfgs(closure, theta, config.lbfgs_iters,
                                history=history)
     return theta, history
-
-
-def save_checkpoint(path, params, names=None):
-    """Named-tensor CSV: rows of name, ndim, dims..., values..."""
-    rows = []
-    for i, (W, b) in enumerate(params):
-        base = names[i] if names else f"layer{i}"
-        for suffix, arr in (("W", W), ("b", b)):
-            arr = np.asarray(arr, dtype=float)
-            dims = ",".join(str(d) for d in arr.shape)
-            vals = ",".join(f"{x:.17g}" for x in arr.ravel())
-            rows.append(f"{base}.{suffix},{arr.ndim},{dims},{vals}")
-    with open(path, "w", newline="") as fh:
-        fh.write("name,ndim,dims...,values...\n")
-        fh.write("\n".join(rows) + "\n")
-
-
-def load_checkpoint(path):
-    params = {}
-    with open(path) as fh:
-        next(fh)
-        for line in fh:
-            cells = line.strip().split(",")
-            name = cells[0]
-            ndim = int(cells[1])
-            dims = tuple(int(d) for d in cells[2:2 + ndim])
-            vals = np.array([float(x) for x in cells[2 + ndim:]])
-            params[name] = vals.reshape(dims)
-    layers = sorted({n.rsplit(".", 1)[0] for n in params},
-                    key=lambda s: int(s.replace("layer", "")))
-    return [(params[f"{n}.W"], params[f"{n}.b"]) for n in layers]
 
 
 def save_loss_history(path, history):

@@ -370,12 +370,6 @@ def conservative_batch(traj: Trajectory, mass):
     return (traj.u, mass * traj.v, traj.v, mass * traj.a)
 
 
-def hnn_loss_value(hamiltonian, q, p, qdot, pdot):
-    """Mean squared Hamilton-equation residual of any H with .grads."""
-    dH_dq, dH_dp = hamiltonian.grads(q, p)
-    return float(np.mean((dH_dp - qdot) ** 2) + np.mean((dH_dq + pdot) ** 2))
-
-
 def hnn_train(q, p, qdot, pdot, seed=1234,
               train: nets.TrainConfig = None) -> tuple:
     """Fit a separable Hamiltonian net to observed phase-space rates."""
@@ -423,17 +417,6 @@ def symplectic_step(hamiltonian, q, p, h, ordering="semi-implicit"):
     return q_new, p_new
 
 
-def leapfrog_step(hamiltonian, q, p, h):
-    """Second-order kick-drift-kick composition for separable H."""
-    dH_dq, _ = hamiltonian.grads(q, p)
-    p_half = p - 0.5 * h * dH_dq
-    _, dH_dp = hamiltonian.grads(q, p_half)
-    q_new = q + h * dH_dp
-    dH_dq_new, _ = hamiltonian.grads(q_new, p_half)
-    p_new = p_half - 0.5 * h * dH_dq_new
-    return q_new, p_new
-
-
 def integrate_hamiltonian(hamiltonian, q0, p0, h, steps,
                           method="symplectic-euler"):
     """Roll a Hamiltonian flow; returns (q, p, H) arrays per step."""
@@ -446,8 +429,6 @@ def integrate_hamiltonian(hamiltonian, q0, p0, h, steps,
         elif method == "explicit-euler":
             qn, pn = symplectic_step(hamiltonian, q[k], p[k], h,
                                      ordering="explicit")
-        elif method == "leapfrog":
-            qn, pn = leapfrog_step(hamiltonian, q[k], p[k], h)
         else:
             raise ValueError(f"unknown method '{method}'")
         q[k + 1] = np.asarray(qn).reshape(-1)[0]

@@ -35,7 +35,7 @@ from .linalg import (
     symmetrize,
 )
 from .rng import RngStream
-from .sobol import sobol_sequence, sobol_sample, sobol_indices
+from .sobol import sobol_sequence, sobol_indices
 
 __all__ = [
     "Tape", "Node", "TapeError", "NumericError", "grad", "backward",
@@ -43,5 +43,5 @@ __all__ = [
     "softplus", "matmul", "mlp", "mlp_forward", "mlp_vjp", "vsum", "take",
     "CholeskyFactor", "FactorizationError", "cholesky",
     "cholesky_jittered", "solve_lower", "solve_upper", "symmetrize",
-    "RngStream", "sobol_sequence", "sobol_sample", "sobol_indices",
+    "RngStream", "sobol_sequence", "sobol_indices",
 ]

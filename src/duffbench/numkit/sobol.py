@@ -35,13 +35,6 @@ def sobol_sequence(n):
     return out
 
 
-def sobol_sample(n, low=0.0, high=1.0):
-    """First n Sobol points mapped affinely into [low, high)."""
-    if high <= low:
-        raise ValueError("degenerate domain")
-    return low + (high - low) * sobol_sequence(n)
-
-
 def sobol_indices(n, length):
     """n distinct grid indices chosen by the Sobol sequence.
 

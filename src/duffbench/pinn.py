@@ -299,7 +299,7 @@ def run_equation_discovery(traj: Trajectory, nonlinear=True, seed=1234,
     initial guesses.
     """
     truth = truth or OscillatorParams()
-    _, obs = subsample(traj, sobol_n=n_obs)
+    obs = subsample(traj, sobol_n=n_obs)
     trainable = ("c", "k", "k3") if nonlinear else ("c", "k")
     params = default_params(trainable=trainable, values={"m": truth.m})
     if not nonlinear:
@@ -347,7 +347,7 @@ def run_enhanced_learning(traj: Trajectory, stride=16, seed=1234,
     benchmark row).
     """
     truth = truth or OscillatorParams()
-    _, obs = subsample(traj, stride=stride)
+    obs = subsample(traj, stride=stride)
     z_obs = np.column_stack([obs.u, obs.v])
     net = net or WORKING_NET
     train = train or nets.TrainConfig()

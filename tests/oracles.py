@@ -140,6 +140,12 @@ def dense_lml(K, y):
                  - 0.5 * n * np.log(2 * np.pi))
 
 
+def hnn_loss_value(hamiltonian, q, p, qdot, pdot):
+    """Mean squared Hamilton-equation residual of any H with .grads."""
+    dH_dq, dH_dp = hamiltonian.grads(q, p)
+    return float(np.mean((dH_dp - qdot) ** 2) + np.mean((dH_dq + pdot) ** 2))
+
+
 def mlp_apply_per_op(spec, param_nodes, x):
     """The network on the tape as a chain of primitive ops (matmul, add,
     activation per layer): the reference the fused `mlp` node must match

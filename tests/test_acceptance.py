@@ -295,7 +295,7 @@ def test_c08_pgnn(default_traj):
 
 def test_c09_gp(default_traj):
     start = time.time()
-    _, obs = subsample(default_traj, stride=12)
+    obs = subsample(default_traj, stride=12)
     master = nk.RngStream(2025)
     y = add_noise(obs.u, 0.085, master.substream("sim-noise"))
     nv = (0.085 * rms(default_traj.u)) ** 2

@@ -140,6 +140,16 @@ def test_compare_skips_missing_with_warning(tmp_path, capsys):
     assert captured.out.strip() == "metric,"
 
 
+def test_compare_keeps_directories_with_the_same_name_apart(tmp_path, capsys):
+    for parent, value in (("a", 1.0), ("b", 2.0)):
+        (tmp_path / parent / "x").mkdir(parents=True)
+        cli.write_metrics(tmp_path / parent / "x" / "metrics.csv",
+                          {"rmse": value})
+    assert cli.main(["compare", str(tmp_path / "a" / "x"),
+                     str(tmp_path / "b" / "x")]) == 0
+    assert capsys.readouterr().out.splitlines() == ["metric,x,x", "rmse,1,2"]
+
+
 def test_compare_empty_list(tmp_path, capsys):
     assert cli.main(["compare"]) == 0
     assert capsys.readouterr().out.strip() == "metric,"
@@ -167,12 +177,39 @@ steps = 120
     assert outs["gp-sdof"]["rmse_u"] < outs["gp-se"]["rmse_u"]
 
 
-def test_shipped_configs_parse_and_name_valid_methods():
+class Simulated(Exception):
+    """Raised by a patched `cli.simulate`: the run got past its config."""
+
+
+def refuse_to_simulate(*args, **kwargs):
+    raise Simulated
+
+
+def test_shipped_configs_parse_and_name_valid_methods(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "simulate", refuse_to_simulate)
     for path in sorted(CONFIG_DIR.glob("*.cfg")):
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
         assert parser.read(path)
         method = parser.get("experiment", "method")
         assert method in cli.METHODS, path.name
+        # every key is in the method's table and parses
+        with pytest.raises(Simulated):
+            cli.run_experiment(cli.Config.from_file(path),
+                               out_override=tmp_path / path.stem)
+
+
+@pytest.mark.parametrize("method,line,key", [
+    ("sindy", "treshold = 0.5", "[sindy] treshold"),
+    ("gp-se", "restarts = x", "[gp-se] restarts")])
+def test_config_errors_exit_before_simulating(tmp_path, capsys, monkeypatch,
+                                              method, line, key):
+    monkeypatch.setattr(cli, "simulate", refuse_to_simulate)
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, f"[experiment]\nmethod = {method}\n"
+                              f"out = {out}\n\n[{method}]\n{line}\n")
+    assert cli.main(["run", cfg]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
 
 
 # configs that once crashed with a traceback:
@@ -207,6 +244,36 @@ HOSTILE = {
                        2, "steps"),
     "zero-hnn-amplitude": ("hnn", "[simulator]\nn = 64\n\n[hnn]\nu0 = 0\n",
                            2, "u0"),
+    # config keys and values the run checks before it simulates; the
+    # iteration counts only keep the run short where it would go on
+    "misspelt-sindy-key": ("sindy", "[simulator]\nn = 64\n\n"
+                           "[sindy]\ntreshold = 0.5\n", 2, "[sindy] treshold"),
+    "unknown-boolean": ("node", "[simulator]\nn = 64\n\n[node]\n"
+                        "adam_iters = 1\nlbfgs_iters = 0\nrefine = ture\n",
+                        2, "[node] refine"),
+    "non-integer-width": ("nn-baseline", "[simulator]\nn = 64\n\n"
+                          "[nn-baseline]\nwidths = 1 32 x 2\n", 2,
+                          "[nn-baseline] widths"),
+    "non-numeric-frequency": ("sindy", "[simulator]\nn = 64\n"
+                              "frequencies = 0.7 abc\n", 2,
+                              "[simulator] frequencies"),
+    "three-network-outputs": ("nn-baseline", "[simulator]\nn = 64\n\n"
+                              "[nn-baseline]\nadam_iters = 1\n"
+                              "lbfgs_iters = 0\nwidths = 1 8 3\n", 2,
+                              "[nn-baseline] widths"),
+    "two-network-inputs": ("pinn-enhanced", "[simulator]\nn = 64\n\n"
+                           "[pinn-enhanced]\nadam_iters = 1\n"
+                           "lbfgs_iters = 0\nwidths = 2 8 2\n", 2,
+                           "[pinn-enhanced] widths"),
+    "flow-network-inputs": ("node", "[simulator]\nn = 64\n\n[node]\n"
+                            "adam_iters = 1\nlbfgs_iters = 0\nrefine = no\n"
+                            "widths = 2 8 2\n", 2, "[node] widths"),
+    "pgnn-widths": ("pgnn", "[simulator]\nn = 64\n\n[pgnn]\n"
+                    "adam_iters = 1\nlbfgs_iters = 0\nwidths = 1 8 2\n", 2,
+                    "[pgnn] widths"),
+    "non-integer-gp-restarts": ("gp-se", "[simulator]\nn = 256\n\n"
+                                "[gp-se]\nrestarts = x\n", 2,
+                                "[gp-se] restarts"),
 }
 
 

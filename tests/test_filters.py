@@ -31,6 +31,12 @@ def default_setup():
     return traj, forcing, y, noise
 
 
+def pack(layout, z, params):
+    """Augmented state [u, v, log θ...] with θ read from `params`."""
+    log_theta = [np.log(getattr(params, name)) for name in layout.theta_names]
+    return np.concatenate([np.asarray(z, dtype=float), log_theta])
+
+
 def kf_matrices(params: OscillatorParams, h):
     """Discrete affine map of one RK4 step on the linear oscillator.
 
@@ -123,8 +129,7 @@ def test_ukf_fixed_point_at_truth():
     layout = flt.AugmentedState()
     h = 1.0 / traj.rate
     k = 500
-    mean = layout.pack((traj.u[k], traj.v[k]),
-                       {"k": TRUTH.k, "c": TRUTH.c, "k3": TRUTH.k3})
+    mean = pack(layout, (traj.u[k], traj.v[k]), TRUTH)
     belief = flt.GaussianBelief(mean, 1e-14 * np.eye(5))
     t_prev = traj.t[k]
     f_stages = (float(multisine_force(forcing, t_prev)),
@@ -132,8 +137,7 @@ def test_ukf_fixed_point_at_truth():
                 float(multisine_force(forcing, t_prev + h)))
     out = flt.ukf_step(belief, layout, TRUTH, f_stages,
                        float(traj.f[k + 1]), float(traj.a[k + 1]), h, noise)
-    truth_next = layout.pack((traj.u[k + 1], traj.v[k + 1]),
-                             {"k": TRUTH.k, "c": TRUTH.c, "k3": TRUTH.k3})
+    truth_next = pack(layout, (traj.u[k + 1], traj.v[k + 1]), TRUTH)
     assert np.max(np.abs(out.mean - truth_next)) < 1e-6
 
 
@@ -150,8 +154,7 @@ def test_pf_single_particle_at_truth_keeps_weight(default_setup):
     traj, forcing, _, _ = default_setup
     layout = flt.AugmentedState()
     h = 1.0 / traj.rate
-    particle = layout.pack((traj.u[0], traj.v[0]),
-                           {"k": TRUTH.k, "c": TRUTH.c, "k3": TRUTH.k3})
+    particle = pack(layout, (traj.u[0], traj.v[0]), TRUTH)
     ensemble = flt.ParticleEnsemble(particle[None, :], np.array([1.0]))
     noise = flt.NoiseConfig(q_velocity=0.0, q_param=0.0, r_measurement=1e-300)
     f_stages = (float(multisine_force(forcing, 0.0)),

@@ -17,7 +17,7 @@ from duffbench.metrics import rmse
 @pytest.fixture(scope="module")
 def stride12_task():
     traj = simulate()
-    _, obs = subsample(traj, stride=12)
+    obs = subsample(traj, stride=12)
     noise_std = 0.085 * rms(traj.u)
     y = add_noise(obs.u, 0.085, nk.RngStream(2025).substream("gp-noise"))
     return traj, obs, y, noise_std

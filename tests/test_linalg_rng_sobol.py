@@ -100,7 +100,7 @@ SOBOL_DIM1_TABLE = [0.0, 0.5, 0.75, 0.25, 0.375, 0.875, 0.625, 0.125]
 
 
 def test_sobol_first_point_is_zero():
-    assert nk.sobol_sample(1, 0.0, 1.0).tolist() == [0.0]
+    assert nk.sobol_sequence(1).tolist() == [0.0]
 
 
 def test_sobol_matches_reference_table():
@@ -108,8 +108,8 @@ def test_sobol_matches_reference_table():
 
 
 def test_sobol_range_and_distinct():
-    pts = nk.sobol_sample(256, 0.0, 120.0)
-    assert np.all((pts >= 0.0) & (pts < 120.0))
+    pts = nk.sobol_sequence(256)
+    assert np.all((pts >= 0.0) & (pts < 1.0))
     assert len(np.unique(pts)) == 256
 
 
@@ -117,8 +117,3 @@ def test_sobol_indices_distinct():
     idx = nk.sobol_indices(256, 1024)
     assert len(np.unique(idx)) == 256
     assert idx.min() >= 0 and idx.max() < 1024
-
-
-def test_sobol_degenerate_domain_rejected():
-    with pytest.raises(ValueError):
-        nk.sobol_sample(4, 1.0, 1.0)

@@ -51,7 +51,7 @@ def test_tape_and_numpy_forward_agree(spec):
     params = nets.init_params(spec, stream)
     x = stream.normal(size=(11, 1))
     tape = nk.Tape()
-    nodes = nets.leaf_params(tape, params)
+    nodes = [(tape.leaf(W), tape.leaf(b)) for W, b in params]
     xn = tape.constant(x)
     before = len(tape.nodes)
     out = nets.mlp_apply(spec, nodes, xn)
@@ -69,7 +69,7 @@ def test_tangent_matches_finite_difference_input_derivative(spec):
     params = nets.init_params(spec, stream)
     x = stream.normal(size=(9, 1))
     tape = nk.Tape()
-    nodes = nets.leaf_params(tape, params)
+    nodes = [(tape.leaf(W), tape.leaf(b)) for W, b in params]
     _, dz = nets.mlp_apply_tangent(spec, nodes, tape.constant(x))
     h = 1e-6
     fd = (nets.mlp_predict(spec, params, x + h)
@@ -326,17 +326,6 @@ def test_normalization_is_affine_reparametrization():
                        atol=1e-10)
 
 
-def test_checkpoint_round_trip(tmp_path):
-    stream = nk.RngStream(3).substream("ckpt")
-    params = nets.init_params(nets.MlpSpec(widths=(1, 4, 2)), stream)
-    path = tmp_path / "params.csv"
-    nets.save_checkpoint(path, params)
-    back = nets.load_checkpoint(path)
-    for (W, b), (W2, b2) in zip(params, back):
-        assert np.array_equal(W, W2)
-        assert np.array_equal(b, b2)
-
-
 def test_loss_history_csv(tmp_path):
     path = tmp_path / "history.csv"
     nets.save_loss_history(path, [3.0, 2.0, 1.0])
@@ -374,7 +363,7 @@ def test_data_only_fit_of_full_trajectory():
 def test_subsampled_data_only_fit_generalizes_poorly():
     """Stride-16 observations: dense-grid error far above train error."""
     traj = simulate()
-    _, obs = subsample(traj, stride=16)
+    obs = subsample(traj, stride=16)
     z_obs = np.column_stack([obs.u, obs.v])
     norm = nets.Normalization.from_data(traj.t, z_obs)
     cfg = nets.TrainConfig(adam_iters=2000, adam_lr=2e-3, lbfgs_iters=200)
