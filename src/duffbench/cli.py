@@ -15,6 +15,7 @@ import argparse
 import configparser
 import functools
 import hashlib
+import math
 import sys
 import time
 from pathlib import Path
@@ -41,13 +42,17 @@ _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
 
 
 def _parse(raw, default):
-    """`raw` as the type of `default`; str when there is no default."""
+    """`raw` as the type of `default`; str when there is no default.
+    A float must be finite."""
     if isinstance(default, tuple):
         return tuple(_parse(x, default[0])
                      for x in raw.replace(",", " ").split())
     if isinstance(default, bool):
         return _BOOLS[raw.lower()]
-    return raw if default is None else type(default)(raw)
+    value = raw if default is None else type(default)(raw)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(raw)
+    return value
 
 
 class Config:
@@ -79,16 +84,22 @@ class Config:
         self.consumed[f"{section}.{key}"] = value
         return value
 
+    def section(self, section, table):
+        """{key: value} of [section] by its {key: default} table; the file
+        may set no other key there."""
+        if self._parser.has_section(section):
+            for key in self._parser.options(section):
+                if key not in table:
+                    raise ConfigError(f"unknown key [{section}] {key}")
+        return {key: self.get(section, key, default)
+                for key, default in table.items()}
+
     def read(self, tables):
         """{section: {key: value}} of `tables`; the file may set no other."""
         for section in self._parser.sections():
             if section not in tables:
                 raise ConfigError(f"unknown section [{section}]")
-            for key in self._parser.options(section):
-                if key not in tables[section]:
-                    raise ConfigError(f"unknown key [{section}] {key}")
-        return {section: {key: self.get(section, key, default)
-                          for key, default in table.items()}
+        return {section: self.section(section, table)
                 for section, table in tables.items()}
 
     def hash(self):
@@ -146,16 +157,21 @@ SIMULATOR = {"m": 10.0, "c": 1.0, "k": 15.0, "k3": 100.0, "n": 1024,
              "frequencies": (0.7, 0.85, 1.6, 1.8), "phase_seed": 101}
 
 
+def build_model(sim):
+    """(params, forcing) of the parsed [simulator] section."""
+    return (OscillatorParams(m=sim["m"], c=sim["c"], k=sim["k"],
+                             k3=sim["k3"]),
+            ForcingSpec(frequencies=sim["frequencies"],
+                        amplitudes=sim["amplitude"],
+                        phase_seed=sim["phase_seed"]))
+
+
 def build_simulation(sim):
     """(params, forcing, trajectory) of the parsed [simulator] section."""
-    params = OscillatorParams(m=sim["m"], c=sim["c"], k=sim["k"],
-                              k3=sim["k3"])
-    forcing = ForcingSpec(frequencies=sim["frequencies"],
-                          amplitudes=sim["amplitude"],
-                          phase_seed=sim["phase_seed"])
-    traj = simulate(params, forcing, n=sim["n"], rate=sim["rate"],
-                    z0=(sim["u0"], sim["v0"]))
-    return params, forcing, traj
+    params, forcing = build_model(sim)
+    return params, forcing, simulate(params, forcing, n=sim["n"],
+                                     rate=sim["rate"],
+                                     z0=(sim["u0"], sim["v0"]))
 
 
 def train_config(opts):
@@ -181,22 +197,27 @@ def state_metrics(traj, pred, path=None):
 
 
 def param_metrics(path, truth, estimates):
-    """param_*_estimate/_percent_error metrics, also written to `path`."""
+    """param_*_estimate/_percent_error metrics, also written to `path`.
+    A parameter whose truth is 0 has no percent error: no metric, and an
+    empty cell."""
     metrics = {}
     with open(path, "w", newline="") as fh:
         fh.write("param,true,estimate,percent_error\n")
         for name, est in estimates.items():
-            err = percent_error(est, truth[name])
-            fh.write(f"{name},{_fmt(truth[name])},{_fmt(est)},{_fmt(err)}\n")
             metrics[f"param_{name}_estimate"] = est
-            metrics[f"param_{name}_percent_error"] = err
+            cell = ""
+            if truth[name] != 0.0:
+                err = percent_error(est, truth[name])
+                metrics[f"param_{name}_percent_error"] = err
+                cell = _fmt(err)
+            fh.write(f"{name},{_fmt(truth[name])},{_fmt(est)},{cell}\n")
     return metrics
 
 
 # -- method runners -----------------------------------------------------------
 # Every runner takes (opts, sim, out, seed): its method's parsed section,
-# build_simulation's (params, forcing, traj), the output directory and the
-# master seed, and returns the run's metrics.
+# the parsed [simulator] section, the output directory and the master
+# seed, and returns the run's metrics.
 
 
 def _noisy_filter_setup(opts, traj, seed):
@@ -214,7 +235,7 @@ def _filter_metrics(result, params, traj, out):
 
 
 def run_ukf(opts, sim, out, seed):
-    params, forcing, traj = sim
+    params, forcing, traj = build_simulation(sim)
     _, y, noise = _noisy_filter_setup(opts, traj, seed)
     layout = flt.AugmentedState()
     init = flt.default_ukf_init(
@@ -224,7 +245,7 @@ def run_ukf(opts, sim, out, seed):
 
 
 def run_pf(opts, sim, out, seed):
-    params, forcing, traj = sim
+    params, forcing, traj = build_simulation(sim)
     master, y, noise = _noisy_filter_setup(opts, traj, seed)
     layout = flt.AugmentedState()
     init = flt.default_pf_init(layout, opts["particles"],
@@ -235,7 +256,7 @@ def run_pf(opts, sim, out, seed):
 
 
 def run_sindy(opts, sim, out, seed):
-    params, forcing, traj = sim
+    params, forcing, traj = build_simulation(sim)
     lib = dictionary.build_library(traj)
     target = params.m * traj.a
     coeffs = dictionary.stlsq(lib, target, threshold=opts["threshold"],
@@ -256,7 +277,7 @@ def run_sindy(opts, sim, out, seed):
 
 
 def run_nn_baseline(opts, sim, out, seed):
-    params, forcing, traj = sim
+    params, forcing, traj = build_simulation(sim)
     res = pinn.run_enhanced_learning(traj, stride=opts["stride"], seed=seed,
                                      truth=params, net=net_spec(opts),
                                      train=train_config(opts),
@@ -266,18 +287,19 @@ def run_nn_baseline(opts, sim, out, seed):
 
 
 def run_pinn_discovery(opts, sim, out, seed):
-    params, forcing, traj = sim
+    params, forcing, traj = build_simulation(sim)
     res = pinn.run_equation_discovery(
         traj, nonlinear=opts["nonlinear"], seed=seed, truth=params,
         net=net_spec(opts), train=train_config(opts), n_obs=opts["n_obs"])
     nets.save_loss_history(out / "history.csv", res.history)
-    estimates = {name: res.estimates[name] for name in res.errors_percent}
+    estimates = {name: res.estimates[name]
+                 for name in res.problem.config.trainable}
     return {**state_metrics(traj, res.prediction(traj.t), out / "result.csv"),
             **param_metrics(out / "params.csv", res.truth, estimates)}
 
 
 def run_pinn_enhanced(opts, sim, out, seed):
-    params, forcing, traj = sim
+    params, forcing, traj = build_simulation(sim)
     res = pinn.run_enhanced_learning(traj, stride=opts["stride"], seed=seed,
                                      truth=params, net=net_spec(opts),
                                      train=train_config(opts))
@@ -289,9 +311,11 @@ def run_pinn_enhanced(opts, sim, out, seed):
 
 
 def run_pinn_forward(opts, sim, out, seed):
-    params, forcing, traj = sim
+    params, forcing, traj = build_simulation(sim)
+    # the runner sets each window's omega0 itself
+    net = nets.MlpSpec(widths=opts["widths"], activation=opts["activation"])
     res = pinn.run_forward_model(
-        params=params, forcing=forcing, seed=seed, net=net_spec(opts),
+        params=params, forcing=forcing, seed=seed, net=net,
         train=train_config(opts), reference=traj, windows=opts["windows"],
         margin=opts["margin"])
     nets.save_loss_history(out / "history.csv", res.history)
@@ -300,7 +324,7 @@ def run_pinn_forward(opts, sim, out, seed):
 
 
 def run_pgnn(opts, sim, out, seed):
-    params, forcing, traj = sim
+    params, forcing, traj = build_simulation(sim)
     res = pgnn.run_guided(traj, forcing, params, stride=opts["stride"],
                           seed=seed, train=train_config(opts))
     nets.save_loss_history(out / "history.csv", res.history)
@@ -315,7 +339,7 @@ def run_pgnn(opts, sim, out, seed):
 
 def run_gp(kind, opts, sim, out, seed):
     """Runner of gp-<kind> once `kind` is bound."""
-    params, forcing, traj = sim
+    params, forcing, traj = build_simulation(sim)
     ratio = opts["noise_ratio"]
     obs = subsample(traj, stride=opts["stride"])
     master = nk.RngStream(seed)
@@ -338,7 +362,7 @@ def run_gp(kind, opts, sim, out, seed):
 
 
 def run_node(opts, sim, out, seed):
-    params, forcing, traj = sim
+    params, forcing, traj = build_simulation(sim)
     dataset = node_mod.OneStepDataset.from_trajectory(traj, forcing)
     func, history = node_mod.train_k1_predictor(
         dataset, spec=net_spec(opts), seed=seed, train=train_config(opts),
@@ -362,10 +386,11 @@ def run_hnn(opts, sim, out, seed):
         # the conservative record would rest at H = 0: nothing to learn,
         # and the energy drift is relative to H[0]
         raise ConfigError("[hnn] u0 must be nonzero")
-    params, forcing, traj = sim
+    # trains and scores on its own unforced, undamped record
+    params, _ = build_model(sim)
     cons = OscillatorParams(m=params.m, c=0.0, k=params.k, k3=params.k3)
     cons_traj = simulate(cons, ForcingSpec(amplitudes=0.0),
-                         n=len(traj), rate=traj.rate, z0=(u0, 0.0))
+                         n=sim["n"], rate=sim["rate"], z0=(u0, 0.0))
     q, p, qd, pd = node_mod.conservative_batch(cons_traj, cons.m)
     hnet, history = node_mod.hnn_train(q, p, qd, pd, seed=seed,
                                        train=train_config(opts))
@@ -411,7 +436,7 @@ METHODS = {
         "nonlinear": True, "n_obs": 256}),
     "pinn-enhanced": (run_pinn_enhanced, _ENHANCED),
     "pinn-forward": (run_pinn_forward, {
-        "widths": (1, 32, 32, 32, 2), "activation": "sin", "omega0": 60.0,
+        "widths": (1, 32, 32, 32, 2), "activation": "sin",
         "adam_iters": 3000, "adam_lr": 2e-3, "lbfgs_iters": 2000,
         "windows": 12, "margin": 6}),
     "pgnn": (run_pgnn, {"adam_iters": 2000, "adam_lr": 2e-3,
@@ -448,7 +473,7 @@ def run_experiment(cfg: Config, seed_override=None, out_override=None):
     out.mkdir(parents=True, exist_ok=True)
     start = time.time()
     try:
-        metrics = runner(opts, build_simulation(sim), out, seed)
+        metrics = runner(opts, sim, out, seed)
     except NumericFailure:
         write_manifest(out / "manifest.txt", cfg, seed, time.time() - start)
         raise
@@ -459,8 +484,7 @@ def run_experiment(cfg: Config, seed_override=None, out_override=None):
 
 
 def run_simulate(cfg: Config, out_override=None):
-    _, _, traj = build_simulation({key: cfg.get("simulator", key, default)
-                                   for key, default in SIMULATOR.items()})
+    _, _, traj = build_simulation(cfg.section("simulator", SIMULATOR))
     out = Path(out_override if out_override is not None
                else cfg.get("experiment", "out", "results/simulate"))
     out.mkdir(parents=True, exist_ok=True)

@@ -49,9 +49,14 @@ class KernelSpec:
             raise KernelError("kernel scales must be positive")
         if self.noise_var < 0:
             raise KernelError("noise variance must be nonnegative")
-        if self.kind == "sdof" and self.zeta >= 1.0:
-            raise KernelError("oscillator kernel requires an underdamped "
-                              "system (zeta < 1)")
+        if self.kind == "sdof":
+            if not self.k > 0:
+                raise KernelError(f"oscillator kernel requires stiffness "
+                                  f"k > 0, got k = {self.k:g}")
+            if not 0.0 < self.zeta < 1.0:
+                raise KernelError(f"oscillator kernel requires a damped, "
+                                  f"underdamped system (0 < zeta < 1), got "
+                                  f"zeta = {self.zeta:g} from c = {self.c:g}")
 
     @property
     def omega_n(self):

@@ -13,15 +13,16 @@ L_bc is the squared initial-state mismatch in physical units. Terms
 with zero weight are skipped entirely, so a zero weight is bit-exact
 equal to omitting the term.
 
-Physical parameters are either known floats or trainable; a trainable
-parameter is realized as ref·softplus(φ) with ref its initial guess,
-keeping it positive while letting the optimizer move it O(1) per unit
-of φ regardless of magnitude.
+The mass is known; c, k and k3 are each known or trainable. A trainable
+parameter is realized as ref·softplus(φ) with ref its initial guess in
+DEFAULT_TRAINABLE_INIT and φ₀ such that softplus(φ₀) = 1, keeping it
+positive while letting the optimizer move it O(1) per unit of φ
+regardless of magnitude.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .errors import ConfigError
 from .metrics import percent_error, rmse
 
 PARAM_ORDER = ("m", "c", "k", "k3")
-# initial guesses for trainable parameters, used when no init is given
+# initial guesses of the parameters that may be trainable
 DEFAULT_TRAINABLE_INIT = {"c": 0.5, "k": 5.0, "k3": 30.0}
 
 # shipped working-example network: sine activations to reach the ~30
@@ -62,82 +63,31 @@ class LossWeights:
             raise ConfigError("at least one loss weight must be nonzero")
 
 
-@dataclass(frozen=True)
-class BoundaryCondition:
-    """Initial state (u(0), u̇(0)) imposed softly at t = 0."""
-
-    state0: tuple = (0.0, 0.0)
-
-
-@dataclass(frozen=True)
-class PhysParam:
-    value: float
-    trainable: bool = False
-
-    @classmethod
-    def known(cls, value):
-        return cls(float(value), False)
-
-    @classmethod
-    def trainable_init(cls, value):
-        if value <= 0:
-            raise ConfigError("trainable parameters start positive")
-        return cls(float(value), True)
-
-
-def default_params(trainable=(), values=None):
-    """Parameter table: known true values except the trainable subset."""
-    base = {"m": 10.0, "c": 1.0, "k": 15.0, "k3": 100.0}
-    base.update(values or {})
-    table = {}
-    for name in PARAM_ORDER:
-        if name in trainable:
-            init = DEFAULT_TRAINABLE_INIT.get(name, base[name])
-            table[name] = PhysParam.trainable_init(init)
-        else:
-            table[name] = PhysParam.known(base[name])
-    return table
-
-
-MODES = ("data-only", "equation-discovery", "informed", "forward")
-
-
 @dataclass
 class PinnConfig:
-    mode: str
+    """One PINN problem: the loss weights, the known parameters, and the
+    names in `params` that are trained instead of known.
+
+    `bc` is the initial state (u(0), u̇(0)) the boundary term imposes at
+    t = 0, needed when its weight is nonzero.
+    """
+
     weights: LossWeights = field(default_factory=LossWeights)
-    params: dict = field(default_factory=default_params)
+    params: OscillatorParams = field(default_factory=OscillatorParams)
+    trainable: tuple = ()
     net: nets.MlpSpec = WORKING_NET
     train: nets.TrainConfig = field(default_factory=nets.TrainConfig)
-    bc: BoundaryCondition = None
+    bc: tuple | None = None
     seed: int = 1234
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigError(f"unknown mode '{self.mode}'")
-        trainables = [n for n, p in self.params.items() if p.trainable]
-        if "m" in trainables:
-            raise ConfigError("mass is treated as known")
-        if self.mode == "forward":
-            if self.weights.observation != 0:
-                raise ConfigError("forward mode uses no observations")
-            if trainables:
-                raise ConfigError("forward mode requires known parameters")
-            if self.bc is None:
-                raise ConfigError("forward mode is ill-posed without an "
-                                  "initial condition")
-        if self.mode == "equation-discovery" and not trainables:
-            raise ConfigError("equation discovery needs >= 1 trainable "
-                              "parameter")
-        if self.mode in ("informed", "data-only") and trainables:
-            raise ConfigError(f"mode '{self.mode}' expects known parameters")
-        if self.mode == "data-only" and (self.weights.physics != 0
-                                         or self.weights.boundary != 0):
-            raise ConfigError("data-only mode uses the observation loss only")
-
-    @property
-    def trainable_names(self):
-        return [n for n in PARAM_ORDER if self.params[n].trainable]
+        if not set(self.trainable) <= set(DEFAULT_TRAINABLE_INIT):
+            raise ConfigError("only c, k and k3 may be trainable; the mass "
+                              "is treated as known")
+        self.trainable = tuple(n for n in PARAM_ORDER if n in self.trainable)
+        if self.weights.boundary != 0 and self.bc is None:
+            raise ConfigError("boundary weight set but no boundary "
+                              "condition given")
 
 
 class PinnProblem:
@@ -164,7 +114,7 @@ class PinnProblem:
 
     def init_arrays(self, stream: nk.RngStream):
         arrays = nets.pairs_to_arrays(nets.init_params(self.config.net, stream))
-        phi0 = np.full(len(self.config.trainable_names), _SOFTPLUS_ONE)
+        phi0 = np.full(len(self.config.trainable), _SOFTPLUS_ONE)
         arrays.append(phi0)
         return arrays
 
@@ -174,30 +124,18 @@ class PinnProblem:
         return pairs, phi
 
     def _phys_values(self, phi):
-        """Parameter table mixing known floats and trainable nodes."""
-        values = {}
-        i = 0
-        for name in PARAM_ORDER:
-            p = self.config.params[name]
-            if p.trainable:
-                values[name] = p.value * nk.softplus(phi[np.array([i])])
-                i += 1
-            else:
-                values[name] = p.value
+        """Parameter table: the known floats, each trainable one a node."""
+        values = {n: float(v) for n, v in asdict(self.config.params).items()}
+        for i, name in enumerate(self.config.trainable):
+            values[name] = (DEFAULT_TRAINABLE_INIT[name]
+                            * nk.softplus(phi[np.array([i])]))
         return values
 
     def physical_estimates(self, arrays):
-        phi = arrays[-1]
-        values = {}
-        i = 0
-        for name in PARAM_ORDER:
-            p = self.config.params[name]
-            if p.trainable:
-                values[name] = float(p.value * np.logaddexp(0.0, phi[i]))
-                i += 1
-            else:
-                values[name] = p.value
-        return values
+        """The parameter table in floats, trainable ones read off φ."""
+        phys = self._phys_values(nk.Tape().constant(arrays[-1]))
+        return {n: v if isinstance(v, float) else v.value.item()
+                for n, v in phys.items()}
 
     # -- losses -------------------------------------------------------------
 
@@ -226,12 +164,11 @@ class PinnProblem:
         return (nk.vsum(r_u * r_u) + nk.vsum(r_v * r_v)) / n
 
     def boundary_term(self, tape, pairs):
-        bc = self.config.bc
         t0 = self.t_col[0]
         tau0 = np.array([[self.norm.t_in(t0)]])
         z_hat = nets.mlp_apply(self.config.net, pairs, tape.constant(tau0))
         z0 = z_hat[(0,)] * self.norm.z_std + self.norm.z_mean
-        r = z0 - np.asarray(bc.state0, dtype=float)
+        r = z0 - np.asarray(self.config.bc, dtype=float)
         return nk.vsum(r * r)
 
     def total_loss(self, tape, leaves):
@@ -250,9 +187,6 @@ class PinnProblem:
             acc(self.physics_term(tape, pairs, self._phys_values(phi)),
                 w.physics)
         if w.boundary != 0:
-            if self.config.bc is None:
-                raise ConfigError("boundary weight set but no boundary "
-                                  "condition given")
             acc(self.boundary_term(tape, pairs), w.boundary)
         return loss
 
@@ -300,14 +234,10 @@ def run_equation_discovery(traj: Trajectory, nonlinear=True, seed=1234,
     """
     truth = truth or OscillatorParams()
     obs = subsample(traj, sobol_n=n_obs)
-    trainable = ("c", "k", "k3") if nonlinear else ("c", "k")
-    params = default_params(trainable=trainable, values={"m": truth.m})
-    if not nonlinear:
-        params["k3"] = PhysParam.known(0.0)
     config = PinnConfig(
-        mode="equation-discovery",
         weights=LossWeights(1.0, 1.0, 0.0),
-        params=params,
+        params=truth if nonlinear else replace(truth, k3=0.0),
+        trainable=("c", "k", "k3") if nonlinear else ("c", "k"),
         net=net or WORKING_NET,
         train=train or nets.TrainConfig(),
         seed=seed,
@@ -317,9 +247,10 @@ def run_equation_discovery(traj: Trajectory, nonlinear=True, seed=1234,
                           t_obs=obs.t, z_obs=z_obs)
     arrays, history = problem.fit()
     estimates = problem.physical_estimates(arrays)
-    truth_map = {"m": truth.m, "c": truth.c, "k": truth.k, "k3": truth.k3}
+    truth_map = asdict(truth)
+    # a parameter whose truth is 0 has no percent error
     errors = {n: percent_error(estimates[n], truth_map[n])
-              for n in config.trainable_names}
+              for n in config.trainable if truth_map[n] != 0.0}
     return DiscoveryResult(estimates, truth_map, errors, problem, arrays,
                            history)
 
@@ -330,7 +261,6 @@ class EnhancedResult:
     baseline_rmse: dict
     informed_pred: np.ndarray
     baseline_pred: np.ndarray
-    problem: PinnProblem
     history: list
 
 
@@ -353,12 +283,8 @@ def run_enhanced_learning(traj: Trajectory, stride=16, seed=1234,
     train = train or nets.TrainConfig()
     norm = nets.Normalization.from_data(traj.t, z_obs)
 
-    baseline_cfg = PinnConfig(
-        mode="data-only",
-        weights=LossWeights(1.0, 0.0, 0.0),
-        params=default_params(),
-        net=net, train=train, seed=seed,
-    )
+    baseline_cfg = PinnConfig(weights=LossWeights(1.0, 0.0, 0.0), net=net,
+                              train=train, seed=seed)
     baseline = PinnProblem(baseline_cfg, t_col=traj.t, f_col=traj.f,
                            t_obs=obs.t, z_obs=z_obs, norm=norm)
     base_arrays, base_history = baseline.fit()
@@ -367,18 +293,11 @@ def run_enhanced_learning(traj: Trajectory, stride=16, seed=1234,
                  "v": rmse(base_pred[:, 1], traj.v)}
     if baseline_only:
         return EnhancedResult(base_rmse, base_rmse, base_pred, base_pred,
-                              baseline, base_history)
+                              base_history)
 
-    params = default_params(values={"m": truth.m, "c": truth.c,
-                                    "k": truth.k, "k3": truth.k3})
-    informed_cfg = PinnConfig(
-        mode="informed",
-        weights=LossWeights(1.0, 1.0, 1.0),
-        params=params,
-        net=net, train=train,
-        bc=BoundaryCondition((traj.u[0], traj.v[0])),
-        seed=seed,
-    )
+    informed_cfg = PinnConfig(weights=LossWeights(1.0, 1.0, 1.0),
+                              params=truth, net=net, train=train,
+                              bc=(traj.u[0], traj.v[0]), seed=seed)
     informed = PinnProblem(informed_cfg, t_col=traj.t, f_col=traj.f,
                            t_obs=obs.t, z_obs=z_obs, norm=norm)
     inf_arrays, history = informed.fit()
@@ -390,7 +309,6 @@ def run_enhanced_learning(traj: Trajectory, stride=16, seed=1234,
         baseline_rmse=base_rmse,
         informed_pred=inf_pred,
         baseline_pred=base_pred,
-        problem=informed,
         history=history,
     )
 
@@ -399,7 +317,6 @@ def run_enhanced_learning(traj: Trajectory, stride=16, seed=1234,
 class ForwardResult:
     rmse: dict
     pred: np.ndarray
-    window_losses: list
     history: list
 
 
@@ -410,7 +327,7 @@ FORWARD_BC_WEIGHT = 20.0
 
 def run_forward_model(params: OscillatorParams = None,
                       forcing: ForcingSpec = None,
-                      bc: BoundaryCondition = None, n=1024, rate=8.525,
+                      bc=(0.0, 0.0), n=1024, rate=8.525,
                       seed=1234, net: nets.MlpSpec = None,
                       train: nets.TrainConfig = None,
                       reference: Trajectory = None,
@@ -431,9 +348,8 @@ def run_forward_model(params: OscillatorParams = None,
     """
     params = params or OscillatorParams()
     forcing = forcing or ForcingSpec()
-    bc = bc or BoundaryCondition((0.0, 0.0))
     reference = reference if reference is not None else simulate(
-        params, forcing, n=n, rate=rate, z0=bc.state0)
+        params, forcing, n=n, rate=rate, z0=bc)
     base_net = net or WORKING_NET
     train = train or FORWARD_TRAIN
     t_grid = reference.t
@@ -441,13 +357,10 @@ def run_forward_model(params: OscillatorParams = None,
     n_grid = len(t_grid)
     if not 1 <= windows <= n_grid // 8:
         raise ConfigError("window count out of range")
-    table = default_params(values={"m": params.m, "c": params.c,
-                                   "k": params.k, "k3": params.k3})
     edges = np.linspace(0, n_grid, windows + 1).astype(int)
     stream = nk.RngStream(seed).substream("pinn-init")
-    state0 = (float(bc.state0[0]), float(bc.state0[1]))
+    state0 = (float(bc[0]), float(bc[1]))
     pred = np.empty((n_grid, 2))
-    window_losses = []
     history = []
     max_freq = max(forcing.frequencies) if len(forcing.frequencies) else 1.0
     for w in range(windows):
@@ -458,24 +371,20 @@ def run_forward_model(params: OscillatorParams = None,
         omega0 = max(1.3 * max_freq * 0.5 * (sub_t[-1] - sub_t[0]), 6.0)
         wnet = nets.MlpSpec(widths=base_net.widths,
                             activation=base_net.activation, omega0=omega0)
-        config = PinnConfig(
-            mode="forward",
-            weights=LossWeights(0.0, 1.0, FORWARD_BC_WEIGHT),
-            params=table, net=wnet, train=train,
-            bc=BoundaryCondition(state0), seed=seed,
-        )
+        config = PinnConfig(weights=LossWeights(0.0, 1.0, FORWARD_BC_WEIGHT),
+                            params=params, net=wnet, train=train, bc=state0,
+                            seed=seed)
         problem = PinnProblem(config, t_col=sub_t, f_col=f_grid[lo:top],
                               norm=norm)
         arrays, hist = nets.fit_arrays(problem.init_arrays(stream),
                                        problem.total_loss, train)
         pred[lo:hi] = problem.predict(arrays, t_grid[lo:hi])
         history.extend(hist)
-        window_losses.append(hist[-1])
         if hi < n_grid:
             handoff = problem.predict(arrays, t_grid[hi:hi + 1])
             state0 = (float(handoff[0, 0]), float(handoff[0, 1]))
     return ForwardResult(
         rmse={"u": rmse(pred[:, 0], reference.u),
               "v": rmse(pred[:, 1], reference.v)},
-        pred=pred, window_losses=window_losses, history=history,
+        pred=pred, history=history,
     )

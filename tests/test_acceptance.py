@@ -111,9 +111,8 @@ def test_c02_autodiff_suite(default_traj):
     # pinn total loss incl. trainable parameters
     idx = np.arange(0, 1024, 16)
     prob = pinn.PinnProblem(
-        pinn.PinnConfig(mode="equation-discovery",
-                        weights=pinn.LossWeights(1.0, 1.0, 0.0),
-                        params=pinn.default_params(trainable=("c", "k", "k3")),
+        pinn.PinnConfig(weights=pinn.LossWeights(1.0, 1.0, 0.0),
+                        trainable=("c", "k", "k3"),
                         net=nets.MlpSpec(widths=(1, 8, 2)),
                         train=nets.TrainConfig(adam_iters=1, lbfgs_iters=0)),
         t_col=default_traj.t[idx], f_col=default_traj.f[idx],

@@ -122,6 +122,28 @@ n = 64
     assert len(lines) == 65
 
 
+def test_simulate_rejects_an_unknown_simulator_key(tmp_path, capsys):
+    out = tmp_path / "sim"
+    cfg = write_cfg(tmp_path, f"""
+[experiment]
+method = sindy
+out = {out}
+
+[simulator]
+nn = 64
+""")
+    assert cli.main(["simulate", cfg]) == 2
+    assert "unknown key [simulator] nn" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_reads_a_shipped_run_config(tmp_path):
+    out = tmp_path / "truth"
+    assert cli.main(["simulate", str(CONFIG_DIR / "sindy.cfg"),
+                     "--out", str(out)]) == 0
+    assert (out / "trajectory.csv").exists()
+
+
 def test_compare_single_directory(tmp_path, capsys):
     out = tmp_path / "one"
     cfg = write_cfg(tmp_path, FAST_SINDY.format(out=out))
@@ -274,6 +296,20 @@ HOSTILE = {
     "non-integer-gp-restarts": ("gp-se", "[simulator]\nn = 256\n\n"
                                 "[gp-se]\nrestarts = x\n", 2,
                                 "[gp-se] restarts"),
+    "undamped-gp-sdof": ("gp-sdof", "[simulator]\nn = 256\nc = 0\n", 2,
+                         "zeta"),
+    "unsprung-gp-sdof": ("gp-sdof", "[simulator]\nn = 256\nk = 0\n", 2,
+                         "stiffness"),
+    "infinite-rate": ("sindy", "[simulator]\nn = 64\nrate = inf\n", 2,
+                      "[simulator] rate"),
+    "nan-mass": ("sindy", "[simulator]\nn = 64\nm = nan\n", 2,
+                 "[simulator] m"),
+    "infinite-frequency": ("sindy", "[simulator]\nn = 64\n"
+                           "frequencies = 0.7 inf\n", 2,
+                           "[simulator] frequencies"),
+    "forward-omega0": ("pinn-forward", "[simulator]\nn = 64\n\n"
+                       "[pinn-forward]\nomega0 = 1\n", 2,
+                       "[pinn-forward] omega0"),
 }
 
 
@@ -289,3 +325,58 @@ def test_hostile_config_exits_with_contract_code(tmp_path, capsys, case):
     assert all(word in err for word in named), err
     if expected == 3:
         assert (out / "manifest.txt").exists()
+
+
+# a true parameter of 0 has no percent error: the metric is left out and
+# the params.csv cell is empty
+ZERO_TRUTH = {
+    "ukf-linear": ("ukf", "[simulator]\nn = 64\nk3 = 0\n", "k3"),
+    "pf-linear": ("pf", "[simulator]\nn = 64\nk3 = 0\n\n"
+                  "[pf]\nparticles = 50\n", "k3"),
+    "pinn-discovery-undamped": ("pinn-discovery",
+                                "[simulator]\nn = 64\nc = 0\n\n"
+                                "[pinn-discovery]\nwidths = 1 8 2\n"
+                                "n_obs = 16\nadam_iters = 2\n"
+                                "lbfgs_iters = 0\n", "c"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ZERO_TRUTH))
+def test_zero_true_parameter_has_no_percent_error(tmp_path, case):
+    method, extra, name = ZERO_TRUTH[case]
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, f"[experiment]\nmethod = {method}\n"
+                              f"out = {out}\n\n{extra}")
+    assert cli.main(["run", cfg]) == 0
+    metrics = cli.read_metrics(out / "metrics.csv")
+    assert f"param_{name}_estimate" in metrics
+    assert f"param_{name}_percent_error" not in metrics
+    rows = dict(line.split(",", 1)
+                for line in (out / "params.csv").read_text().splitlines())
+    true, _, error = rows[name].split(",")
+    assert float(true) == 0.0 and error == ""
+    assert all(cell for row in rows.values() if row != rows[name]
+               for cell in row.split(","))
+
+
+def test_hnn_checks_but_does_not_simulate_the_forced_record(
+        tmp_path, monkeypatch):
+    forcings, real_simulate = [], cli.simulate
+
+    def recording_simulate(params, forcing, **kwargs):
+        forcings.append(forcing)
+        return real_simulate(params, forcing, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate", recording_simulate)
+    hnn = ("[simulator]\nn = 64\n{line}\n[hnn]\nadam_iters = 1\n"
+           "lbfgs_iters = 0\nsteps = 4\n")
+    cfg = write_cfg(tmp_path, "[experiment]\nmethod = hnn\n"
+                              f"out = {tmp_path / 'ok'}\n\n"
+                              + hnn.format(line=""))
+    assert cli.main(["run", cfg]) == 0
+    assert forcings and all(f.amplitudes == 0.0 for f in forcings)
+    # the [simulator] section is still checked in full
+    cfg = write_cfg(tmp_path, "[experiment]\nmethod = hnn\n"
+                              f"out = {tmp_path / 'bad'}\n\n"
+                              + hnn.format(line="frequencies = -1"))
+    assert cli.main(["run", cfg]) == 2

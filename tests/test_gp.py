@@ -53,6 +53,11 @@ def test_kernels_are_stationary():
 def test_overdamped_sdof_rejected():
     with pytest.raises(gp.KernelError):
         gp.KernelSpec(kind="sdof", c=30.0)  # zeta > 1
+    with pytest.raises(gp.KernelError, match="zeta"):
+        gp.KernelSpec(kind="sdof", c=0.0)  # undamped: zeta = 0
+    with pytest.raises(gp.KernelError, match="stiffness"):
+        gp.KernelSpec(kind="sdof", k=0.0)
+    gp.KernelSpec(kind="se", c=0.0, k=0.0)  # the SE kernel reads neither
 
 
 def test_sdof_kernel_decay_envelope():

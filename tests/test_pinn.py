@@ -1,4 +1,4 @@
-"""PINN losses, mode table, and gradient checks."""
+"""PINN losses, config checks, and gradient checks."""
 
 import numpy as np
 import pytest
@@ -15,13 +15,11 @@ def traj():
     return simulate()
 
 
-def make_problem(traj, mode="informed", weights=None, trainable=(),
-                 bc=None, net=None, n_obs=64):
-    params = pinn.default_params(trainable=trainable)
+def make_problem(traj, weights=None, trainable=(), bc=None, net=None,
+                 n_obs=64):
     config = pinn.PinnConfig(
-        mode=mode,
-        weights=weights or pinn.LossWeights(),
-        params=params,
+        weights=weights or pinn.LossWeights(1.0, 1.0, 0.0),
+        trainable=trainable,
         net=net or nets.MlpSpec(widths=(1, 8, 2)),
         train=nets.TrainConfig(adam_iters=1, lbfgs_iters=0),
         bc=bc,
@@ -46,27 +44,18 @@ def test_loss_weights_validation():
 
 def test_mode_table_constraints():
     with pytest.raises(pinn.ConfigError):
-        pinn.PinnConfig(mode="forward", weights=pinn.LossWeights(1, 1, 1),
-                        bc=pinn.BoundaryCondition())
+        pinn.PinnConfig(weights=pinn.LossWeights(0, 1, 1))
     with pytest.raises(pinn.ConfigError):
-        pinn.PinnConfig(mode="forward", weights=pinn.LossWeights(0, 1, 1))
-    with pytest.raises(pinn.ConfigError):
-        pinn.PinnConfig(mode="equation-discovery",
-                        weights=pinn.LossWeights(1, 1, 0))
-    with pytest.raises(pinn.ConfigError):
-        pinn.PinnConfig(mode="data-only", weights=pinn.LossWeights(1, 1, 0))
-    with pytest.raises(pinn.ConfigError):
-        pinn.PinnConfig(mode="nonsense")
-    with pytest.raises(pinn.ConfigError):
-        pinn.PinnConfig(mode="equation-discovery",
-                        weights=pinn.LossWeights(1, 1, 0),
-                        params=pinn.default_params(trainable=("m",)))
+        pinn.PinnConfig(weights=pinn.LossWeights(1, 1, 0),
+                        trainable=("m",))
+    config = pinn.PinnConfig(weights=pinn.LossWeights(1, 1, 0),
+                             trainable=("k3", "c"))
+    assert config.trainable == ("c", "k3")  # φ follows PARAM_ORDER
 
 
 def test_zero_network_unforced_physics_loss_is_zero(traj):
-    prob = make_problem(traj, mode="forward",
-                        weights=pinn.LossWeights(0.0, 1.0, 1.0),
-                        bc=pinn.BoundaryCondition((0.0, 0.0)))
+    prob = make_problem(traj, weights=pinn.LossWeights(0.0, 1.0, 1.0),
+                        bc=(0.0, 0.0))
     prob.f_col = np.zeros_like(prob.f_col)
     spec = prob.config.net
     zero_pairs_arrays = []
@@ -81,7 +70,7 @@ def test_zero_network_unforced_physics_loss_is_zero(traj):
 
 
 def test_physics_loss_matches_direct_recomputation(traj):
-    prob = make_problem(traj, mode="informed")
+    prob = make_problem(traj)
     stream = nk.RngStream(5).substream("rand-net")
     arrays = prob.init_arrays(stream)
     tape = nk.Tape()
@@ -137,9 +126,8 @@ def test_physics_loss_on_interpolated_truth_is_small(traj):
 
 
 def test_bc_loss_values(traj):
-    bc = pinn.BoundaryCondition((0.0, 0.0))
-    prob = make_problem(traj, mode="forward",
-                        weights=pinn.LossWeights(0.0, 1.0, 1.0), bc=bc)
+    prob = make_problem(traj, weights=pinn.LossWeights(0.0, 1.0, 1.0),
+                        bc=(0.0, 0.0))
     stream = nk.RngStream(6).substream("bc-net")
     arrays = prob.init_arrays(stream)
     tape = nk.Tape()
@@ -152,9 +140,8 @@ def test_bc_loss_values(traj):
 
 def test_bc_loss_squared_norm_arithmetic(traj):
     # residual (0, 2) at the boundary gives loss 4
-    bc = pinn.BoundaryCondition((0.0, 0.0))
-    prob = make_problem(traj, mode="forward",
-                        weights=pinn.LossWeights(0.0, 1.0, 1.0), bc=bc)
+    prob = make_problem(traj, weights=pinn.LossWeights(0.0, 1.0, 1.0),
+                        bc=(0.0, 0.0))
     spec = prob.config.net
     arrays = []
     for w_in, w_out in zip(spec.widths[:-1], spec.widths[1:]):
@@ -170,9 +157,8 @@ def test_bc_loss_squared_norm_arithmetic(traj):
 
 def test_total_loss_mode_algebra(traj):
     """A zero weight is bit-identical to omitting the term."""
-    bc = pinn.BoundaryCondition((traj.u[0], traj.v[0]))
-    full = make_problem(traj, mode="informed",
-                        weights=pinn.LossWeights(1.0, 0.0, 0.0), bc=bc)
+    full = make_problem(traj, weights=pinn.LossWeights(1.0, 0.0, 0.0),
+                        bc=(traj.u[0], traj.v[0]))
     stream = nk.RngStream(8).substream("mode")
     arrays = full.init_arrays(stream)
 
@@ -185,9 +171,7 @@ def test_total_loss_mode_algebra(traj):
 
 
 def test_total_loss_gradient_wrt_physical_params(traj):
-    prob = make_problem(traj, mode="equation-discovery",
-                        weights=pinn.LossWeights(1.0, 1.0, 0.0),
-                        trainable=("c", "k", "k3"))
+    prob = make_problem(traj, trainable=("c", "k", "k3"))
     stream = nk.RngStream(9).substream("grad-check")
     arrays = prob.init_arrays(stream)
     flat, metas = nets.flatten(arrays)
@@ -213,12 +197,9 @@ def test_total_loss_gradient_wrt_physical_params(traj):
 
 
 def test_known_parameters_frozen_by_training(traj):
-    cfg_params = pinn.default_params(trainable=("c",))
-    before = {n: p.value for n, p in cfg_params.items()}
     config = pinn.PinnConfig(
-        mode="equation-discovery",
         weights=pinn.LossWeights(1.0, 1.0, 0.0),
-        params=cfg_params,
+        trainable=("c",),
         net=nets.MlpSpec(widths=(1, 6, 2)),
         train=nets.TrainConfig(adam_iters=20, lbfgs_iters=0),
         seed=2,
@@ -227,6 +208,7 @@ def test_known_parameters_frozen_by_training(traj):
     prob = pinn.PinnProblem(config, t_col=traj.t[idx], f_col=traj.f[idx],
                             t_obs=traj.t[idx],
                             z_obs=np.column_stack([traj.u[idx], traj.v[idx]]))
+    before = prob.physical_estimates(prob.init_arrays(nk.RngStream(0)))
     arrays, _ = prob.fit()
     estimates = prob.physical_estimates(arrays)
     for name in ("m", "k", "k3"):
@@ -236,6 +218,5 @@ def test_known_parameters_frozen_by_training(traj):
 
 def test_observation_requires_data(traj):
     with pytest.raises(pinn.ConfigError):
-        config = pinn.PinnConfig(mode="informed",
-                                 weights=pinn.LossWeights(1.0, 1.0, 0.0))
+        config = pinn.PinnConfig(weights=pinn.LossWeights(1.0, 1.0, 0.0))
         pinn.PinnProblem(config, t_col=traj.t, f_col=traj.f)
