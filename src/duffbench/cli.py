@@ -18,6 +18,7 @@ import hashlib
 import math
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -157,8 +158,15 @@ SIMULATOR = {"m": 10.0, "c": 1.0, "k": 15.0, "k3": 100.0, "n": 1024,
              "frequencies": (0.7, 0.85, 1.6, 1.8), "phase_seed": 101}
 
 
+def check_seed(key, value):
+    """Seeds key Philox streams, which take [0, 2**128)."""
+    if not 0 <= value < 2 ** 128:
+        raise ConfigError(f"{key} must lie in [0, 2**128), got {value}")
+
+
 def build_model(sim):
     """(params, forcing) of the parsed [simulator] section."""
+    check_seed("[simulator] phase_seed", sim["phase_seed"])
     return (OscillatorParams(m=sim["m"], c=sim["c"], k=sim["k"],
                              k3=sim["k3"]),
             ForcingSpec(frequencies=sim["frequencies"],
@@ -196,6 +204,12 @@ def state_metrics(traj, pred, path=None):
             "nmse_v": nmse(pred[:, 1], traj.v)}
 
 
+def relative_rmse_u(rmse_u, traj):
+    """rel_rmse_u, left out for a record at rest (no relative error)."""
+    scale = rms(traj.u)
+    return {"rel_rmse_u": rmse_u / scale} if scale != 0.0 else {}
+
+
 def param_metrics(path, truth, estimates):
     """param_*_estimate/_percent_error metrics, also written to `path`.
     A parameter whose truth is 0 has no percent error: no metric, and an
@@ -229,17 +243,17 @@ def _noisy_filter_setup(opts, traj, seed):
 
 def _filter_metrics(result, params, traj, out):
     result.to_csv(out / "estimates.csv")
-    truth = {"k": params.k, "c": params.c, "k3": params.k3}
     return {**state_metrics(traj, result.mean),
-            **param_metrics(out / "params.csv", truth, result.final_params())}
+            **param_metrics(out / "params.csv", asdict(params),
+                            result.final_params())}
 
 
 def run_ukf(opts, sim, out, seed):
     params, forcing, traj = build_simulation(sim)
     _, y, noise = _noisy_filter_setup(opts, traj, seed)
     layout = flt.AugmentedState()
-    init = flt.default_ukf_init(
-        layout, theta0={"k": opts["k0"], "c": opts["c0"], "k3": opts["k30"]})
+    theta0 = {"k": opts["k0"], "c": opts["c0"], "k3": opts["k30"]}
+    init = flt.default_ukf_init(layout, (sim["u0"], sim["v0"]), theta0)
     result = flt.run_ukf(traj, forcing, y, layout, init, params, noise)
     return _filter_metrics(result, params, traj, out)
 
@@ -249,7 +263,8 @@ def run_pf(opts, sim, out, seed):
     master, y, noise = _noisy_filter_setup(opts, traj, seed)
     layout = flt.AugmentedState()
     init = flt.default_pf_init(layout, opts["particles"],
-                               stream=master.substream("init"))
+                               (sim["u0"], sim["v0"]),
+                               master.substream("init"))
     result = flt.run_pf(traj, forcing, y, layout, init, params, noise,
                         master.substream("filter"))
     return _filter_metrics(result, params, traj, out)
@@ -295,7 +310,7 @@ def run_pinn_discovery(opts, sim, out, seed):
     estimates = {name: res.estimates[name]
                  for name in res.problem.config.trainable}
     return {**state_metrics(traj, res.prediction(traj.t), out / "result.csv"),
-            **param_metrics(out / "params.csv", res.truth, estimates)}
+            **param_metrics(out / "params.csv", asdict(params), estimates)}
 
 
 def run_pinn_enhanced(opts, sim, out, seed):
@@ -315,12 +330,12 @@ def run_pinn_forward(opts, sim, out, seed):
     # the runner sets each window's omega0 itself
     net = nets.MlpSpec(widths=opts["widths"], activation=opts["activation"])
     res = pinn.run_forward_model(
-        params=params, forcing=forcing, seed=seed, net=net,
-        train=train_config(opts), reference=traj, windows=opts["windows"],
+        traj, params, forcing, seed=seed, net=net,
+        train=train_config(opts), windows=opts["windows"],
         margin=opts["margin"])
     nets.save_loss_history(out / "history.csv", res.history)
     metrics = state_metrics(traj, res.pred, out / "result.csv")
-    return {**metrics, "rel_rmse_u": metrics["rmse_u"] / rms(traj.u)}
+    return {**metrics, **relative_rmse_u(metrics["rmse_u"], traj)}
 
 
 def run_pgnn(opts, sim, out, seed):
@@ -333,8 +348,8 @@ def run_pgnn(opts, sim, out, seed):
               zip(traj.t, traj.u, res.prior_traj.u, res.combined[:, 0],
                   traj.v, res.prior_traj.v, res.combined[:, 1]))
     return {**state_metrics(traj, res.combined),
-            "prior_rmse_u": res.prior_rmse["u"],
-            "prior_rmse_v": res.prior_rmse["v"]}
+            "prior_rmse_u": rmse(res.prior_traj.u, traj.u),
+            "prior_rmse_v": rmse(res.prior_traj.v, traj.v)}
 
 
 def run_gp(kind, opts, sim, out, seed):
@@ -372,7 +387,7 @@ def run_node(opts, sim, out, seed):
     nets.save_loss_history(out / "history.csv", history)
     metrics = state_metrics(traj, path, out / "rollout.csv")
     return {"rmse_u": metrics["rmse_u"], "rmse_v": metrics["rmse_v"],
-            "rel_rmse_u": metrics["rmse_u"] / rms(traj.u),
+            **relative_rmse_u(metrics["rmse_u"], traj),
             "one_step_loss": history[-1]}
 
 
@@ -469,6 +484,8 @@ def run_experiment(cfg: Config, seed_override=None, out_override=None):
         raise ConfigError(f"[{method}] widths must run from {ends[0]} to "
                           f"{ends[-1]}")
     seed = seed_override if seed_override is not None else exp["seed"]
+    check_seed("--seed" if seed_override is not None else "[experiment] seed",
+               seed)
     out = Path(out_override if out_override is not None else exp["out"])
     out.mkdir(parents=True, exist_ok=True)
     start = time.time()

@@ -338,13 +338,13 @@ def run_pf(traj: Trajectory, forcing: ForcingSpec, y_meas,
     return FilterResult(traj.t.copy(), means, stds, layout, {"ess": ess})
 
 
-def default_ukf_init(layout: AugmentedState, z0=(0.0, 0.0),
+def default_ukf_init(layout: AugmentedState, z0,
                      theta0=None) -> GaussianBelief:
     """Paper's initial guesses with the pinned prior covariance.
 
-    State prior diag(1e-2, 1e-2); parameter priors diag(25, 0.25, 900)
-    in raw (k, c, k3) units, mapped to log-space by the delta method at
-    the initial guess.
+    State prior N(z0, diag(1e-2, 1e-2)); parameter priors diag(25, 0.25,
+    900) in raw (k, c, k3) units, mapped to log-space by the delta method
+    at the initial guess.
     """
     theta0 = dict({"k": 1.0, "c": 0.5, "k3": 40.0}, **(theta0 or {}))
     bad = [f"{n}0" for n in layout.theta_names if not theta0[n] > 0.0]
@@ -358,12 +358,12 @@ def default_ukf_init(layout: AugmentedState, z0=(0.0, 0.0),
     return GaussianBelief(mean, np.diag(var))
 
 
-def default_pf_init(layout: AugmentedState, n_particles=1000, z0=(0.0, 0.0),
-                    stream: nk.RngStream = None) -> ParticleEnsemble:
-    """Uniform parameter box from the paper: k∈[5,20], c∈[0.5,2], k3∈[50,160]."""
+def default_pf_init(layout: AugmentedState, n_particles, z0,
+                    stream: nk.RngStream) -> ParticleEnsemble:
+    """Particles at z0, their parameters drawn from `stream` in the
+    paper's uniform box: k∈[5,20], c∈[0.5,2], k3∈[50,160]."""
     if n_particles < 1:
         raise ConfigError("need at least one particle")
-    stream = stream or nk.RngStream(0).substream("pf-init")
     box = {"k": (5.0, 20.0), "c": (0.5, 2.0), "k3": (50.0, 160.0)}
     cols = [np.full(n_particles, z0[0]), np.full(n_particles, z0[1])]
     for name in layout.theta_names:

@@ -195,6 +195,8 @@ def fit(inputs, targets, spec: KernelSpec, optimize=True, seed=7,
         raise ConfigError("need at least two training points")
     if restarts < 1:
         raise KernelError("need at least one restart")
+    if steps < 0:
+        raise ConfigError(f"steps must be >= 0, got {steps}")
     stream = nk.RngStream(seed).substream(f"gp-{spec.kind}")
     span = float(inputs.max() - inputs.min())
     std_y = max(float(np.std(targets)), 1e-12)

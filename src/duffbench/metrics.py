@@ -1,4 +1,4 @@
-"""Error metrics shared by runners and the CLI harness."""
+"""Error metrics the CLI scores every run with."""
 
 from __future__ import annotations
 

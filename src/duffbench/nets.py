@@ -186,6 +186,9 @@ class TrainConfig:
     lbfgs_iters: int = 500
 
     def __post_init__(self):
+        for name in ("adam_iters", "lbfgs_iters"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
         if self.adam_iters + self.lbfgs_iters < 1:
             raise ConfigError("iteration budget must be >= 1")
 

@@ -242,6 +242,8 @@ def train_k1_predictor(dataset: OneStepDataset, spec: nets.MlpSpec = FLOW_NET,
     steps) at decreasing learning rates; they roughly halve the
     free-run rollout error at every seed tried.
     """
+    if refine and refine_iters < 1:
+        raise ConfigError(f"refine_iters must be >= 1, got {refine_iters}")
     func, history = node_train(dataset, spec=spec, seed=seed, train=train)
     if refine:
         for horizon, lr in zip(REFINE_HORIZONS, REFINE_RATES):

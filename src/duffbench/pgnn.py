@@ -17,7 +17,6 @@ import numpy as np
 from . import numkit as nk
 from . import nets
 from .duffing import ForcingSpec, OscillatorParams, Trajectory, simulate
-from .metrics import rmse
 
 RESIDUAL_NET = nets.MlpSpec(widths=(1, 32, 32, 32, 1), activation="sin",
                             omega0=60.0)
@@ -85,12 +84,9 @@ class GuidedResult:
     combined: np.ndarray  # (n, 2) on the collocation grid
     residual: ResidualNet
     history: list
-    prior_rmse: dict
-    combined_rmse: dict
 
 
-def guided_train(prior: PriorModel, t_obs, u_obs, t_col,
-                 truth_traj: Trajectory = None, seed=1234,
+def guided_train(prior: PriorModel, t_obs, u_obs, t_col, seed=1234,
                  spec: nets.MlpSpec = RESIDUAL_NET,
                  train: nets.TrainConfig = None,
                  penalty=RESIDUAL_PENALTY) -> GuidedResult:
@@ -133,16 +129,7 @@ def guided_train(prior: PriorModel, t_obs, u_obs, t_col,
     residual = ResidualNet(spec, nets.arrays_to_pairs(arrays), norm)
     delta = residual.correction(t_col)
     combined = np.column_stack([prior_traj.u, prior_traj.v]) + delta
-
-    prior_rmse = {}
-    combined_rmse = {}
-    if truth_traj is not None:
-        prior_rmse = {"u": rmse(prior_traj.u, truth_traj.u),
-                      "v": rmse(prior_traj.v, truth_traj.v)}
-        combined_rmse = {"u": rmse(combined[:, 0], truth_traj.u),
-                         "v": rmse(combined[:, 1], truth_traj.v)}
-    return GuidedResult(prior_traj, combined, residual, history,
-                        prior_rmse, combined_rmse)
+    return GuidedResult(prior_traj, combined, residual, history)
 
 
 def run_guided(traj: Trajectory, forcing: ForcingSpec,
@@ -151,5 +138,5 @@ def run_guided(traj: Trajectory, forcing: ForcingSpec,
     """Working-example run: linear prior vs displacement-only data."""
     prior = PriorModel.from_known_physics(truth, forcing)
     idx = np.arange(0, len(traj), stride)
-    return guided_train(prior, traj.t[idx], traj.u[idx], traj.t,
-                        truth_traj=traj, seed=seed, train=train)
+    return guided_train(prior, traj.t[idx], traj.u[idx], traj.t, seed=seed,
+                        train=train)

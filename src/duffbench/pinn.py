@@ -28,15 +28,8 @@ import numpy as np
 
 from . import numkit as nk
 from . import nets
-from .duffing import (
-    ForcingSpec,
-    OscillatorParams,
-    Trajectory,
-    simulate,
-    subsample,
-)
+from .duffing import ForcingSpec, OscillatorParams, Trajectory, subsample
 from .errors import ConfigError
-from .metrics import percent_error, rmse
 
 PARAM_ORDER = ("m", "c", "k", "k3")
 # initial guesses of the parameters that may be trainable
@@ -211,8 +204,6 @@ class PinnProblem:
 @dataclass
 class DiscoveryResult:
     estimates: dict
-    truth: dict
-    errors_percent: dict
     problem: PinnProblem
     arrays: list
     history: list
@@ -246,19 +237,12 @@ def run_equation_discovery(traj: Trajectory, nonlinear=True, seed=1234,
     problem = PinnProblem(config, t_col=obs.t, f_col=obs.f,
                           t_obs=obs.t, z_obs=z_obs)
     arrays, history = problem.fit()
-    estimates = problem.physical_estimates(arrays)
-    truth_map = asdict(truth)
-    # a parameter whose truth is 0 has no percent error
-    errors = {n: percent_error(estimates[n], truth_map[n])
-              for n in config.trainable if truth_map[n] != 0.0}
-    return DiscoveryResult(estimates, truth_map, errors, problem, arrays,
-                           history)
+    return DiscoveryResult(problem.physical_estimates(arrays), problem,
+                           arrays, history)
 
 
 @dataclass
 class EnhancedResult:
-    informed_rmse: dict
-    baseline_rmse: dict
     informed_pred: np.ndarray
     baseline_pred: np.ndarray
     history: list
@@ -272,9 +256,9 @@ def run_enhanced_learning(traj: Trajectory, stride=16, seed=1234,
     """Stride-subsampled observations, known physics, dense collocation.
 
     Trains the purely data-driven baseline and the physics-informed
-    model on the same observations and reports dense-grid state RMSEs
-    for both. `baseline_only` skips the informed model (the black-box
-    benchmark row).
+    model on the same observations and predicts both on the dense grid.
+    `baseline_only` skips the informed model (the black-box benchmark
+    row).
     """
     truth = truth or OscillatorParams()
     obs = subsample(traj, stride=stride)
@@ -289,11 +273,8 @@ def run_enhanced_learning(traj: Trajectory, stride=16, seed=1234,
                            t_obs=obs.t, z_obs=z_obs, norm=norm)
     base_arrays, base_history = baseline.fit()
     base_pred = baseline.predict(base_arrays, traj.t)
-    base_rmse = {"u": rmse(base_pred[:, 0], traj.u),
-                 "v": rmse(base_pred[:, 1], traj.v)}
     if baseline_only:
-        return EnhancedResult(base_rmse, base_rmse, base_pred, base_pred,
-                              base_history)
+        return EnhancedResult(base_pred, base_pred, base_history)
 
     informed_cfg = PinnConfig(weights=LossWeights(1.0, 1.0, 1.0),
                               params=truth, net=net, train=train,
@@ -301,21 +282,12 @@ def run_enhanced_learning(traj: Trajectory, stride=16, seed=1234,
     informed = PinnProblem(informed_cfg, t_col=traj.t, f_col=traj.f,
                            t_obs=obs.t, z_obs=z_obs, norm=norm)
     inf_arrays, history = informed.fit()
-    inf_pred = informed.predict(inf_arrays, traj.t)
-
-    return EnhancedResult(
-        informed_rmse={"u": rmse(inf_pred[:, 0], traj.u),
-                       "v": rmse(inf_pred[:, 1], traj.v)},
-        baseline_rmse=base_rmse,
-        informed_pred=inf_pred,
-        baseline_pred=base_pred,
-        history=history,
-    )
+    return EnhancedResult(informed.predict(inf_arrays, traj.t), base_pred,
+                          history)
 
 
 @dataclass
 class ForwardResult:
-    rmse: dict
     pred: np.ndarray
     history: list
 
@@ -325,41 +297,38 @@ FORWARD_TRAIN = nets.TrainConfig(adam_iters=3000, adam_lr=2e-3,
 FORWARD_BC_WEIGHT = 20.0
 
 
-def run_forward_model(params: OscillatorParams = None,
-                      forcing: ForcingSpec = None,
-                      bc=(0.0, 0.0), n=1024, rate=8.525,
-                      seed=1234, net: nets.MlpSpec = None,
+def run_forward_model(traj: Trajectory, params: OscillatorParams,
+                      forcing: ForcingSpec, seed=1234,
+                      net: nets.MlpSpec = None,
                       train: nets.TrainConfig = None,
-                      reference: Trajectory = None,
                       windows=12, margin=6) -> ForwardResult:
     """No observations: solve the equation of motion from physics + IC.
 
-    The record is solved in `windows` chained time windows: each window
-    trains a fresh network against the physics residual with its
-    initial state taken from the previous window's end, then hands its
-    own end state to the next. A single global network cannot be
-    optimized deeply enough over the whole lightly-damped record
-    (residual error parks itself in the resonant mode and integrates to
-    a large state error); ~10 s windows solve to ~1e-6 loss each and
-    the handoff errors decay instead of compounding. Each window is
-    trained on `margin` extra samples past its reporting range so the
-    handoff state is read away from the fit's worst region, the domain
-    edge.
+    Of the record `traj`, simulated under `params` and `forcing`, only
+    its time grid, forcing samples and initial state are read. It is
+    solved in `windows` chained time windows: each trains a fresh network
+    against the physics residual from the previous window's end state
+    (the first from the record's) and hands its own end state to the
+    next. A single global network cannot be optimized deeply enough over
+    the whole lightly-damped record (residual error parks itself in the
+    resonant mode and integrates to a large state error); ~10 s windows
+    solve to ~1e-6 loss each and the handoff errors decay instead of
+    compounding. Each window is trained on `margin` extra samples past
+    its reporting range so the handoff state is read away from the fit's
+    worst region, the domain edge.
     """
-    params = params or OscillatorParams()
-    forcing = forcing or ForcingSpec()
-    reference = reference if reference is not None else simulate(
-        params, forcing, n=n, rate=rate, z0=bc)
     base_net = net or WORKING_NET
     train = train or FORWARD_TRAIN
-    t_grid = reference.t
-    f_grid = reference.f
+    t_grid = traj.t
+    f_grid = traj.f
     n_grid = len(t_grid)
     if not 1 <= windows <= n_grid // 8:
         raise ConfigError("window count out of range")
+    if margin < 0:
+        raise ConfigError(f"margin must be >= 0, got {margin}")
     edges = np.linspace(0, n_grid, windows + 1).astype(int)
     stream = nk.RngStream(seed).substream("pinn-init")
-    state0 = (float(bc[0]), float(bc[1]))
+    state0 = (float(traj.u[0]), float(traj.v[0]))
     pred = np.empty((n_grid, 2))
     history = []
     max_freq = max(forcing.frequencies) if len(forcing.frequencies) else 1.0
@@ -383,8 +352,4 @@ def run_forward_model(params: OscillatorParams = None,
         if hi < n_grid:
             handoff = problem.predict(arrays, t_grid[hi:hi + 1])
             state0 = (float(handoff[0, 0]), float(handoff[0, 1]))
-    return ForwardResult(
-        rmse={"u": rmse(pred[:, 0], reference.u),
-              "v": rmse(pred[:, 1], reference.v)},
-        pred=pred, history=history,
-    )
+    return ForwardResult(pred, history)

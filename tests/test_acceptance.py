@@ -25,7 +25,7 @@ from duffbench.duffing import (
     simulate,
     subsample,
 )
-from duffbench.metrics import rmse
+from duffbench.metrics import percent_error, rmse
 
 import oracles
 
@@ -203,10 +203,11 @@ def test_c03_filters(default_traj):
     noise3 = flt.NoiseConfig.matched(default_traj.a, 0.085)
     layout = flt.AugmentedState()
     ukf_res = flt.run_ukf(default_traj, ForcingSpec(), y3, layout,
-                          flt.default_ukf_init(layout), TRUTH, noise3)
+                          flt.default_ukf_init(layout, (0.0, 0.0)), TRUTH,
+                          noise3)
     pf_res = flt.run_pf(default_traj, ForcingSpec(), y3, layout,
-                        flt.default_pf_init(layout, 1000,
-                                            stream=master.substream("init")),
+                        flt.default_pf_init(layout, 1000, (0.0, 0.0),
+                                            master.substream("init")),
                         TRUTH, noise3, master.substream("filter"))
     target = {"k": 15.0, "c": 1.0, "k3": 100.0}
     ukf_err = max(abs(v - target[n]) / target[n]
@@ -246,9 +247,11 @@ def test_c05_pinn_discovery(default_traj):
     start = time.time()
     res = pinn.run_equation_discovery(default_traj, nonlinear=True, seed=1234)
     elapsed = time.time() - start
-    worst = max(res.errors_percent.values())
-    details = ", ".join(f"{n}={res.estimates[n]:.3f} ({res.errors_percent[n]:.2f}%)"
-                        for n in res.errors_percent)
+    errors = {n: percent_error(res.estimates[n], getattr(TRUTH, n))
+              for n in res.problem.config.trainable}
+    worst = max(errors.values())
+    details = ", ".join(f"{n}={res.estimates[n]:.3f} ({errors[n]:.2f}%)"
+                        for n in errors)
     gate(5, "PINN equation discovery", [
         (worst < 5.0, f"{details}; worst {worst:.2f}% < 5%"),
     ], elapsed, 300.0)
@@ -258,20 +261,22 @@ def test_c06_pinn_enhanced(default_traj):
     start = time.time()
     res = pinn.run_enhanced_learning(default_traj, stride=16, seed=1234)
     elapsed = time.time() - start
-    ratio = res.informed_rmse["u"] / res.baseline_rmse["u"]
+    informed = rmse(res.informed_pred[:, 0], default_traj.u)
+    baseline = rmse(res.baseline_pred[:, 0], default_traj.u)
+    ratio = informed / baseline
     gate(6, "PINN enhanced learning", [
-        (res.informed_rmse["u"] < res.baseline_rmse["u"],
-         f"informed RMSE(u) {res.informed_rmse['u']:.4f} < baseline "
-         f"{res.baseline_rmse['u']:.4f}"),
+        (informed < baseline,
+         f"informed RMSE(u) {informed:.4f} < baseline {baseline:.4f}"),
         (ratio < 0.5, f"ratio {ratio:.3f} < 0.5"),
     ], elapsed, 300.0)
 
 
 def test_c07_pinn_forward(default_traj):
     start = time.time()
-    res = pinn.run_forward_model(reference=default_traj, seed=1234)
+    res = pinn.run_forward_model(default_traj, TRUTH, ForcingSpec(),
+                                 seed=1234)
     elapsed = time.time() - start
-    rel = res.rmse["u"] / rms(default_traj.u)
+    rel = rmse(res.pred[:, 0], default_traj.u) / rms(default_traj.u)
     gate(7, "PINN forward modelling", [
         (rel < 0.05, f"rel RMSE(u) {rel:.4f} < 0.05"),
     ], elapsed, 300.0)
@@ -284,11 +289,14 @@ def test_c08_pgnn(default_traj):
                                                  adam_lr=2e-3,
                                                  lbfgs_iters=300))
     elapsed = time.time() - start
+    combined = {"u": rmse(res.combined[:, 0], default_traj.u),
+                "v": rmse(res.combined[:, 1], default_traj.v)}
+    prior = {"u": rmse(res.prior_traj.u, default_traj.u),
+             "v": rmse(res.prior_traj.v, default_traj.v)}
     gate(8, "PGNN guided residual", [
-        (res.combined_rmse["u"] < res.prior_rmse["u"],
-         f"RMSE(u) {res.combined_rmse['u']:.4f} < prior {res.prior_rmse['u']:.4f}"),
-        (res.combined_rmse["v"] < res.prior_rmse["v"],
-         f"RMSE(v) {res.combined_rmse['v']:.4f} < prior {res.prior_rmse['v']:.4f}"),
+        (combined[x] < prior[x],
+         f"RMSE({x}) {combined[x]:.4f} < prior {prior[x]:.4f}")
+        for x in ("u", "v")
     ], elapsed, 180.0)
 
 

@@ -310,6 +310,34 @@ HOSTILE = {
     "forward-omega0": ("pinn-forward", "[simulator]\nn = 64\n\n"
                        "[pinn-forward]\nomega0 = 1\n", 2,
                        "[pinn-forward] omega0"),
+    # seeds key Philox streams, which take [0, 2**128), whether or not
+    # the method draws from them; lines before a header are [experiment]'s
+    "negative-seed": ("ukf", "seed = -1\n[simulator]\nn = 64\n", 2,
+                      "[experiment] seed"),
+    "seed-at-2**128": ("ukf", f"seed = {2 ** 128}\n[simulator]\nn = 64\n",
+                       2, "[experiment] seed"),
+    "negative-unused-seed": ("sindy", "seed = -1\n[simulator]\nn = 64\n",
+                             2, "[experiment] seed"),
+    "negative-phase-seed": ("sindy", "[simulator]\nn = 64\nphase_seed = -5\n",
+                            2, "[simulator] phase_seed"),
+    "negative-unused-phase-seed": ("hnn", "[simulator]\nn = 64\n"
+                                   "phase_seed = -1\n", 2,
+                                   "[simulator] phase_seed"),
+    "negative-forward-margin": ("pinn-forward", "[simulator]\nn = 256\n\n"
+                                "[pinn-forward]\nwindows = 2\nmargin = -1\n"
+                                "adam_iters = 1\nlbfgs_iters = 0\n", 2,
+                                "margin"),
+    "negative-adam-iters": ("pgnn", "[simulator]\nn = 64\n\n[pgnn]\n"
+                            "adam_iters = -5\nlbfgs_iters = 6\n", 2,
+                            "adam_iters"),
+    "negative-lbfgs-iters": ("hnn", "[simulator]\nn = 64\n\n[hnn]\n"
+                             "adam_iters = 1\nlbfgs_iters = -2\nsteps = 4\n",
+                             2, "lbfgs_iters"),
+    "negative-refine-iters": ("node", "[simulator]\nn = 64\n\n[node]\n"
+                              "adam_iters = 1\nlbfgs_iters = 0\n"
+                              "refine_iters = -1\n", 2, "refine_iters"),
+    "negative-gp-steps": ("gp-se", "[simulator]\nn = 256\n\n[gp-se]\n"
+                          "restarts = 1\nsteps = -3\n", 2, "steps"),
 }
 
 
@@ -325,6 +353,47 @@ def test_hostile_config_exits_with_contract_code(tmp_path, capsys, case):
     assert all(word in err for word in named), err
     if expected == 3:
         assert (out / "manifest.txt").exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 128)])
+def test_seed_flag_outside_philox_range_exits_2(tmp_path, capsys, seed):
+    cfg = write_cfg(tmp_path, FAST_SINDY.format(out=tmp_path / "out"))
+    assert cli.main(["run", cfg, "--seed", seed]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("method,bound", [("ukf", 10.0), ("pf", 15.0)])
+def test_filters_start_from_the_record_state(tmp_path, method, bound):
+    """c03's bounds hold for the shipped filters on a record that does
+    not start at rest."""
+    text = (CONFIG_DIR / f"{method}.cfg").read_text()
+    cfg = write_cfg(tmp_path, text + "\n[simulator]\nu0 = 0.5\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", cfg, "--seed", "2025", "--out", str(out)]) == 0
+    metrics = cli.read_metrics(out / "metrics.csv")
+    worst = max(metrics[f"param_{n}_percent_error"] for n in ("k", "c", "k3"))
+    assert worst < bound
+
+
+# short runs of the methods that report rmse_u relative to rms(u)
+RELATIVE = {
+    "node": "[node]\nadam_iters = 1\nlbfgs_iters = 0\nrefine = no\n",
+    "pinn-forward": "[pinn-forward]\nwindows = 2\nadam_iters = 1\n"
+                    "lbfgs_iters = 0\n",
+}
+
+
+@pytest.mark.parametrize("method", sorted(RELATIVE))
+@pytest.mark.parametrize("forcing", ["amplitude = 0", "frequencies ="])
+def test_record_at_rest_has_no_relative_error(tmp_path, method, forcing):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, f"[experiment]\nmethod = {method}\n"
+                              f"out = {out}\n\n[simulator]\nn = 64\n"
+                              f"{forcing}\n\n{RELATIVE[method]}")
+    assert cli.main(["run", cfg]) == 0
+    metrics = cli.read_metrics(out / "metrics.csv")
+    assert "rmse_u" in metrics and "rel_rmse_u" not in metrics
 
 
 # a true parameter of 0 has no percent error: the metric is left out and

@@ -17,8 +17,11 @@ from duffbench.duffing import (
 )
 from duffbench.metrics import rmse
 
+import oracles
+
 TRUTH = OscillatorParams()
 TARGET = {"k": 15.0, "c": 1.0, "k3": 100.0}
+REST = (0.0, 0.0)  # the initial state of every record here
 
 
 @pytest.fixture(scope="module")
@@ -35,41 +38,6 @@ def pack(layout, z, params):
     """Augmented state [u, v, log θ...] with θ read from `params`."""
     log_theta = [np.log(getattr(params, name)) for name in layout.theta_names]
     return np.concatenate([np.asarray(z, dtype=float), log_theta])
-
-
-def kf_matrices(params: OscillatorParams, h):
-    """Discrete affine map of one RK4 step on the linear oscillator.
-
-    Derived directly from the stage expansion, independent of the
-    package's stepping code.
-    """
-    A = np.array([[0.0, 1.0], [-params.k / params.m, -params.c / params.m]])
-    B = np.array([0.0, 1.0 / params.m])
-    hA = h * A
-    phi = (np.eye(2) + hA + hA @ hA / 2.0 + hA @ hA @ hA / 6.0
-           + hA @ hA @ hA @ hA / 24.0)
-
-    def affine_term(f1, f2, f4):
-        k1 = B * f1
-        k2 = 0.5 * h * A @ k1 + B * f2
-        k3 = 0.5 * h * A @ k2 + B * f2
-        k4 = h * A @ k3 + B * f4
-        return h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-
-    C = np.array([-params.k / params.m, -params.c / params.m])
-    D = 1.0 / params.m
-    return phi, affine_term, C, D
-
-
-def kf_step(mean, cov, phi, d, C, D, f_next, y_next, Q, R):
-    mean_pred = phi @ mean + d
-    cov_pred = phi @ cov @ phi.T + Q
-    innov = y_next - (C @ mean_pred + D * f_next)
-    s = C @ cov_pred @ C + R
-    gain = cov_pred @ C / s
-    mean_new = mean_pred + gain * innov
-    cov_new = cov_pred - np.outer(gain, C @ cov_pred)
-    return mean_new, 0.5 * (cov_new + cov_new.T)
 
 
 def test_measurement_model_identity(default_setup):
@@ -101,7 +69,7 @@ def test_ukf_equals_kf_on_linear_subproblem():
                             r_measurement=(0.05 * np.sqrt(np.mean(traj.a ** 2))) ** 2)
     layout = flt.AugmentedState(theta_names=())
     h = 1.0 / traj.rate
-    phi, affine_term, C, D = kf_matrices(params, h)
+    phi, affine_term, C, D = oracles.kf_matrices(params, h)
     Q = np.diag([0.0, noise.q_velocity])
 
     mean = np.zeros(2)
@@ -114,9 +82,9 @@ def test_ukf_equals_kf_on_linear_subproblem():
                     float(multisine_force(forcing, t_prev + h)))
         belief = flt.ukf_step(belief, layout, params, f_stages,
                               float(traj.f[k]), float(y[k]), h, noise)
-        mean, cov = kf_step(mean, cov, phi, affine_term(*f_stages), C, D,
-                            float(traj.f[k]), float(y[k]), Q,
-                            noise.r_measurement)
+        mean, cov = oracles.kf_step(mean, cov, phi, affine_term(*f_stages),
+                                    C, D, float(traj.f[k]), float(y[k]), Q,
+                                    noise.r_measurement)
         assert np.max(np.abs(belief.mean - mean)) < 1e-8
 
 
@@ -145,7 +113,7 @@ def test_ukf_default_run_converges(default_setup):
     traj, forcing, y, noise = default_setup
     layout = flt.AugmentedState()
     res = flt.run_ukf(traj, forcing, y, layout,
-                      flt.default_ukf_init(layout), TRUTH, noise)
+                      flt.default_ukf_init(layout, REST), TRUTH, noise)
     for name, est in res.final_params().items():
         assert abs(est - TARGET[name]) / TARGET[name] < 0.10, (name, est)
 
@@ -170,7 +138,8 @@ def test_pf_single_particle_at_truth_keeps_weight(default_setup):
 
 def test_pf_init_box(default_setup):
     layout = flt.AugmentedState()
-    ens = flt.default_pf_init(layout, 1000, stream=nk.RngStream(3).substream("box"))
+    ens = flt.default_pf_init(layout, 1000, REST,
+                              nk.RngStream(3).substream("box"))
     k = np.exp(ens.particles[:, 2])
     c = np.exp(ens.particles[:, 3])
     k3 = np.exp(ens.particles[:, 4])
@@ -190,7 +159,7 @@ def test_pf_tracks_kf_on_linear_subproblem():
     noise = flt.NoiseConfig(q_velocity=1e-8, r_measurement=r)
     layout = flt.AugmentedState(theta_names=())
     h = 1.0 / traj.rate
-    phi, affine_term, C, D = kf_matrices(params, h)
+    phi, affine_term, C, D = oracles.kf_matrices(params, h)
     Q = np.diag([0.0, noise.q_velocity])
 
     init_stream = stream.substream("pf-gauss-init")
@@ -209,9 +178,9 @@ def test_pf_tracks_kf_on_linear_subproblem():
         ensemble = flt.pf_step(ensemble, layout, params, f_stages,
                                float(traj.f[k]), float(y[k]), h, noise,
                                run_stream)
-        mean, cov = kf_step(mean, cov, phi, affine_term(*f_stages), C, D,
-                            float(traj.f[k]), float(y[k]), Q,
-                            noise.r_measurement)
+        mean, cov = oracles.kf_step(mean, cov, phi, affine_term(*f_stages),
+                                    C, D, float(traj.f[k]), float(y[k]), Q,
+                                    noise.r_measurement)
         sd = np.sqrt(np.diag(cov))
         assert np.all(np.abs(ensemble.mean() - mean) <= 3.0 * sd)
 
@@ -220,7 +189,8 @@ def test_pf_default_run_converges(default_setup):
     traj, forcing, y, noise = default_setup
     layout = flt.AugmentedState()
     stream = nk.RngStream(2025)
-    init = flt.default_pf_init(layout, 1000, stream=stream.substream("pf-init"))
+    init = flt.default_pf_init(layout, 1000, REST,
+                               stream.substream("pf-init"))
     res = flt.run_pf(traj, forcing, y, layout, init, TRUTH, noise,
                      stream.substream("pf-run"))
     box = {"k": (5.0, 20.0), "c": (0.5, 2.0), "k3": (50.0, 160.0)}
@@ -235,7 +205,8 @@ def test_empty_trajectory_gives_empty_result():
     traj = simulate(n=2)
     traj0 = traj.select(np.array([], dtype=int))
     res = flt.run_ukf(traj0, ForcingSpec(), np.empty(0), layout,
-                      flt.default_ukf_init(layout), TRUTH, flt.NoiseConfig())
+                      flt.default_ukf_init(layout, REST), TRUTH,
+                      flt.NoiseConfig())
     assert len(res.t) == 0 and res.mean.shape == (0, 5)
 
 
@@ -243,7 +214,7 @@ def test_weights_stay_normalized(default_setup):
     traj, forcing, y, noise = default_setup
     layout = flt.AugmentedState()
     stream = nk.RngStream(4)
-    ens = flt.default_pf_init(layout, 200, stream=stream.substream("init"))
+    ens = flt.default_pf_init(layout, 200, REST, stream.substream("init"))
     h = 1.0 / traj.rate
     for k in range(1, 40):
         t_prev = traj.t[k - 1]
@@ -259,7 +230,7 @@ def test_weights_stay_normalized(default_setup):
 def test_covariance_stays_symmetric(default_setup):
     traj, forcing, y, noise = default_setup
     layout = flt.AugmentedState()
-    belief = flt.default_ukf_init(layout)
+    belief = flt.default_ukf_init(layout, REST)
     h = 1.0 / traj.rate
     for k in range(1, 60):
         t_prev = traj.t[k - 1]
@@ -284,7 +255,7 @@ def test_state_estimates_track_truth(default_setup):
     traj, forcing, y, noise = default_setup
     layout = flt.AugmentedState()
     res = flt.run_ukf(traj, forcing, y, layout,
-                      flt.default_ukf_init(layout), TRUTH, noise)
+                      flt.default_ukf_init(layout, REST), TRUTH, noise)
     assert rmse(res.mean[:, 0], traj.u) < 0.2 * np.sqrt(np.mean(traj.u ** 2))
 
 
@@ -292,7 +263,7 @@ def test_result_csv_layout(tmp_path, default_setup):
     traj, forcing, y, noise = default_setup
     layout = flt.AugmentedState()
     res = flt.run_ukf(traj.select(np.arange(50)), forcing, y[:50], layout,
-                      flt.default_ukf_init(layout), TRUTH, noise)
+                      flt.default_ukf_init(layout, REST), TRUTH, noise)
     path = tmp_path / "ukf.csv"
     res.to_csv(path)
     header = path.read_text().splitlines()[0]
@@ -317,10 +288,11 @@ def test_stepped_runs_read_forcing_phases_at_most_three_times(monkeypatch):
 
     runs = {
         "ukf": lambda: flt.run_ukf(traj, forcing, y, layout,
-                                   flt.default_ukf_init(layout), TRUTH, noise),
+                                   flt.default_ukf_init(layout, REST),
+                                   TRUTH, noise),
         "pf": lambda: flt.run_pf(
             traj, forcing, y, layout,
-            flt.default_pf_init(layout, 200, stream=nk.RngStream(4)),
+            flt.default_pf_init(layout, 200, REST, nk.RngStream(4)),
             TRUTH, noise, nk.RngStream(5)),
         "rollout": lambda: node.rollout(flow, np.zeros(2), forcing,
                                         len(traj), traj.rate),

@@ -220,3 +220,20 @@ def test_observation_requires_data(traj):
     with pytest.raises(pinn.ConfigError):
         config = pinn.PinnConfig(weights=pinn.LossWeights(1.0, 1.0, 0.0))
         pinn.PinnProblem(config, t_col=traj.t, f_col=traj.f)
+
+
+def test_forward_model_starts_from_the_record_state(monkeypatch):
+    """The first window's boundary term imposes the record's (u[0], v[0])."""
+    record = simulate(TRUTH, ForcingSpec(), n=64, z0=(0.5, -0.25))
+    boundaries, problem = [], pinn.PinnProblem
+
+    def recording_problem(config, *args, **kwargs):
+        boundaries.append(config.bc)
+        return problem(config, *args, **kwargs)
+
+    monkeypatch.setattr(pinn, "PinnProblem", recording_problem)
+    res = pinn.run_forward_model(
+        record, TRUTH, ForcingSpec(), net=nets.MlpSpec(widths=(1, 8, 2)),
+        train=nets.TrainConfig(adam_iters=1, lbfgs_iters=0), windows=2)
+    assert boundaries[0] == (0.5, -0.25)
+    assert len(boundaries) == 2 and res.pred.shape == (64, 2)
