@@ -200,8 +200,14 @@ def state_metrics(traj, pred, path=None):
                   zip(traj.t, traj.u, pred[:, 0], traj.v, pred[:, 1]))
     return {"rmse_u": rmse(pred[:, 0], traj.u),
             "rmse_v": rmse(pred[:, 1], traj.v),
-            "nmse_u": nmse(pred[:, 0], traj.u),
-            "nmse_v": nmse(pred[:, 1], traj.v)}
+            **nmse_metric("nmse_u", pred[:, 0], traj.u),
+            **nmse_metric("nmse_v", pred[:, 1], traj.v)}
+
+
+def nmse_metric(key, estimate, truth):
+    """{key: nmse}, left out for a constant truth (no normalized error)."""
+    value = nmse(estimate, truth)
+    return {key: value} if value is not None else {}
 
 
 def relative_rmse_u(rmse_u, traj):
@@ -369,7 +375,7 @@ def run_gp(kind, opts, sim, out, seed):
               zip(traj.t, traj.u, pred.mean, pred.std))
     return {
         "rmse_u": rmse(pred.mean, traj.u),
-        "nmse_u": nmse(pred.mean, traj.u),
+        **nmse_metric("nmse_u", pred.mean, traj.u),
         "mean_std": float(np.mean(pred.std)),
         "coverage_2sigma": float(np.mean(pred.covers(traj.u))),
         "log_marginal_likelihood": model.log_marginal_likelihood,

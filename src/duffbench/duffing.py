@@ -47,7 +47,17 @@ class OscillatorParams:
 
     def acceleration(self, u, v, f):
         """ü from the equation of motion at the given state and force."""
-        return (f - self.c * v - self.k * u - self.k3 * u ** 3) / self.m
+        return acceleration(self.m, self.c, self.k, self.k3, u, v, f)
+
+
+def acceleration(m, c, k, k3, u, v, f):
+    """ü = (f - c·v - k·u - k3·u³)/m, elementwise.
+
+    The float operations and their order are those of `simulate`'s
+    scalar stage loop. The cube is written as products: numpy sends a
+    power of 3 to libm `pow`, element by element.
+    """
+    return (f - c * v - k * u - k3 * u * u * u) / m
 
 
 @dataclass(frozen=True)
@@ -136,8 +146,10 @@ def simulate(params: OscillatorParams = None, forcing: ForcingSpec = None,
     far below every downstream tolerance. Forcing is evaluated
     analytically at the RK4 sub-stage times, one vectorised
     `multisine_force` call per block of samples. The returned
-    acceleration is reconstructed from the equation of motion, so
-    `a = (f - c·v - k·u - k3·u³)/m` holds exactly on the samples.
+    acceleration `a` is reconstructed from the equation of motion by
+    `acceleration`, the stage loop's own expression, so every `a[i]`
+    equals the loop's `(f - c*v - k*u - k3*u*u*u)/m` at sample i bit
+    for bit.
     """
     if params is None:
         params = OscillatorParams()

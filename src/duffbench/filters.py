@@ -20,6 +20,7 @@ from .duffing import (
     ForcingSpec,
     OscillatorParams,
     Trajectory,
+    acceleration,
     rk4_increment,
     stage_forces,
 )
@@ -128,13 +129,10 @@ class ParticleEnsemble:
         return np.sqrt(np.maximum(var, 0.0))
 
 
-def _accel(p, u, v, f):
-    return (f - p["c"] * v - p["k"] * u - p["k3"] * u ** 3) / p["m"]
-
-
 def measurement(x, layout: AugmentedState, base: OscillatorParams, f):
     """Acceleration measurement model at augmented state(s) x."""
-    return _accel(layout.params_from(x, base), x[..., 0], x[..., 1], f)
+    return acceleration(**layout.params_from(x, base),
+                        u=x[..., 0], v=x[..., 1], f=f)
 
 
 def _propagate(x, layout, base, h, f_stages):
@@ -142,8 +140,10 @@ def _propagate(x, layout, base, h, f_stages):
     p = layout.params_from(x, base)
 
     def flow(z, f):
-        u, v = z[..., 0], z[..., 1]
-        return np.stack([v, _accel(p, u, v, f)], axis=-1)
+        dz = np.empty_like(z)
+        dz[..., 0] = z[..., 1]
+        dz[..., 1] = acceleration(**p, u=z[..., 0], v=z[..., 1], f=f)
+        return dz
 
     out = np.array(x, copy=True)
     z = x[..., :2]

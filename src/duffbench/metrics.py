@@ -12,11 +12,10 @@ def rmse(estimate, truth):
 
 
 def nmse(estimate, truth):
-    """RMSE² normalized by the variance of the truth."""
+    """RMSE² normalized by the variance of the truth; None for a truth
+    of zero variance, which has no normalized error."""
     var = float(np.var(np.asarray(truth, dtype=float)))
-    if var == 0.0:
-        return float("inf") if rmse(estimate, truth) > 0 else 0.0
-    return rmse(estimate, truth) ** 2 / var
+    return rmse(estimate, truth) ** 2 / var if var != 0.0 else None
 
 
 def percent_error(estimate, truth):

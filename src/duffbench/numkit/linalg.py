@@ -42,8 +42,15 @@ def cholesky(A):
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise FactorizationError("matrix must be square")
-    if not np.allclose(A, A.T, rtol=0.0, atol=1e-8 * max(1.0, np.abs(A).max())):
-        raise FactorizationError("matrix must be symmetric")
+    # np.allclose(A, A.T, rtol=0, atol=atol) written out: an entry passes
+    # if it equals its mirror, or is within atol of a finite mirror
+    close = A == A.T
+    if not close.all():
+        atol = 1e-8 * max(1.0, np.abs(A).max())
+        with np.errstate(invalid="ignore", over="ignore"):
+            close |= (np.abs(A - A.T) <= atol) & np.isfinite(A.T)
+        if not close.all():
+            raise FactorizationError("matrix must be symmetric")
     try:
         L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError as err:

@@ -323,9 +323,10 @@ def run_forward_model(traj: Trajectory, params: OscillatorParams,
     f_grid = traj.f
     n_grid = len(t_grid)
     if not 1 <= windows <= n_grid // 8:
-        raise ConfigError("window count out of range")
+        raise ConfigError(f"[pinn-forward] windows must be between 1 and "
+                          f"n/8 = {n_grid // 8}, got {windows}")
     if margin < 0:
-        raise ConfigError(f"margin must be >= 0, got {margin}")
+        raise ConfigError(f"[pinn-forward] margin must be >= 0, got {margin}")
     edges = np.linspace(0, n_grid, windows + 1).astype(int)
     stream = nk.RngStream(seed).substream("pinn-init")
     state0 = (float(traj.u[0]), float(traj.v[0]))

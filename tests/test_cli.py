@@ -242,7 +242,8 @@ HOSTILE = {
     "overdamped-gp-sdof": ("gp-sdof", "[simulator]\nn = 256\nc = 100\n", 2),
     "zero-forward-windows": ("pinn-forward",
                              "[simulator]\nn = 256\n\n"
-                             "[pinn-forward]\nwindows = 0\n", 2),
+                             "[pinn-forward]\nwindows = 0\n", 2,
+                             "[pinn-forward] windows"),
     "relu-activation": ("nn-baseline",
                         "[simulator]\nn = 256\n\n"
                         "[nn-baseline]\nactivation = relu\n", 2),
@@ -394,6 +395,8 @@ def test_record_at_rest_has_no_relative_error(tmp_path, method, forcing):
     assert cli.main(["run", cfg]) == 0
     metrics = cli.read_metrics(out / "metrics.csv")
     assert "rmse_u" in metrics and "rel_rmse_u" not in metrics
+    # a constant truth has no nmse either: left out, not written as inf
+    assert "nmse_u" not in metrics and "nmse_v" not in metrics
 
 
 # a true parameter of 0 has no percent error: the metric is left out and

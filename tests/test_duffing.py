@@ -1,11 +1,14 @@
 """Simulator contracts: forcing, RK4 fidelity, noise, subsampling, CSV."""
 
+import inspect
 import math
+import re
 
 import numpy as np
 import pytest
 
 import oracles
+from duffbench import duffing, filters
 from duffbench import numkit as nk
 from duffbench.duffing import (
     FORCE_BLOCK,
@@ -97,6 +100,25 @@ def test_acceleration_consistent_with_equation_of_motion(default_traj):
     p = OscillatorParams()
     recon = p.acceleration(default_traj.u, default_traj.v, default_traj.f)
     assert np.array_equal(recon, default_traj.a)
+
+
+@pytest.mark.parametrize("params", [OscillatorParams(),
+                                    OscillatorParams(2.5, 0.3, 7.1, 33.3)])
+def test_record_acceleration_is_the_stage_loop_expression(params):
+    """Every a[i] equals `simulate`'s scalar stage expression evaluated
+    with Python floats at sample i, bit for bit."""
+    traj = simulate(params, n=256, z0=(0.4, -0.2))
+    m, c, k, k3 = params.m, params.c, params.k, params.k3
+    stage = [(f - c * v - k * u - k3 * u * u * u) / m
+             for u, v, f in zip(traj.u.tolist(), traj.v.tolist(),
+                                traj.f.tolist())]
+    assert traj.a.tolist() == stage
+
+
+def test_acceleration_cube_is_written_as_products():
+    """numpy sends a power of 3 to libm pow, one call per element."""
+    for module in (duffing, filters):
+        assert not re.search(r"\*\*\s*3\b", inspect.getsource(module))
 
 
 def test_hamiltonian_conserved_unforced_undamped():

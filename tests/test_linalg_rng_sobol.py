@@ -54,6 +54,42 @@ def test_asymmetric_matrix_raises():
         nk.cholesky(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
+def symmetry_cases():
+    """Matrices near the symmetry check's edges: finite entries off
+    their mirror by less and by more than the tolerance, and ±inf and
+    NaN entries opposite finite, equal and opposite-signed ones."""
+    base = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.25], [0.5, 0.25, 2.0]])
+    offsets = (0.0, 1e-12, 3.9e-8, 4.1e-8, 1e-3)
+    specials = (np.inf, -np.inf, np.nan, 1e308, -1e308)
+    for off in offsets:
+        A = base.copy()
+        A[0, 1] += off
+        yield A
+    for x in specials:
+        for y in specials + (1.0,):
+            A = base.copy()
+            A[0, 1], A[1, 0] = x, y
+            yield A
+            B = A.copy()
+            B[2, 2] = np.inf  # an infinite tolerance
+            yield B
+
+
+def test_symmetry_check_agrees_with_allclose():
+    """cholesky rejects as asymmetric exactly the matrices that
+    np.allclose(A, A.T, rtol=0, atol=1e-8·max(1, max|A|)) rejects."""
+    for A in symmetry_cases():
+        atol = 1e-8 * max(1.0, np.abs(A).max())
+        with np.errstate(invalid="ignore", over="ignore"):
+            symmetric = np.allclose(A, A.T, rtol=0.0, atol=atol)
+        try:
+            nk.cholesky(A)
+            rejected = False
+        except nk.FactorizationError as err:
+            rejected = "symmetric" in str(err)
+        assert rejected == (not symmetric), A
+
+
 def test_residual_bound_random_spd_up_to_64():
     stream = nk.RngStream(42).substream("spd")
     for n in (2, 5, 16, 33, 64):
