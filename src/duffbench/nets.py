@@ -83,10 +83,13 @@ def _np_sincos(a):
     return np.sin(a), np.cos(a)
 
 
-def _tangent_pass(spec, params, x, s, sincos, tanh):
-    """Outputs and d(outputs)/d(input) from the input tangent s; runs on
-    tape nodes or on numpy arrays, given the matching sincos and tanh."""
-    h = x
+def _tangent_pass(spec, params, x, lift, sincos, tanh):
+    """Outputs and d(outputs)/d(input) at the (N, 1) array x, on tape nodes
+    or numpy arrays by the matching `lift` of an array, sincos and tanh."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != 1:
+        raise ValueError("tangent propagation expects (N, 1) inputs")
+    h, s = lift(x), lift(np.ones_like(x))
     for W, b in params[:-1]:
         a = h @ W + b
         if spec.activation == "sin":
@@ -100,17 +103,16 @@ def _tangent_pass(spec, params, x, s, sincos, tanh):
 
 
 def mlp_apply_tangent(spec: MlpSpec, param_nodes, x):
-    """Forward pass plus d(output)/d(input) for single-input networks.
+    """Forward pass plus d(output)/d(input) for single-input networks, on
+    the tape of `param_nodes` at the constant (N, 1) input array x.
 
     Propagates the input tangent through each layer,
     s_l = (s_{l-1} W_l) ⊙ σ'(a_l), so the returned derivative is an
     ordinary tape expression and stays differentiable with respect to
     the parameters.
     """
-    if x.value.ndim != 2 or x.value.shape[1] != 1:
-        raise ValueError("tangent propagation expects (N, 1) inputs")
-    s = x.tape.constant(np.ones_like(x.value))
-    return _tangent_pass(spec, param_nodes, x, s, nk.sincos, nk.tanh)
+    return _tangent_pass(spec, param_nodes, x, param_nodes[0][0].tape.constant,
+                         nk.sincos, nk.tanh)
 
 
 def mlp_predict(spec: MlpSpec, params, x):
@@ -121,11 +123,7 @@ def mlp_predict(spec: MlpSpec, params, x):
 def mlp_predict_tangent(spec: MlpSpec, params, x):
     """Plain numpy twin of `mlp_apply_tangent` for frozen parameters;
     its values equal the tape's bit for bit."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != 1:
-        raise ValueError("tangent propagation expects (N, 1) inputs")
-    return _tangent_pass(spec, params, x, np.ones_like(x), _np_sincos,
-                         np.tanh)
+    return _tangent_pass(spec, params, x, np.asarray, _np_sincos, np.tanh)
 
 
 def observation_loss(pred, obs):

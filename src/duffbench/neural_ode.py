@@ -304,24 +304,21 @@ class HamiltonianNet:
                    nets.init_params(v_spec, stream.substream("hnn-V")),
                    sigma_q, sigma_p, s_t, s_v)
 
-    def _grads(self, tangent, t_params, v_params, q, p):
-        """(∂H/∂q, ∂H/∂p) from `tangent(spec, params, x)`, the numpy
-        `mlp_predict_tangent` or a tape-side `mlp_apply_tangent`."""
-        _, dT = tangent(self.t_spec, t_params,
-                        np.asarray(p, float).reshape(-1, 1) / self.sigma_p)
-        _, dV = tangent(self.v_spec, v_params,
-                        np.asarray(q, float).reshape(-1, 1) / self.sigma_q)
-        dH_dp = dT[(slice(None), 0)] * (self.s_t / self.sigma_p)
-        dH_dq = dV[(slice(None), 0)] * (self.s_v / self.sigma_q)
+    def _partial(self, tangent, net, params, x):
+        """∂H/∂q (net "V", x = q) or ∂H/∂p (net "T", x = p) by one pass
+        of `tangent`: `nets.mlp_predict_tangent` or `mlp_apply_tangent`."""
+        spec, sigma, scale = ((self.v_spec, self.sigma_q, self.s_v)
+                              if net == "V" else
+                              (self.t_spec, self.sigma_p, self.s_t))
+        _, d = tangent(spec, params,
+                       np.asarray(x, float).reshape(-1, 1) / sigma)
+        return d[(slice(None), 0)] * (scale / sigma)
+
+    def grads_nodes(self, t_pairs, v_pairs, q, p):
+        """(∂H/∂q, ∂H/∂p) nodes at constant (q, p) columns, for the loss."""
+        dH_dp = self._partial(nets.mlp_apply_tangent, "T", t_pairs, p)
+        dH_dq = self._partial(nets.mlp_apply_tangent, "V", v_pairs, q)
         return dH_dq, dH_dp
-
-    # tape-side pieces used by the loss
-    def grads_nodes(self, tape, t_pairs, v_pairs, q, p):
-        """(∂H/∂q, ∂H/∂p) nodes at constant (q, p) columns."""
-        def tangent(spec, pairs, x):
-            return nets.mlp_apply_tangent(spec, pairs, tape.constant(x))
-
-        return self._grads(tangent, t_pairs, v_pairs, q, p)
 
     def arrays(self):
         return nets.pairs_to_arrays(self.t_params) \
@@ -342,9 +339,14 @@ class HamiltonianNet:
         V = nets.mlp_predict(self.v_spec, self.v_params, q)[:, 0] * self.s_v
         return T + V
 
+    def dH_dq(self, q):
+        return self._partial(nets.mlp_predict_tangent, "V", self.v_params, q)
+
+    def dH_dp(self, p):
+        return self._partial(nets.mlp_predict_tangent, "T", self.t_params, p)
+
     def grads(self, q, p):
-        return self._grads(nets.mlp_predict_tangent, self.t_params,
-                           self.v_params, q, p)
+        return self.dH_dq(q), self.dH_dp(p)
 
 
 class AnalyticHamiltonian:
@@ -360,11 +362,15 @@ class AnalyticHamiltonian:
         return (p ** 2 / (2.0 * self.params.m) + 0.5 * self.params.k * q ** 2
                 + 0.25 * self.params.k3 * q ** 4)
 
-    def grads(self, q, p):
+    def dH_dq(self, q):
         q = np.asarray(q, float)
-        p = np.asarray(p, float)
-        return (self.params.k * q + self.params.k3 * q ** 3,
-                p / self.params.m)
+        return self.params.k * q + self.params.k3 * q ** 3
+
+    def dH_dp(self, p):
+        return np.asarray(p, float) / self.params.m
+
+    def grads(self, q, p):
+        return self.dH_dq(q), self.dH_dp(p)
 
 
 def conservative_batch(traj: Trajectory, mass):
@@ -385,7 +391,7 @@ def hnn_train(q, p, qdot, pdot, seed=1234,
     def build(tape, leaves):
         t_pairs = nets.arrays_to_pairs(leaves[:n_t])
         v_pairs = nets.arrays_to_pairs(leaves[n_t:])
-        dH_dq, dH_dp = hnet.grads_nodes(tape, t_pairs, v_pairs, q, p)
+        dH_dq, dH_dp = hnet.grads_nodes(t_pairs, v_pairs, q, p)
         r1 = dH_dp - tape.constant(qd)
         r2 = dH_dq + tape.constant(pd)
         n = float(len(qd))
@@ -407,12 +413,11 @@ def symplectic_step(hamiltonian, q, p, h, ordering="semi-implicit"):
     plain explicit Euler and not symplectic) is selectable for
     comparison.
     """
-    dH_dq, _ = hamiltonian.grads(q, p)
-    p_new = p - h * dH_dq
+    p_new = p - h * hamiltonian.dH_dq(q)
     if ordering == "semi-implicit":
-        _, dH_dp = hamiltonian.grads(q, p_new)
+        dH_dp = hamiltonian.dH_dp(p_new)
     elif ordering == "explicit":
-        _, dH_dp = hamiltonian.grads(q, p)
+        dH_dp = hamiltonian.dH_dp(p)
     else:
         raise ValueError(f"unknown ordering '{ordering}'")
     q_new = q + h * dH_dp

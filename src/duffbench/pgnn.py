@@ -6,6 +6,9 @@ from displacement-only observations: its scalar output Δu corrects the
 displacement, and the velocity correction is taken as d(Δu)/dt via
 tangent propagation, so the unobserved velocity improves too. The
 combined prediction is prior + correction, exactly.
+
+The observations are rows of the collocation grid: a loss applies the
+network once, over the grid, and reads the data term off those rows.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import numpy as np
 from . import numkit as nk
 from . import nets
 from .duffing import ForcingSpec, OscillatorParams, Trajectory, simulate
+from .errors import ConfigError
 
 RESIDUAL_NET = nets.MlpSpec(widths=(1, 32, 32, 32, 1), activation="sin",
                             omega0=60.0)
@@ -65,16 +69,13 @@ class ResidualNet:
         dv = ddz_hat[(slice(None), 0)] * (su / self.norm.t_half)
         return du, dv
 
-    def correction_nodes(self, tape, pairs, t):
-        def tangent(spec, pairs, x):
-            return nets.mlp_apply_tangent(spec, pairs, tape.constant(x))
-
-        return self._correction(tangent, pairs, t)
+    def correction_nodes(self, pairs, t):
+        """Δu and Δv nodes on the tape of the parameter nodes `pairs`."""
+        return self._correction(nets.mlp_apply_tangent, pairs, t)
 
     def correction(self, t):
         """Δz values on frozen parameters: columns (Δu, Δv)."""
-        du, dv = self._correction(nets.mlp_predict_tangent, self.params,
-                                  np.asarray(t, dtype=float))
+        du, dv = self._correction(nets.mlp_predict_tangent, self.params, t)
         return np.column_stack([du, dv])
 
 
@@ -86,18 +87,18 @@ class GuidedResult:
     history: list
 
 
-def guided_train(prior: PriorModel, t_obs, u_obs, t_col, seed=1234,
+def guided_train(prior: PriorModel, t_col, rows, u_obs, seed=1234,
                  spec: nets.MlpSpec = RESIDUAL_NET,
                  train: nets.TrainConfig = None,
                  penalty=RESIDUAL_PENALTY) -> GuidedResult:
     """Fit the discrepancy between prior and displacement observations.
 
-    Minimizes the mean squared displacement mismatch on the observed
-    points plus `penalty` times the mean squared correction amplitude.
+    `u_obs` holds the displacements at the rows `rows` (index or slice)
+    of the collocation grid `t_col`. Minimizes their mean squared
+    mismatch plus `penalty` times the mean squared correction amplitude.
     """
-    t_obs = np.asarray(t_obs, dtype=float)
     u_obs = np.asarray(u_obs, dtype=float)
-    if len(t_obs) == 0:
+    if len(u_obs) == 0:
         raise ValueError("needs at least one displacement observation")
     t_col = np.asarray(t_col, dtype=float)
     n_col = len(t_col)
@@ -109,20 +110,16 @@ def guided_train(prior: PriorModel, t_obs, u_obs, t_col, seed=1234,
         t_col, np.column_stack([prior_traj.u, prior_traj.v]))
     norm = nets.Normalization(norm.t_center, norm.t_half,
                               np.zeros(1), np.array([norm.z_std[0]]))
-    u_prior_obs = np.interp(t_obs, prior_traj.t, prior_traj.u)
+    du_target = u_obs - prior_traj.u[rows]
 
     stream = nk.RngStream(seed).substream("pgnn-init")
     params0 = nets.init_params(spec, stream)
     residual = ResidualNet(spec, params0, norm)
 
     def build(tape, leaves):
-        pairs = nets.arrays_to_pairs(leaves)
-        du_obs, _ = residual.correction_nodes(tape, pairs, t_obs)
-        r = du_obs + tape.constant(u_prior_obs - u_obs)
-        data_term = nk.vsum(r * r) / float(len(t_obs))
-        du_col, dv_col = residual.correction_nodes(tape, pairs, t_col)
-        amp = (nk.vsum(du_col * du_col) + nk.vsum(dv_col * dv_col)) / float(n_col)
-        return data_term + penalty * amp
+        du, dv = residual.correction_nodes(nets.arrays_to_pairs(leaves), t_col)
+        amp = (nk.vsum(du * du) + nk.vsum(dv * dv)) / float(n_col)
+        return nets.observation_loss(du[rows], du_target) + penalty * amp
 
     arrays, history = nets.fit_arrays(nets.pairs_to_arrays(params0), build,
                                       train or nets.TrainConfig())
@@ -135,8 +132,10 @@ def guided_train(prior: PriorModel, t_obs, u_obs, t_col, seed=1234,
 def run_guided(traj: Trajectory, forcing: ForcingSpec,
                truth: OscillatorParams, stride=1, seed=1234,
                train: nets.TrainConfig = None) -> GuidedResult:
-    """Working-example run: linear prior vs displacement-only data."""
+    """Working-example run: linear prior vs every stride-th displacement."""
+    if stride < 1:
+        raise ConfigError(f"[pgnn] stride must be >= 1, got {stride}")
     prior = PriorModel.from_known_physics(truth, forcing)
-    idx = np.arange(0, len(traj), stride)
-    return guided_train(prior, traj.t[idx], traj.u[idx], traj.t, seed=seed,
+    rows = slice(0, None, stride)
+    return guided_train(prior, traj.t, rows, traj.u[rows], seed=seed,
                         train=train)

@@ -1,17 +1,17 @@
 """Physics-informed training of the state network.
 
-The total objective is λ_o·L_o + λ_p·L_p + λ_bc·L_bc. L_o is the mean
-squared state residual over observed points (computed on the z-scored
-outputs the network is trained in); L_p is the first-order equation
-residual in physical units,
+The total objective is λ_o·L_o + λ_p·L_p + λ_bc·L_bc from one network
+pass over the collocation times. L_o is the mean squared state residual
+on the pass's observed rows (in the z-scored outputs the network is
+trained in); L_p is the first-order equation residual in physical units,
 
     r_u = u̇ − v,   r_v = v̇ − (f − c·v − k·u − k3·u³)/m,
 
 with the time derivative obtained from tangent propagation through the
 network and the chain-rule factor of the normalized input applied;
-L_bc is the squared initial-state mismatch in physical units. Terms
-with zero weight are skipped entirely, so a zero weight is bit-exact
-equal to omitting the term.
+L_bc is the squared initial-state mismatch in physical units on its
+first row. A term with zero weight is skipped, so it is bit-exact equal
+to omitting the term.
 
 The mass is known; c, k and k3 are each known or trainable. A trainable
 parameter is realized as ref·softplus(φ) with ref its initial guess in
@@ -61,8 +61,8 @@ class PinnConfig:
     """One PINN problem: the loss weights, the known parameters, and the
     names in `params` that are trained instead of known.
 
-    `bc` is the initial state (u(0), u̇(0)) the boundary term imposes at
-    t = 0, needed when its weight is nonzero.
+    `bc` is the initial state (u, u̇) the boundary term imposes at the
+    first collocation time, needed when its weight is nonzero.
     """
 
     weights: LossWeights = field(default_factory=LossWeights)
@@ -84,21 +84,20 @@ class PinnConfig:
 
 
 class PinnProblem:
-    """One training problem: domains, data, forcing, parameter table."""
+    """One training problem. `z_obs` holds the states observed at the
+    rows `obs_rows` (an index or slice, every row by default) of t_col."""
 
-    def __init__(self, config: PinnConfig, t_col, f_col, t_obs=None,
-                 z_obs=None, norm: nets.Normalization = None):
+    def __init__(self, config: PinnConfig, t_col, f_col, z_obs=None,
+                 obs_rows=slice(None), norm: nets.Normalization = None):
         self.config = config
         self.t_col = np.asarray(t_col, dtype=float)
         self.f_col = np.asarray(f_col, dtype=float)
+        self.obs_rows = obs_rows
+        self.z_obs = None
         if config.weights.observation > 0:
-            if t_obs is None or z_obs is None or len(t_obs) == 0:
+            if z_obs is None or len(z_obs) == 0:
                 raise ConfigError("observation loss requires observed data")
-            self.t_obs = np.asarray(t_obs, dtype=float)
             self.z_obs = np.asarray(z_obs, dtype=float)
-        else:
-            self.t_obs = None
-            self.z_obs = None
         if norm is None:
             norm = nets.Normalization.from_data(self.t_col, self.z_obs)
         self.norm = norm
@@ -107,14 +106,10 @@ class PinnProblem:
 
     def init_arrays(self, stream: nk.RngStream):
         arrays = nets.pairs_to_arrays(nets.init_params(self.config.net, stream))
-        phi0 = np.full(len(self.config.trainable), _SOFTPLUS_ONE)
-        arrays.append(phi0)
-        return arrays
+        return arrays + [np.full(len(self.config.trainable), _SOFTPLUS_ONE)]
 
     def _split(self, leaves):
-        pairs = nets.arrays_to_pairs(leaves[:-1])
-        phi = leaves[-1]
-        return pairs, phi
+        return nets.arrays_to_pairs(leaves[:-1]), leaves[-1]
 
     def _phys_values(self, phi):
         """Parameter table: the known floats, each trainable one a node."""
@@ -132,40 +127,41 @@ class PinnProblem:
 
     # -- losses -------------------------------------------------------------
 
-    def observation_term(self, tape, pairs):
-        tau = self.norm.t_in(self.t_obs).reshape(-1, 1)
-        z_hat = nets.mlp_apply(self.config.net, pairs, tape.constant(tau))
-        target = (self.z_obs - self.norm.z_mean) / self.norm.z_std
-        return nets.observation_loss(z_hat, target)
+    def network_pass(self, tape, pairs):
+        """The one network application of a loss: (ẑ, dẑ/dτ) over t_col,
+        with dẑ/dτ None unless the physics term is weighted."""
+        tau = self.norm.t_in(self.t_col).reshape(-1, 1)
+        if self.config.weights.physics != 0:
+            return nets.mlp_apply_tangent(self.config.net, pairs, tau)
+        return nets.mlp_apply(self.config.net, pairs, tape.constant(tau)), None
 
-    def physics_term(self, tape, pairs, phys):
+    def observation_term(self, z_hat):
+        target = (self.z_obs - self.norm.z_mean) / self.norm.z_std
+        return nets.observation_loss(z_hat[self.obs_rows], target)
+
+    def physics_term(self, z_hat, dz_hat, phys):
         norm = self.norm
-        tau = norm.t_in(self.t_col).reshape(-1, 1)
-        z_hat, dz_hat = nets.mlp_apply_tangent(self.config.net, pairs,
-                                               tape.constant(tau))
         su, sv = norm.z_std[0], norm.z_std[1]
         mu_u, mu_v = norm.z_mean[0], norm.z_mean[1]
         u = z_hat[(slice(None), 0)] * su + mu_u
         v = z_hat[(slice(None), 1)] * sv + mu_v
         du = dz_hat[(slice(None), 0)] * (su / norm.t_half)
         dv = dz_hat[(slice(None), 1)] * (sv / norm.t_half)
-        f = tape.constant(self.f_col)
+        f = z_hat.tape.constant(self.f_col)
         m, c, k, k3 = phys["m"], phys["c"], phys["k"], phys["k3"]
         r_u = du - v
         r_v = dv - (f - c * v - k * u - k3 * u * u * u) / m
         n = float(len(self.t_col))
         return (nk.vsum(r_u * r_u) + nk.vsum(r_v * r_v)) / n
 
-    def boundary_term(self, tape, pairs):
-        t0 = self.t_col[0]
-        tau0 = np.array([[self.norm.t_in(t0)]])
-        z_hat = nets.mlp_apply(self.config.net, pairs, tape.constant(tau0))
+    def boundary_term(self, z_hat):
         z0 = z_hat[(0,)] * self.norm.z_std + self.norm.z_mean
         r = z0 - np.asarray(self.config.bc, dtype=float)
         return nk.vsum(r * r)
 
     def total_loss(self, tape, leaves):
         pairs, phi = self._split(leaves)
+        z_hat, dz_hat = self.network_pass(tape, pairs)
         w = self.config.weights
         loss = None
 
@@ -175,12 +171,12 @@ class PinnProblem:
             loss = term if loss is None else loss + term
 
         if w.observation != 0:
-            acc(self.observation_term(tape, pairs), w.observation)
+            acc(self.observation_term(z_hat), w.observation)
         if w.physics != 0:
-            acc(self.physics_term(tape, pairs, self._phys_values(phi)),
+            acc(self.physics_term(z_hat, dz_hat, self._phys_values(phi)),
                 w.physics)
         if w.boundary != 0:
-            acc(self.boundary_term(tape, pairs), w.boundary)
+            acc(self.boundary_term(z_hat), w.boundary)
         return loss
 
     # -- train / predict ----------------------------------------------------
@@ -219,9 +215,9 @@ def run_equation_discovery(traj: Trajectory, nonlinear=True, seed=1234,
                            n_obs=256) -> DiscoveryResult:
     """Sobol-subsampled joint state/parameter estimation.
 
-    The physics domain equals the observation domain, the mass is
-    known, and (c, k) or (c, k, k3) are trainable from the pinned
-    initial guesses.
+    The Sobol-chosen samples are the collocation grid and every row is
+    observed; the mass is known, and (c, k) or (c, k, k3) are trainable
+    from the pinned initial guesses.
     """
     truth = truth or OscillatorParams()
     obs = subsample(traj, sobol_n=n_obs)
@@ -234,8 +230,7 @@ def run_equation_discovery(traj: Trajectory, nonlinear=True, seed=1234,
         seed=seed,
     )
     z_obs = np.column_stack([obs.u, obs.v])
-    problem = PinnProblem(config, t_col=obs.t, f_col=obs.f,
-                          t_obs=obs.t, z_obs=z_obs)
+    problem = PinnProblem(config, t_col=obs.t, f_col=obs.f, z_obs=z_obs)
     arrays, history = problem.fit()
     return DiscoveryResult(problem.physical_estimates(arrays), problem,
                            arrays, history)
@@ -257,8 +252,9 @@ def run_enhanced_learning(traj: Trajectory, stride=16, seed=1234,
 
     Trains the purely data-driven baseline and the physics-informed
     model on the same observations and predicts both on the dense grid.
-    `baseline_only` skips the informed model (the black-box benchmark
-    row).
+    The informed model collocates on the record; the baseline, with no
+    physics term, sees only the observed times. `baseline_only` skips
+    the informed model (the black-box benchmark row).
     """
     truth = truth or OscillatorParams()
     obs = subsample(traj, stride=stride)
@@ -269,8 +265,8 @@ def run_enhanced_learning(traj: Trajectory, stride=16, seed=1234,
 
     baseline_cfg = PinnConfig(weights=LossWeights(1.0, 0.0, 0.0), net=net,
                               train=train, seed=seed)
-    baseline = PinnProblem(baseline_cfg, t_col=traj.t, f_col=traj.f,
-                           t_obs=obs.t, z_obs=z_obs, norm=norm)
+    baseline = PinnProblem(baseline_cfg, t_col=obs.t, f_col=obs.f,
+                           z_obs=z_obs, norm=norm)
     base_arrays, base_history = baseline.fit()
     base_pred = baseline.predict(base_arrays, traj.t)
     if baseline_only:
@@ -280,7 +276,8 @@ def run_enhanced_learning(traj: Trajectory, stride=16, seed=1234,
                               params=truth, net=net, train=train,
                               bc=(traj.u[0], traj.v[0]), seed=seed)
     informed = PinnProblem(informed_cfg, t_col=traj.t, f_col=traj.f,
-                           t_obs=obs.t, z_obs=z_obs, norm=norm)
+                           z_obs=z_obs, obs_rows=slice(0, None, stride),
+                           norm=norm)
     inf_arrays, history = informed.fit()
     return EnhancedResult(informed.predict(inf_arrays, traj.t), base_pred,
                           history)

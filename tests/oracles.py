@@ -3,9 +3,11 @@
 Everything here is deliberately written without touching the package's
 computation paths: finite differences, random scalar graphs evaluated
 with plain numpy, a hand-rolled discrete Kalman filter, and the earlier
-forms of three fast paths (the per-op network on the tape, the per-op
-neural-ODE loss on the tape and the simulator with scalar forcing) that
-the fast ones must match bit for bit.
+forms of five fast paths (the per-op network on the tape, the per-op
+neural-ODE loss on the tape, the simulator with scalar forcing, and the
+PINN and PGNN losses that applied their network once per term) that the
+fast ones must match: bit for bit, or in the losses' gradients to
+rounding.
 """
 
 import math
@@ -247,3 +249,82 @@ def simulate_scalar_forcing(params, forcing, n, rate, z0=(0.0, 0.0),
             vk = vk + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
         u[i + 1], v[i + 1] = uk, vk
     return u, v
+
+
+def pinn_loss_per_term(problem, tape, leaves):
+    """A PINN total loss with one network application per term: the
+    observed times (`t_col` at `obs_rows`) through an `mlp` node, the
+    collocation times through a tangent pass, t_col[0] through a
+    one-row `mlp` node."""
+    spec, norm, w = problem.config.net, problem.norm, problem.config.weights
+    pairs, phi = problem._split(leaves)
+    terms = []
+    if w.observation != 0:
+        tau = norm.t_in(problem.t_col[problem.obs_rows]).reshape(-1, 1)
+        z_hat = nets.mlp_apply(spec, pairs, tape.constant(tau))
+        target = (problem.z_obs - norm.z_mean) / norm.z_std
+        terms.append((nets.observation_loss(z_hat, target), w.observation))
+    if w.physics != 0:
+        tau = norm.t_in(problem.t_col).reshape(-1, 1)
+        z_hat, dz_hat = nets.mlp_apply_tangent(spec, pairs, tau)
+        su, sv = norm.z_std[0], norm.z_std[1]
+        u = z_hat[(slice(None), 0)] * su + norm.z_mean[0]
+        v = z_hat[(slice(None), 1)] * sv + norm.z_mean[1]
+        du = dz_hat[(slice(None), 0)] * (su / norm.t_half)
+        dv = dz_hat[(slice(None), 1)] * (sv / norm.t_half)
+        f = tape.constant(problem.f_col)
+        phys = problem._phys_values(phi)
+        m, c, k, k3 = phys["m"], phys["c"], phys["k"], phys["k3"]
+        r_u = du - v
+        r_v = dv - (f - c * v - k * u - k3 * u * u * u) / m
+        n = float(len(problem.t_col))
+        terms.append(((nk.vsum(r_u * r_u) + nk.vsum(r_v * r_v)) / n,
+                      w.physics))
+    if w.boundary != 0:
+        tau0 = np.array([[norm.t_in(problem.t_col[0])]])
+        z_hat = nets.mlp_apply(spec, pairs, tape.constant(tau0))
+        r = (z_hat[(0,)] * norm.z_std + norm.z_mean
+             - np.asarray(problem.config.bc, dtype=float))
+        terms.append((nk.vsum(r * r), w.boundary))
+    loss = None
+    for term, weight in terms:
+        term = term if weight == 1.0 else weight * term
+        loss = term if loss is None else loss + term
+    return loss
+
+
+def pgnn_loss_two_pass(residual, prior_traj, t_col, t_obs, u_obs, penalty,
+                       tape, leaves):
+    """The PGNN loss with the correction network applied twice: once at
+    the observed times, against the prior interpolated there, and once
+    over the collocation grid for the amplitude penalty."""
+    pairs = nets.arrays_to_pairs(leaves)
+    u_prior_obs = np.interp(t_obs, prior_traj.t, prior_traj.u)
+    du_obs, _ = residual.correction_nodes(pairs, t_obs)
+    r = du_obs + tape.constant(u_prior_obs - u_obs)
+    data_term = nk.vsum(r * r) / float(len(t_obs))
+    du_col, dv_col = residual.correction_nodes(pairs, t_col)
+    amp = (nk.vsum(du_col * du_col)
+           + nk.vsum(dv_col * dv_col)) / float(len(t_col))
+    return data_term + penalty * amp
+
+
+def assert_loss_matches(build, oracle, arrays, exact=True):
+    """Two tape-loss builders agree at `arrays`: the loss bit for bit
+    (to 1e-14 relative unless `exact`), every gradient array within
+    1e-12 relative."""
+    def loss_and_grads(loss_builder):
+        tape = nk.Tape()
+        leaves = [tape.leaf(a) for a in arrays]
+        loss = loss_builder(tape, leaves)
+        return loss.value, nk.backward(loss, leaves)
+
+    value, grads = loss_and_grads(build)
+    ref_value, ref_grads = loss_and_grads(oracle)
+    if exact:
+        assert value == ref_value
+    else:
+        assert abs(value - ref_value) <= 1e-14 * abs(ref_value)
+    for g, ref in zip(grads, ref_grads):
+        err = np.abs(g - ref).max(initial=0.0)
+        assert err <= 1e-12 * np.abs(ref).max(initial=0.0)

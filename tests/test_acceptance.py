@@ -116,7 +116,6 @@ def test_c02_autodiff_suite(default_traj):
                         net=nets.MlpSpec(widths=(1, 8, 2)),
                         train=nets.TrainConfig(adam_iters=1, lbfgs_iters=0)),
         t_col=default_traj.t[idx], f_col=default_traj.f[idx],
-        t_obs=default_traj.t[idx],
         z_obs=np.column_stack([default_traj.u[idx], default_traj.v[idx]]))
     fd_check(prob.total_loss, prob.init_arrays(stream))
 
@@ -130,7 +129,7 @@ def test_c02_autodiff_suite(default_traj):
     n_t = 2 * len(hnet.t_params)
 
     def hnn_build(tape, leaves):
-        dq, dp = hnet.grads_nodes(tape, nets.arrays_to_pairs(leaves[:n_t]),
+        dq, dp = hnet.grads_nodes(nets.arrays_to_pairs(leaves[:n_t]),
                                   nets.arrays_to_pairs(leaves[n_t:]), q, p)
         r1 = dp - tape.constant(qd)
         r2 = dq + tape.constant(pd)

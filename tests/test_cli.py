@@ -328,6 +328,10 @@ HOSTILE = {
                                 "[pinn-forward]\nwindows = 2\nmargin = -1\n"
                                 "adam_iters = 1\nlbfgs_iters = 0\n", 2,
                                 "margin"),
+    "zero-pgnn-stride": ("pgnn", "[simulator]\nn = 64\n\n"
+                         "[pgnn]\nstride = 0\n", 2, "[pgnn] stride"),
+    "negative-pgnn-stride": ("pgnn", "[simulator]\nn = 64\n\n"
+                             "[pgnn]\nstride = -2\n", 2, "[pgnn] stride"),
     "negative-adam-iters": ("pgnn", "[simulator]\nn = 64\n\n[pgnn]\n"
                             "adam_iters = -5\nlbfgs_iters = 6\n", 2,
                             "adam_iters"),

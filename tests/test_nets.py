@@ -70,7 +70,7 @@ def test_tangent_matches_finite_difference_input_derivative(spec):
     x = stream.normal(size=(9, 1))
     tape = nk.Tape()
     nodes = [(tape.leaf(W), tape.leaf(b)) for W, b in params]
-    _, dz = nets.mlp_apply_tangent(spec, nodes, tape.constant(x))
+    _, dz = nets.mlp_apply_tangent(spec, nodes, x)
     h = 1e-6
     fd = (nets.mlp_predict(spec, params, x + h)
           - nets.mlp_predict(spec, params, x - h)) / (2 * h)
@@ -140,7 +140,7 @@ def test_numpy_tangent_equals_tape_tangent_bitwise(spec):
     x = stream.normal(size=(9, 1))
     tape = nk.Tape()
     pairs = [(tape.constant(W), tape.constant(b)) for W, b in params]
-    z_node, dz_node = nets.mlp_apply_tangent(spec, pairs, tape.constant(x))
+    z_node, dz_node = nets.mlp_apply_tangent(spec, pairs, x)
     z, dz = nets.mlp_predict_tangent(spec, params, x)
     assert np.array_equal(z, z_node.value)
     assert np.array_equal(dz, dz_node.value)

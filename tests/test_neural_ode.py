@@ -361,7 +361,7 @@ def test_hnn_loss_gradient_matches_fd(conservative_traj):
 
     tape = nk.Tape()
     leaves = [tape.leaf(a) for a in nets.unflatten(flat, metas)]
-    dH_dq, dH_dp = hnet.grads_nodes(tape, nets.arrays_to_pairs(leaves[:n_t]),
+    dH_dq, dH_dp = hnet.grads_nodes(nets.arrays_to_pairs(leaves[:n_t]),
                                     nets.arrays_to_pairs(leaves[n_t:]), q, p)
     r1 = dH_dp - tape.constant(qd)
     r2 = dH_dq + tape.constant(pd)
@@ -386,7 +386,7 @@ def test_numpy_grads_equal_tape_grads_bitwise(conservative_traj):
     tape = nk.Tape()
     t_pairs = [(tape.constant(W), tape.constant(b)) for W, b in hnet.t_params]
     v_pairs = [(tape.constant(W), tape.constant(b)) for W, b in hnet.v_params]
-    dq_node, dp_node = hnet.grads_nodes(tape, t_pairs, v_pairs, q, p)
+    dq_node, dp_node = hnet.grads_nodes(t_pairs, v_pairs, q, p)
     dq, dp = hnet.grads(q, p)
     assert np.array_equal(dq, dq_node.value)
     assert np.array_equal(dp, dp_node.value)
@@ -423,6 +423,25 @@ def test_hnn_energy_drift_under_symplectic_euler(trained_hnn):
     _, _, H = node.integrate_hamiltonian(hnet, q[0], p[0], 5e-3, 1000)
     drift = np.max(np.abs(H - H[0])) / abs(H[0])
     assert drift < 0.01
+
+
+def test_symplectic_step_reads_one_partial_per_half_step(conservative_traj,
+                                                        monkeypatch):
+    params, traj = conservative_traj
+    small = nets.MlpSpec(widths=(1, 8, 1))
+    hnet = node.HamiltonianNet.for_data(
+        *node.conservative_batch(traj, params.m), seed=5, t_spec=small,
+        v_spec=small)
+    q, p, h = 0.3, -0.8, 0.01
+    dH_dq, _ = hnet.grads(q, p)
+    _, dH_dp = hnet.grads(q, p - h * dH_dq)
+    passes = []
+    tangent = nets.mlp_predict_tangent
+    monkeypatch.setattr(nets, "mlp_predict_tangent",
+                        lambda *args: passes.append(1) or tangent(*args))
+    q1, p1 = node.symplectic_step(hnet, q, p, h)
+    assert len(passes) == 2
+    assert p1 == p - h * dH_dq and q1 == q + h * dH_dp
 
 
 def test_symplectic_map_preserves_canonical_form():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from duffbench import nets, pgnn
 from duffbench import numkit as nk
 from duffbench.duffing import ForcingSpec, OscillatorParams, simulate
@@ -61,7 +62,7 @@ def test_numpy_correction_equals_tape_correction_bitwise():
                                               np.array([0.3])))
     tape = nk.Tape()
     pairs = [(tape.constant(W), tape.constant(b)) for W, b in res.params]
-    du, dv = res.correction_nodes(tape, pairs, t)
+    du, dv = res.correction_nodes(pairs, t)
     assert np.array_equal(res.correction(t),
                           np.column_stack([du.value, dv.value]))
 
@@ -70,7 +71,7 @@ def test_prior_immutable_through_training():
     traj = simulate(TRUTH, FORCING, n=256)
     prior = pgnn.PriorModel.from_known_physics(TRUTH, FORCING)
     before = (prior.params.m, prior.params.c, prior.params.k, prior.params.k3)
-    pgnn.guided_train(prior, traj.t, traj.u, traj.t, train=FAST)
+    pgnn.guided_train(prior, traj.t, slice(None), traj.u, train=FAST)
     assert (prior.params.m, prior.params.c,
             prior.params.k, prior.params.k3) == before
 
@@ -105,5 +106,41 @@ def test_combined_improves_both_components():
 def test_needs_observations():
     prior = pgnn.PriorModel.from_known_physics(TRUTH, FORCING)
     with pytest.raises(ValueError):
-        pgnn.guided_train(prior, np.empty(0), np.empty(0),
-                          np.linspace(0, 10, 64))
+        pgnn.guided_train(prior, np.linspace(0, 10, 64), slice(0, 0),
+                          np.empty(0))
+
+
+def captured_loss(monkeypatch, traj, stride):
+    """run_guided with training replaced by a capture of its initial
+    arrays and loss builder; the result holds the untrained residual."""
+    captured = {}
+
+    def capture(arrays0, build, config):
+        captured.update(arrays=arrays0, build=build)
+        return arrays0, []
+
+    monkeypatch.setattr(nets, "fit_arrays", capture)
+    res = pgnn.run_guided(traj, FORCING, TRUTH, stride=stride)
+    return res, captured["arrays"], captured["build"]
+
+
+def test_loss_applies_the_network_once(monkeypatch, passes):
+    traj = simulate(TRUTH, FORCING, n=256)
+    _, arrays, build = captured_loss(monkeypatch, traj, 4)
+    tape = nk.Tape()
+    build(tape, [tape.leaf(a) for a in arrays])
+    assert passes == {"tangent": 1, "mlp": 0}
+
+
+@pytest.mark.parametrize("stride", [1, 4])
+def test_one_pass_loss_matches_the_two_pass_oracle(monkeypatch, stride):
+    traj = simulate(TRUTH, FORCING)
+    res, arrays, build = captured_loss(monkeypatch, traj, stride)
+
+    def oracle(tape, leaves):
+        return oracles.pgnn_loss_two_pass(
+            res.residual, res.prior_traj, traj.t, traj.t[::stride],
+            traj.u[::stride], pgnn.RESIDUAL_PENALTY, tape, leaves)
+
+    oracles.assert_loss_matches(build, oracle, arrays)
+

@@ -3,9 +3,15 @@
 import numpy as np
 import pytest
 
+import oracles
 from duffbench import nets, pinn
 from duffbench import numkit as nk
-from duffbench.duffing import ForcingSpec, OscillatorParams, simulate
+from duffbench.duffing import (
+    ForcingSpec,
+    OscillatorParams,
+    simulate,
+    subsample,
+)
 
 TRUTH = OscillatorParams()
 
@@ -27,10 +33,9 @@ def make_problem(traj, weights=None, trainable=(), bc=None, net=None,
     )
     idx = np.linspace(0, len(traj) - 1, n_obs).astype(int)
     z_obs = np.column_stack([traj.u[idx], traj.v[idx]])
-    t_obs = traj.t[idx] if config.weights.observation > 0 else None
     z = z_obs if config.weights.observation > 0 else None
     return pinn.PinnProblem(config, t_col=traj.t, f_col=traj.f,
-                            t_obs=t_obs, z_obs=z, norm=None
+                            z_obs=z, obs_rows=idx, norm=None
                             if config.weights.observation > 0
                             else nets.Normalization.from_data(traj.t, None))
 
@@ -65,7 +70,8 @@ def test_zero_network_unforced_physics_loss_is_zero(traj):
     tape = nk.Tape()
     leaves = [tape.leaf(a) for a in zero_pairs_arrays]
     pairs, phi = prob._split(leaves)
-    loss = prob.physics_term(tape, pairs, prob._phys_values(phi))
+    loss = prob.physics_term(*prob.network_pass(tape, pairs),
+                             prob._phys_values(phi))
     assert loss.value == 0.0
 
 
@@ -76,7 +82,8 @@ def test_physics_loss_matches_direct_recomputation(traj):
     tape = nk.Tape()
     leaves = [tape.leaf(a) for a in arrays]
     pairs, phi = prob._split(leaves)
-    loss = prob.physics_term(tape, pairs, prob._phys_values(phi))
+    loss = prob.physics_term(*prob.network_pass(tape, pairs),
+                             prob._phys_values(phi))
 
     # independent recomputation from the frozen network values
     norm = prob.norm
@@ -133,7 +140,7 @@ def test_bc_loss_values(traj):
     tape = nk.Tape()
     leaves = [tape.leaf(a) for a in arrays]
     pairs, _ = prob._split(leaves)
-    loss = prob.boundary_term(tape, pairs)
+    loss = prob.boundary_term(prob.network_pass(tape, pairs)[0])
     z0 = prob.predict(arrays, traj.t[:1])[0]
     assert loss.value == pytest.approx(np.sum(z0 ** 2), rel=1e-10)
 
@@ -151,7 +158,7 @@ def test_bc_loss_squared_norm_arithmetic(traj):
     tape = nk.Tape()
     leaves = [tape.leaf(a) for a in arrays]
     pairs, _ = prob._split(leaves)
-    loss = prob.boundary_term(tape, pairs)
+    loss = prob.boundary_term(prob.network_pass(tape, pairs)[0])
     assert loss.value == pytest.approx(4.0, abs=1e-12)
 
 
@@ -166,7 +173,7 @@ def test_total_loss_mode_algebra(traj):
     leaves = [tape.leaf(a) for a in arrays]
     total = full.total_loss(tape, leaves)
     pairs, _ = full._split(leaves)
-    obs_only = full.observation_term(tape, pairs)
+    obs_only = full.observation_term(full.network_pass(tape, pairs)[0])
     assert total.value == obs_only.value  # bitwise
 
 
@@ -206,7 +213,6 @@ def test_known_parameters_frozen_by_training(traj):
     )
     idx = np.arange(0, len(traj), 64)
     prob = pinn.PinnProblem(config, t_col=traj.t[idx], f_col=traj.f[idx],
-                            t_obs=traj.t[idx],
                             z_obs=np.column_stack([traj.u[idx], traj.v[idx]]))
     before = prob.physical_estimates(prob.init_arrays(nk.RngStream(0)))
     arrays, _ = prob.fit()
@@ -237,3 +243,61 @@ def test_forward_model_starts_from_the_record_state(monkeypatch):
         train=nets.TrainConfig(adam_iters=1, lbfgs_iters=0), windows=2)
     assert boundaries[0] == (0.5, -0.25)
     assert len(boundaries) == 2 and res.pred.shape == (64, 2)
+
+
+@pytest.mark.parametrize("weights, expected", [
+    ((1.0, 1.0, 0.0), {"tangent": 1, "mlp": 0}),
+    ((1.0, 1.0, 1.0), {"tangent": 1, "mlp": 0}),
+    ((0.0, 1.0, 20.0), {"tangent": 1, "mlp": 0}),
+    ((1.0, 0.0, 0.0), {"tangent": 0, "mlp": 1}),
+    ((1.0, 0.0, 1.0), {"tangent": 0, "mlp": 1}),
+])
+def test_total_loss_applies_the_network_once(traj, passes, weights,
+                                             expected):
+    prob = make_problem(traj, weights=pinn.LossWeights(*weights),
+                        bc=(traj.u[0], traj.v[0]))
+    tape = nk.Tape()
+    prob.total_loss(tape, [tape.leaf(a) for a in
+                           prob.init_arrays(nk.RngStream(4))])
+    assert passes == expected
+
+
+def working_problem(traj, shape):
+    """A PINN problem shaped like one of the working-example runners."""
+    if shape == "discovery":
+        obs = subsample(traj, sobol_n=256)
+        config = pinn.PinnConfig(weights=pinn.LossWeights(1.0, 1.0, 0.0),
+                                 trainable=("c", "k", "k3"))
+        return pinn.PinnProblem(config, obs.t, obs.f,
+                                z_obs=np.column_stack([obs.u, obs.v]))
+    if shape == "enhanced":
+        obs = subsample(traj, stride=16)
+        z_obs = np.column_stack([obs.u, obs.v])
+        config = pinn.PinnConfig(bc=(traj.u[0], traj.v[0]))
+        return pinn.PinnProblem(config, traj.t, traj.f, z_obs=z_obs,
+                                obs_rows=slice(0, None, 16),
+                                norm=nets.Normalization.from_data(traj.t,
+                                                                  z_obs))
+    # the first forward window: 1024 samples in 12 windows, margin 6
+    t, f = traj.t[:91], traj.f[:91]
+    omega0 = 1.3 * max(ForcingSpec().frequencies) * 0.5 * (t[-1] - t[0])
+    net = nets.MlpSpec(widths=pinn.WORKING_NET.widths, activation="sin",
+                       omega0=omega0)
+    config = pinn.PinnConfig(
+        weights=pinn.LossWeights(0.0, 1.0, pinn.FORWARD_BC_WEIGHT),
+        net=net, bc=(traj.u[0], traj.v[0]))
+    return pinn.PinnProblem(config, t, f,
+                            norm=nets.Normalization.from_data(t, None))
+
+
+@pytest.mark.parametrize("shape", ["discovery", "enhanced", "forward"])
+def test_one_pass_loss_matches_the_per_term_oracle(traj, shape):
+    prob = working_problem(traj, shape)
+    arrays = prob.init_arrays(nk.RngStream(1234).substream("pinn-init"))
+    arrays[-1] = arrays[-1] + 0.1  # trainable parameters off their guess
+    # the oracle's boundary pass is a one-row product, which BLAS takes
+    # through gemv: its sums round differently from row 0 of a gemm
+    oracles.assert_loss_matches(
+        prob.total_loss,
+        lambda tape, leaves: oracles.pinn_loss_per_term(prob, tape, leaves),
+        arrays, exact=prob.config.weights.boundary == 0)
