@@ -489,6 +489,9 @@ def run_experiment(cfg: Config, seed_override=None, out_override=None):
     if ends and widths[:1] + widths[-1:] != (ends[0], ends[-1]):
         raise ConfigError(f"[{method}] widths must run from {ends[0]} to "
                           f"{ends[-1]}")
+    if opts.get("stride", 1) < 1:
+        raise ConfigError(f"[{method}] stride must be >= 1, got "
+                          f"{opts['stride']}")
     seed = seed_override if seed_override is not None else exp["seed"]
     check_seed("--seed" if seed_override is not None else "[experiment] seed",
                seed)

@@ -15,9 +15,6 @@ import numpy as np
 from .duffing import Trajectory
 from .errors import ConfigError
 
-DEFAULT_FEATURES = ("1", "u", "v", "u^2", "u*v", "v^2", "u^3", "u^2*v",
-                    "u*v^2", "v^3", "f")
-
 _FEATURE_FUNCS = {
     "1": lambda u, v, f: np.ones_like(u),
     "u": lambda u, v, f: u,
@@ -31,11 +28,12 @@ _FEATURE_FUNCS = {
     "v^3": lambda u, v, f: v ** 3,
     "f": lambda u, v, f: f,
 }
+DEFAULT_FEATURES = tuple(_FEATURE_FUNCS)
 
 
 class FeatureError(ConfigError):
-    """The requested library cannot be built: a feature is unknown,
-    repeated, or non-finite on the given record."""
+    """The library cannot be built: a feature is non-finite on the
+    given record."""
 
 
 @dataclass
@@ -53,7 +51,6 @@ class SparseCoefficients:
     names: tuple
     values: np.ndarray
     support: np.ndarray  # boolean mask
-    empty: bool = False  # thresholding removed every feature
 
     def active(self):
         return {n: float(x) for n, x, s in
@@ -81,24 +78,19 @@ class SparseCoefficients:
                 fh.write(f"{name},{value:.17g}\n")
 
 
-def build_library(traj: Trajectory, features=DEFAULT_FEATURES) -> CandidateLibrary:
-    """Evaluate each named feature of (u, v, f) row-per-sample."""
+def build_library(traj: Trajectory) -> CandidateLibrary:
+    """Evaluate each default feature of (u, v, f) row-per-sample."""
     if len(traj) == 0:
         raise ValueError("empty trajectory")
-    names = tuple(features)
-    if len(set(names)) != len(names):
-        raise FeatureError("feature names must be unique")
     cols = []
-    for name in names:
-        if name not in _FEATURE_FUNCS:
-            raise FeatureError(f"unknown feature '{name}'")
-        col = _FEATURE_FUNCS[name](traj.u, traj.v, traj.f)
+    for name, func in _FEATURE_FUNCS.items():
+        col = func(traj.u, traj.v, traj.f)
         bad = ~np.isfinite(col)
         if np.any(bad):
             row = int(np.argmax(bad))
             raise FeatureError(f"feature '{name}' non-finite at row {row}")
         cols.append(col)
-    return CandidateLibrary(names, np.column_stack(cols))
+    return CandidateLibrary(DEFAULT_FEATURES, np.column_stack(cols))
 
 
 def stlsq(lib: CandidateLibrary, y, threshold: float,
@@ -132,7 +124,7 @@ def stlsq(lib: CandidateLibrary, y, threshold: float,
         keep &= active
         if not np.any(keep):
             return SparseCoefficients(lib.names, np.zeros(lib.n_features),
-                                      keep, empty=True)
+                                      keep)
         if np.array_equal(keep, active):
             break
         active = keep

@@ -144,12 +144,11 @@ def simulate(params: OscillatorParams = None, forcing: ForcingSpec = None,
     sample (equivalent sample rate `rate`, internal step
     1/(rate·substeps)), keeping discretization error and energy drift
     far below every downstream tolerance. Forcing is evaluated
-    analytically at the RK4 sub-stage times, one vectorised
-    `multisine_force` call per block of samples. The returned
-    acceleration `a` is reconstructed from the equation of motion by
-    `acceleration`, the stage loop's own expression, so every `a[i]`
-    equals the loop's `(f - c*v - k*u - k3*u*u*u)/m` at sample i bit
-    for bit.
+    analytically at the RK4 sub-stage times, one `stage_forces` call
+    per block of samples. The returned acceleration `a` is
+    reconstructed from the equation of motion by `acceleration`, the
+    stage loop's own expression, so every `a[i]` equals the loop's
+    `(f - c*v - k*u - k3*u*u*u)/m` at sample i bit for bit.
     """
     if params is None:
         params = OscillatorParams()
@@ -175,29 +174,25 @@ def simulate(params: OscillatorParams = None, forcing: ForcingSpec = None,
         # the scalar loop's time arithmetic, t = i/rate + j*h, elementwise
         t = (np.arange(start, min(start + block, n - 1)) / rate)[:, None] \
             + np.arange(substeps) * h
-        forces = multisine_force(
-            forcing, np.stack([t, t + half, t + h], axis=-1)).tolist()
-        for i, sample in enumerate(forces, start):
-            try:
-                for f1, f2, f4 in sample:
-                    k1u = vk
-                    k1v = (f1 - c * vk - k * uk - k3 * uk * uk * uk) / m
-                    u2 = uk + half * k1u
-                    v2 = vk + half * k1v
-                    k2u = v2
-                    k2v = (f2 - c * v2 - k * u2 - k3 * u2 * u2 * u2) / m
-                    u3 = uk + half * k2u
-                    v3 = vk + half * k2v
-                    k3u = v3
-                    k3v = (f2 - c * v3 - k * u3 - k3 * u3 * u3 * u3) / m
-                    u4 = uk + h * k3u
-                    v4 = vk + h * k3v
-                    k4u = v4
-                    k4v = (f4 - c * v4 - k * u4 - k3 * u4 * u4 * u4) / m
-                    uk = uk + sixth * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-                    vk = vk + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-            except OverflowError:
-                raise DivergenceError(i + 1) from None
+        stages = [f.tolist() for f in stage_forces(forcing, t, h)]
+        for i, sample in enumerate(zip(*stages), start):
+            for f1, f2, f4 in zip(*sample):
+                k1u = vk
+                k1v = (f1 - c * vk - k * uk - k3 * uk * uk * uk) / m
+                u2 = uk + half * k1u
+                v2 = vk + half * k1v
+                k2u = v2
+                k2v = (f2 - c * v2 - k * u2 - k3 * u2 * u2 * u2) / m
+                u3 = uk + half * k2u
+                v3 = vk + half * k2v
+                k3u = v3
+                k3v = (f2 - c * v3 - k * u3 - k3 * u3 * u3 * u3) / m
+                u4 = uk + h * k3u
+                v4 = vk + h * k3v
+                k4u = v4
+                k4v = (f4 - c * v4 - k * u4 - k3 * u4 * u4 * u4) / m
+                uk = uk + sixth * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+                vk = vk + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
             if not (math.isfinite(uk) and math.isfinite(vk)):
                 raise DivergenceError(i + 1)
             u[i + 1], v[i + 1] = uk, vk

@@ -7,6 +7,9 @@ noisy acceleration, h(z, θ, f) = (f − c·v − k·u − k3·u³)/m, with m
 known. Sigma points use the scaled unscented transform on the state
 augmented with a scalar velocity process noise and a scalar
 measurement noise, 2·(n_x + 2) + 1 points in total.
+
+Both filters run through one loop over the record (`_run`): a filter
+is its belief type, which reports raw-unit moments, and its step.
 """
 
 from __future__ import annotations
@@ -73,7 +76,6 @@ class AugmentedState:
     """Layout of the filter state: (u, v) then estimated parameters."""
 
     theta_names: tuple = PARAM_NAMES
-    known: dict = field(default_factory=dict)
 
     def __post_init__(self):
         bad = [n for n in self.theta_names if n not in PARAM_NAMES]
@@ -87,7 +89,6 @@ class AugmentedState:
     def params_from(self, x, base: OscillatorParams):
         """Oscillator parameters at an augmented-state vector."""
         values = {"m": base.m, "c": base.c, "k": base.k, "k3": base.k3}
-        values.update(self.known)
         for i, name in enumerate(self.theta_names):
             values[name] = np.exp(x[..., 2 + i])
         return values
@@ -101,6 +102,16 @@ class GaussianBelief:
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float)
         self.cov = linalg.symmetrize(np.asarray(self.cov, dtype=float))
+
+    def raw_moments(self):
+        """Raw-unit mean/std; log-parameters mapped by exp with
+        delta-method std."""
+        mean = self.mean.copy()
+        std = np.sqrt(np.maximum(np.diag(self.cov), 0.0))
+        for i in range(2, len(mean)):
+            mean[i] = np.exp(self.mean[i])
+            std[i] = mean[i] * std[i]
+        return mean, std
 
 
 @dataclass
@@ -123,10 +134,14 @@ class ParticleEnsemble:
     def mean(self):
         return self.weights @ self.particles
 
-    def std(self):
-        mu = self.mean()
-        var = self.weights @ (self.particles - mu) ** 2
-        return np.sqrt(np.maximum(var, 0.0))
+    def raw_moments(self):
+        """Weighted raw-unit mean/std; log-parameters mapped by exp per
+        particle."""
+        raw = self.particles.copy()
+        raw[:, 2:] = np.exp(raw[:, 2:])
+        mu = self.weights @ raw
+        var = self.weights @ (raw - mu) ** 2
+        return mu, np.sqrt(np.maximum(var, 0.0))
 
 
 def measurement(x, layout: AugmentedState, base: OscillatorParams, f):
@@ -155,7 +170,7 @@ def _sigma_points(mean_a, cov_a):
     n = len(mean_a)
     lam = UKF_ALPHA ** 2 * (n + UKF_KAPPA) - n
     try:
-        L = linalg.cholesky_jittered((n + lam) * cov_a).L
+        L = linalg.cholesky_jittered((n + lam) * cov_a)
     except linalg.FactorizationError as err:
         raise FilterDivergenceError(str(err)) from None
     pts = np.empty((2 * n + 1, n))
@@ -271,14 +286,20 @@ class FilterResult:
                 fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
 
 
-def _raw_moments_from_gaussian(belief: GaussianBelief, layout: AugmentedState):
-    """Raw-unit mean/std; log-parameters mapped by exp with delta-method std."""
-    mean = belief.mean.copy()
-    std = np.sqrt(np.maximum(np.diag(belief.cov), 0.0))
-    for i in range(2, len(mean)):
-        mean[i] = np.exp(belief.mean[i])
-        std[i] = mean[i] * std[i]
-    return mean, std
+def _run(traj: Trajectory, forcing: ForcingSpec, y_meas,
+         layout: AugmentedState, state, step) -> FilterResult:
+    """Filter `state` along the record, one
+    `step(state, f_stages, f_next, y_next, h)` per sample after the
+    first, keeping the raw moments of the state at every sample."""
+    h = 1.0 / traj.rate
+    means = np.empty((len(traj), layout.dim))
+    stds = np.empty((len(traj), layout.dim))
+    means[0], stds[0] = state.raw_moments()
+    stages = stage_forces(forcing, traj.t[:-1], h)
+    for k, f_stages in enumerate(zip(*stages), start=1):
+        state = step(state, f_stages, float(traj.f[k]), float(y_meas[k]), h)
+        means[k], stds[k] = state.raw_moments()
+    return FilterResult(traj.t.copy(), means, stds, layout)
 
 
 def run_ukf(traj: Trajectory, forcing: ForcingSpec, y_meas,
@@ -286,56 +307,28 @@ def run_ukf(traj: Trajectory, forcing: ForcingSpec, y_meas,
             base: OscillatorParams, noise: NoiseConfig) -> FilterResult:
     """Sequential UKF over a trajectory of noisy acceleration measurements."""
     noise.validate()
-    n = len(traj)
-    if n == 0:
-        return FilterResult(np.empty(0), np.empty((0, layout.dim)),
-                            np.empty((0, layout.dim)), layout)
-    h = 1.0 / traj.rate
-    belief = init
-    means = np.empty((n, layout.dim))
-    stds = np.empty((n, layout.dim))
-    means[0], stds[0] = _raw_moments_from_gaussian(belief, layout)
-    stages = stage_forces(forcing, traj.t[:-1], h)
-    for k, f_stages in enumerate(zip(*stages), start=1):
-        belief = ukf_step(belief, layout, base, f_stages,
-                          float(traj.f[k]), float(y_meas[k]), h, noise)
-        means[k], stds[k] = _raw_moments_from_gaussian(belief, layout)
-    return FilterResult(traj.t.copy(), means, stds, layout,
-                        {"final_cov": belief.cov})
+    return _run(traj, forcing, y_meas, layout, init,
+                lambda belief, *inputs: ukf_step(belief, layout, base,
+                                                 *inputs, noise))
 
 
 def run_pf(traj: Trajectory, forcing: ForcingSpec, y_meas,
            layout: AugmentedState, init: ParticleEnsemble,
            base: OscillatorParams, noise: NoiseConfig,
            stream: nk.RngStream) -> FilterResult:
-    """Sequential bootstrap PF over noisy acceleration measurements."""
+    """Sequential bootstrap PF over noisy acceleration measurements; the
+    effective sample size at every sample is `diagnostics["ess"]`."""
     noise.validate()
-    n = len(traj)
-    if n == 0:
-        return FilterResult(np.empty(0), np.empty((0, layout.dim)),
-                            np.empty((0, layout.dim)), layout)
-    h = 1.0 / traj.rate
-    ensemble = init
-    means = np.empty((n, layout.dim))
-    stds = np.empty((n, layout.dim))
+    ess = [init.ess]
 
-    def raw_moments(e):
-        raw = e.particles.copy()
-        raw[:, 2:] = np.exp(raw[:, 2:])
-        mu = e.weights @ raw
-        var = e.weights @ (raw - mu) ** 2
-        return mu, np.sqrt(np.maximum(var, 0.0))
+    def step(ensemble, *inputs):
+        ensemble = pf_step(ensemble, layout, base, *inputs, noise, stream)
+        ess.append(ensemble.ess)
+        return ensemble
 
-    means[0], stds[0] = raw_moments(ensemble)
-    ess = np.empty(n)
-    ess[0] = ensemble.ess
-    stages = stage_forces(forcing, traj.t[:-1], h)
-    for k, f_stages in enumerate(zip(*stages), start=1):
-        ensemble = pf_step(ensemble, layout, base, f_stages,
-                           float(traj.f[k]), float(y_meas[k]), h, noise, stream)
-        means[k], stds[k] = raw_moments(ensemble)
-        ess[k] = ensemble.ess
-    return FilterResult(traj.t.copy(), means, stds, layout, {"ess": ess})
+    result = _run(traj, forcing, y_meas, layout, init, step)
+    result.diagnostics["ess"] = np.array(ess)
+    return result
 
 
 def default_ukf_init(layout: AugmentedState, z0,

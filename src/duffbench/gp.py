@@ -124,21 +124,22 @@ class GpModel:
         self.spec = spec
         K = kernel_matrix(spec, self.inputs)
         K[np.diag_indices_from(K)] += spec.noise_var
-        self.factor = linalg.cholesky_jittered(K)
-        self.alpha = self.factor.solve(self.targets)
+        self.L = linalg.cholesky_jittered(K)
+        w = linalg.solve_lower(self.L, self.targets)
+        self.alpha = linalg.solve_upper(self.L.T, w)
 
     @property
     def log_marginal_likelihood(self):
         n = len(self.targets)
         return float(-0.5 * self.targets @ self.alpha
-                     - 0.5 * self.factor.log_det
+                     - 0.5 * linalg.log_det(self.L)
                      - 0.5 * n * math.log(2.0 * math.pi))
 
     def predict(self, query) -> PredictiveDist:
         query = np.asarray(query, dtype=float)
         k_star = kernel_matrix(self.spec, self.inputs, query)  # (n, q)
         mean = k_star.T @ self.alpha
-        white = self.factor.half_solve(k_star)  # L⁻¹ k*
+        white = linalg.solve_lower(self.L, k_star)  # L⁻¹ k*
         prior_var = kernel_eval(self.spec, query, query)
         var = prior_var - np.sum(white ** 2, axis=0)
         return PredictiveDist(mean, np.sqrt(np.maximum(var, 0.0)))
@@ -164,20 +165,20 @@ def _lml_and_grad(kind, theta, y, base, noise_var):
     else:
         Kf = np.exp(2.0 * theta[0]) * base
     eye = np.eye(n)
-    factor = linalg.cholesky_jittered(Kf + noise_var * eye)
-    Linv = factor.half_solve(eye)
+    L = linalg.cholesky_jittered(Kf + noise_var * eye)
+    Linv = linalg.solve_lower(L, eye)
     w = Linv @ y
     alpha = Linv.T @ w
-    lml = -0.5 * (w @ w) - 0.5 * factor.log_det \
+    lml = -0.5 * (w @ w) - 0.5 * linalg.log_det(L) \
         - 0.5 * n * math.log(2.0 * math.pi)
     WK = (np.outer(alpha, alpha) - Linv.T @ Linv) * Kf
     grad = [0.5 * np.sum(WK * base) / l2] if kind == "se" else []
     return float(lml), np.array(grad + [np.sum(WK)])
 
 
-def fit(inputs, targets, spec: KernelSpec, optimize=True, seed=7,
-        restarts=8, steps=200, lr=0.05) -> GpModel:
-    """Condition on data; optionally optimize shape hyperparameters.
+def fit(inputs, targets, spec: KernelSpec, seed=7, restarts=8, steps=200,
+        lr=0.05) -> GpModel:
+    """Optimize the shape hyperparameters, then condition on data.
 
     Optimization is multi-start Adam ascent of the log marginal
     likelihood in log-space (8 restarts of 200 steps), over (l, α) for
@@ -189,8 +190,6 @@ def fit(inputs, targets, spec: KernelSpec, optimize=True, seed=7,
     """
     inputs = np.asarray(inputs, dtype=float)
     targets = np.asarray(targets, dtype=float)
-    if not optimize:
-        return GpModel(inputs, targets, spec)
     if len(inputs) < 2:
         raise ConfigError("need at least two training points")
     if restarts < 1:

@@ -26,10 +26,10 @@ from .tape import (
     take,
 )
 from .linalg import (
-    CholeskyFactor,
     FactorizationError,
     cholesky,
     cholesky_jittered,
+    log_det,
     solve_lower,
     solve_upper,
     symmetrize,
@@ -41,7 +41,7 @@ __all__ = [
     "Tape", "Node", "TapeError", "NumericError", "grad", "backward",
     "add", "sub", "mul", "div", "neg", "powc", "tanh", "sin", "sincos",
     "softplus", "matmul", "mlp", "mlp_forward", "mlp_vjp", "vsum", "take",
-    "CholeskyFactor", "FactorizationError", "cholesky",
-    "cholesky_jittered", "solve_lower", "solve_upper", "symmetrize",
+    "FactorizationError", "cholesky", "cholesky_jittered", "log_det",
+    "solve_lower", "solve_upper", "symmetrize",
     "RngStream", "sobol_sequence", "sobol_indices",
 ]

@@ -1,9 +1,11 @@
 """Dense SPD linear algebra: Cholesky factorization, solves, log-dets.
 
-Matrices are plain float64 numpy arrays in row-major layout. A
-successful factorization is the package's certificate that a matrix is
-symmetric positive definite; `FactorizationError` is raised otherwise
-so callers can decide whether to add jitter.
+Matrices are plain float64 numpy arrays in row-major layout. `cholesky`
+returns the lower-triangular factor L with A = L Lᵀ as a bare array;
+`solve_lower`, `solve_upper` and `log_det` work on it. A successful
+factorization is the package's certificate that a matrix is symmetric
+positive definite; `FactorizationError` is raised otherwise so callers
+can decide whether to add jitter.
 """
 
 from __future__ import annotations
@@ -17,28 +19,8 @@ class FactorizationError(NumericFailure):
     """Cholesky hit a non-positive pivot: matrix not positive definite."""
 
 
-class CholeskyFactor:
-    """Lower-triangular factor L with A = L Lᵀ."""
-
-    def __init__(self, L):
-        self.L = L
-
-    @property
-    def log_det(self):
-        """log|A| from the factor diagonal."""
-        return 2.0 * float(np.sum(np.log(np.diag(self.L))))
-
-    def solve(self, b):
-        """x with A x = b; b may be a vector or a matrix of columns."""
-        y = solve_lower(self.L, b)
-        return solve_upper(self.L.T, y)
-
-    def half_solve(self, b):
-        """L⁻¹ b, the whitening transform."""
-        return solve_lower(self.L, b)
-
-
 def cholesky(A):
+    """Lower-triangular L with A = L Lᵀ."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise FactorizationError("matrix must be square")
@@ -52,10 +34,9 @@ def cholesky(A):
         if not close.all():
             raise FactorizationError("matrix must be symmetric")
     try:
-        L = np.linalg.cholesky(A)
+        return np.linalg.cholesky(A)
     except np.linalg.LinAlgError as err:
         raise FactorizationError(str(err)) from None
-    return CholeskyFactor(L)
 
 
 def cholesky_jittered(A, max_tries=8):
@@ -87,6 +68,7 @@ def solve_lower(L, b):
         x[i] = x[i] / L[i, i]
     return x
 
+
 def solve_upper(U, b):
     """Back substitution for upper-triangular U."""
     b = np.asarray(b, dtype=float)
@@ -97,6 +79,11 @@ def solve_upper(U, b):
             x[i] = x[i] - U[i, i + 1:] @ x[i + 1:]
         x[i] = x[i] / U[i, i]
     return x
+
+
+def log_det(L):
+    """log|A| from the diagonal of A's Cholesky factor L."""
+    return 2.0 * float(np.sum(np.log(np.diag(L))))
 
 
 def symmetrize(A):

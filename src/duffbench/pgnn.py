@@ -20,7 +20,6 @@ import numpy as np
 from . import numkit as nk
 from . import nets
 from .duffing import ForcingSpec, OscillatorParams, Trajectory, simulate
-from .errors import ConfigError
 
 RESIDUAL_NET = nets.MlpSpec(widths=(1, 32, 32, 32, 1), activation="sin",
                             omega0=60.0)
@@ -87,15 +86,16 @@ class GuidedResult:
     history: list
 
 
-def guided_train(prior: PriorModel, t_col, rows, u_obs, seed=1234,
+def guided_train(prior: PriorModel, t_col, rows, u_obs, z0, seed=1234,
                  spec: nets.MlpSpec = RESIDUAL_NET,
                  train: nets.TrainConfig = None,
                  penalty=RESIDUAL_PENALTY) -> GuidedResult:
     """Fit the discrepancy between prior and displacement observations.
 
     `u_obs` holds the displacements at the rows `rows` (index or slice)
-    of the collocation grid `t_col`. Minimizes their mean squared
-    mismatch plus `penalty` times the mean squared correction amplitude.
+    of the collocation grid `t_col`; the prior starts at the record's
+    initial state `z0` = (u, v). Minimizes their mean squared mismatch
+    plus `penalty` times the mean squared correction amplitude.
     """
     u_obs = np.asarray(u_obs, dtype=float)
     if len(u_obs) == 0:
@@ -103,7 +103,7 @@ def guided_train(prior: PriorModel, t_col, rows, u_obs, seed=1234,
     t_col = np.asarray(t_col, dtype=float)
     n_col = len(t_col)
     rate = 1.0 / (t_col[1] - t_col[0])
-    prior_traj = prior_predict(prior, n=n_col, rate=rate)
+    prior_traj = prior_predict(prior, n=n_col, rate=rate, z0=z0)
 
     # scale of the correction: the prior's own displacement scale
     norm = nets.Normalization.from_data(
@@ -133,9 +133,7 @@ def run_guided(traj: Trajectory, forcing: ForcingSpec,
                truth: OscillatorParams, stride=1, seed=1234,
                train: nets.TrainConfig = None) -> GuidedResult:
     """Working-example run: linear prior vs every stride-th displacement."""
-    if stride < 1:
-        raise ConfigError(f"[pgnn] stride must be >= 1, got {stride}")
     prior = PriorModel.from_known_physics(truth, forcing)
     rows = slice(0, None, stride)
-    return guided_train(prior, traj.t, rows, traj.u[rows], seed=seed,
-                        train=train)
+    return guided_train(prior, traj.t, rows, traj.u[rows],
+                        (traj.u[0], traj.v[0]), seed=seed, train=train)

@@ -332,6 +332,16 @@ HOSTILE = {
                          "[pgnn]\nstride = 0\n", 2, "[pgnn] stride"),
     "negative-pgnn-stride": ("pgnn", "[simulator]\nn = 64\n\n"
                              "[pgnn]\nstride = -2\n", 2, "[pgnn] stride"),
+    "zero-enhanced-stride": ("pinn-enhanced", "[simulator]\nn = 64\n\n"
+                             "[pinn-enhanced]\nstride = 0\n", 2,
+                             "[pinn-enhanced] stride"),
+    "negative-baseline-stride": ("nn-baseline", "[simulator]\nn = 64\n\n"
+                                 "[nn-baseline]\nstride = -3\n", 2,
+                                 "[nn-baseline] stride"),
+    "zero-gp-se-stride": ("gp-se", "[simulator]\nn = 64\n\n"
+                          "[gp-se]\nstride = 0\n", 2, "[gp-se] stride"),
+    "zero-gp-sdof-stride": ("gp-sdof", "[simulator]\nn = 64\n\n"
+                            "[gp-sdof]\nstride = 0\n", 2, "[gp-sdof] stride"),
     "negative-adam-iters": ("pgnn", "[simulator]\nn = 64\n\n[pgnn]\n"
                             "adam_iters = -5\nlbfgs_iters = 6\n", 2,
                             "adam_iters"),

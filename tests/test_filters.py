@@ -200,16 +200,6 @@ def test_pf_default_run_converges(default_setup):
         assert lo <= est <= hi
 
 
-def test_empty_trajectory_gives_empty_result():
-    layout = flt.AugmentedState()
-    traj = simulate(n=2)
-    traj0 = traj.select(np.array([], dtype=int))
-    res = flt.run_ukf(traj0, ForcingSpec(), np.empty(0), layout,
-                      flt.default_ukf_init(layout, REST), TRUTH,
-                      flt.NoiseConfig())
-    assert len(res.t) == 0 and res.mean.shape == (0, 5)
-
-
 def test_weights_stay_normalized(default_setup):
     traj, forcing, y, noise = default_setup
     layout = flt.AugmentedState()

@@ -90,7 +90,7 @@ def test_lml_matches_dense_oracle(stride12_task):
     traj, obs, y, noise_std = stride12_task
     spec = gp.KernelSpec(kind="se", lengthscale=1.2, signal_scale=0.15,
                          noise_var=1e-4)
-    model = gp.fit(obs.t, y, spec, optimize=False)
+    model = gp.GpModel(obs.t, y, spec)
     K = gp.kernel_matrix(spec, obs.t) + spec.noise_var * np.eye(len(obs.t))
     ref = oracles.dense_lml(K, y)
     assert model.log_marginal_likelihood == pytest.approx(ref, rel=1e-8)
@@ -100,7 +100,7 @@ def test_zero_targets_zero_mean(stride12_task):
     traj, obs, _, _ = stride12_task
     spec = gp.KernelSpec(kind="se", lengthscale=2.0, signal_scale=0.2,
                          noise_var=1e-6)
-    model = gp.fit(obs.t, np.zeros(len(obs.t)), spec, optimize=False)
+    model = gp.GpModel(obs.t, np.zeros(len(obs.t)), spec)
     pred = model.predict(traj.t)
     assert np.max(np.abs(pred.mean)) < 1e-12
 
@@ -110,7 +110,7 @@ def test_interpolation_at_training_points():
     y = np.sin(t)
     spec = gp.KernelSpec(kind="se", lengthscale=2.0, signal_scale=1.0,
                          noise_var=0.0)
-    model = gp.fit(t, y, spec, optimize=False)
+    model = gp.GpModel(t, y, spec)
     pred = model.predict(t)
     assert np.max(np.abs(pred.mean - y)) < 1e-8
     assert np.max(pred.std) < 1e-4
@@ -121,7 +121,7 @@ def test_reversion_to_prior_far_from_data():
     y = np.sin(t)
     spec = gp.KernelSpec(kind="se", lengthscale=0.8, signal_scale=1.2,
                          noise_var=1e-8)
-    model = gp.fit(t, y, spec, optimize=False)
+    model = gp.GpModel(t, y, spec)
     pred = model.predict(np.array([500.0]))
     assert abs(pred.mean[0]) < 1e-10
     assert pred.std[0] == pytest.approx(1.2, rel=1e-6)

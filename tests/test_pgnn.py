@@ -71,17 +71,19 @@ def test_prior_immutable_through_training():
     traj = simulate(TRUTH, FORCING, n=256)
     prior = pgnn.PriorModel.from_known_physics(TRUTH, FORCING)
     before = (prior.params.m, prior.params.c, prior.params.k, prior.params.k3)
-    pgnn.guided_train(prior, traj.t, slice(None), traj.u, train=FAST)
+    pgnn.guided_train(prior, traj.t, slice(None), traj.u,
+                      (traj.u[0], traj.v[0]), train=FAST)
     assert (prior.params.m, prior.params.c,
             prior.params.k, prior.params.k3) == before
 
 
 def test_displacement_only_training_is_velocity_blind():
-    """Corrupting the velocity observations cannot change the result."""
+    """Corrupting the velocity observations cannot change the result;
+    only the initial velocity, v[0], reaches the prior."""
     traj = simulate(TRUTH, FORCING, n=256)
     res_a = pgnn.run_guided(traj, FORCING, TRUTH, train=FAST)
     hacked = simulate(TRUTH, FORCING, n=256)
-    hacked.v[:] = 999.0  # never read by the loss
+    hacked.v[1:] = 999.0  # never read by the loss
     res_b = pgnn.run_guided(hacked, FORCING, TRUTH, train=FAST)
     assert np.array_equal(res_a.combined, res_b.combined)
 
@@ -107,7 +109,21 @@ def test_needs_observations():
     prior = pgnn.PriorModel.from_known_physics(TRUTH, FORCING)
     with pytest.raises(ValueError):
         pgnn.guided_train(prior, np.linspace(0, 10, 64), slice(0, 0),
-                          np.empty(0))
+                          np.empty(0), (0.0, 0.0))
+
+
+def test_prior_starts_where_the_record_starts(monkeypatch):
+    z0 = (0.5, -0.25)
+    traj = simulate(TRUTH, FORCING, n=64, z0=z0)
+    monkeypatch.setattr(nets, "fit_arrays",
+                        lambda arrays0, build, config: (arrays0, []))
+    prior_traj = pgnn.run_guided(traj, FORCING, TRUTH).prior_traj
+    assert (prior_traj.u[0], prior_traj.v[0]) == z0
+    ref = pgnn.prior_predict(pgnn.PriorModel.from_known_physics(TRUTH,
+                                                                FORCING),
+                             n=64, z0=z0)
+    assert np.array_equal(prior_traj.u, ref.u)
+    assert np.array_equal(prior_traj.v, ref.v)
 
 
 def captured_loss(monkeypatch, traj, stride):
