@@ -10,8 +10,9 @@ linear oscillator driven by white noise,
 with ω_n = √(k/m), ζ = c/(2√(km)), ω_d = ω_n √(1−ζ²) fixed by the
 known mass/damping/stiffness, leaving (σ_f, σ_n) as hyperparameters.
 Hyperparameters are chosen by multi-start gradient ascent of the log
-marginal likelihood, with its gradient in closed form (one Cholesky
-factorization per evaluation, no autodiff tape).
+marginal likelihood, with its gradient in closed form and no autodiff
+tape (SE: one Cholesky per evaluation; sdof: one eigendecomposition per
+fit).
 """
 
 from __future__ import annotations
@@ -97,20 +98,11 @@ class PredictiveDist:
     mean: np.ndarray
     std: np.ndarray
 
-    def __post_init__(self):
-        self.std = np.maximum(self.std, 0.0)
-
-    @property
-    def lower2(self):
-        return self.mean - 2.0 * self.std
-
-    @property
-    def upper2(self):
-        return self.mean + 2.0 * self.std
-
     def covers(self, truth):
+        """Whether each truth value lies within mean ± 2·std."""
         truth = np.asarray(truth, dtype=float)
-        return (truth >= self.lower2) & (truth <= self.upper2)
+        return ((truth >= self.mean - 2.0 * self.std)
+                & (truth <= self.mean + 2.0 * self.std))
 
 
 class GpModel:
@@ -145,35 +137,45 @@ class GpModel:
         return PredictiveDist(mean, np.sqrt(np.maximum(var, 0.0)))
 
 
-def _theta_free_matrix(spec: KernelSpec, t):
-    """d² for SE, the unit-σ_f Gram matrix for sdof: built once per fit."""
+def _per_fit(spec: KernelSpec, t, y):
+    """(y, d²) for SE; (w = Qᵀy, λ) for sdof, from B = QΛQᵀ, the unit-σ_f
+    Gram matrix (K = σ_f²B + σ_n²I): what every LML evaluation shares."""
     if spec.kind == "se":
-        return (t[:, None] - t[None, :]) ** 2
-    return kernel_matrix(replace(spec, sigma_f=1.0), t)
+        return y, (t[:, None] - t[None, :]) ** 2
+    try:
+        lam, Q = np.linalg.eigh(kernel_matrix(replace(spec, sigma_f=1.0), t))
+    except np.linalg.LinAlgError as err:
+        raise linalg.FactorizationError(str(err)) from None
+    return Q.T @ y, lam
 
 
 def _lml_and_grad(kind, theta, y, base, noise_var):
     """LML and its gradient in θ = (log l, log α) for SE or (log σ_f,)
-    for sdof, from one Cholesky factor L and L⁻¹ (K⁻¹ = L⁻ᵀL⁻¹):
+    for sdof, from `_per_fit`'s (y, base).
+
+    sdof, in O(n): with dᵢ = σ_f²λᵢ + σ_n², LML = −½Σwᵢ²/dᵢ − ½Σlog dᵢ
+    − (n/2)·log 2π and ∂LML/∂log σ_f = Σ(wᵢ²/dᵢ − 1)·σ_f²λᵢ/dᵢ.
+    SE, from one Cholesky factor L and L⁻¹ (K⁻¹ = L⁻ᵀL⁻¹):
     ∂LML/∂θ = ½ tr((ααᵀ − K⁻¹) ∂K/∂θ) (Rasmussen & Williams 2006,
-    eq. 5.9), with ∂K/∂log α = ∂K/∂log σ_f = 2K_f, ∂K/∂log l = K_f ⊙ d²/l².
+    eq. 5.9), with ∂K/∂log α = 2K_f, ∂K/∂log l = K_f ⊙ d²/l².
     """
     n = len(y)
-    if kind == "se":
-        l2 = np.exp(2.0 * theta[0])
-        Kf = np.exp(2.0 * theta[1]) * np.exp(-base / (2.0 * l2))
-    else:
-        Kf = np.exp(2.0 * theta[0]) * base
-    eye = np.eye(n)
-    L = linalg.cholesky_jittered(Kf + noise_var * eye)
-    Linv = linalg.solve_lower(L, eye)
+    const = 0.5 * n * math.log(2.0 * math.pi)
+    if kind == "sdof":
+        s = np.exp(2.0 * theta[0]) * base
+        d = linalg.jittered_spectrum(s + noise_var)
+        r = y * y / d
+        lml = -0.5 * np.sum(r) - 0.5 * np.sum(np.log(d)) - const
+        return float(lml), np.array([np.sum((r - 1.0) * s / d)])
+    l2 = np.exp(2.0 * theta[0])
+    Kf = np.exp(2.0 * theta[1]) * np.exp(-base / (2.0 * l2))
+    L = linalg.cholesky_jittered(Kf + noise_var * np.eye(n))
+    Linv = np.linalg.inv(L)
     w = Linv @ y
     alpha = Linv.T @ w
-    lml = -0.5 * (w @ w) - 0.5 * linalg.log_det(L) \
-        - 0.5 * n * math.log(2.0 * math.pi)
+    lml = -0.5 * (w @ w) - 0.5 * linalg.log_det(L) - const
     WK = (np.outer(alpha, alpha) - Linv.T @ Linv) * Kf
-    grad = [0.5 * np.sum(WK * base) / l2] if kind == "se" else []
-    return float(lml), np.array(grad + [np.sum(WK)])
+    return float(lml), np.array([0.5 * np.sum(WK * base) / l2, np.sum(WK)])
 
 
 def fit(inputs, targets, spec: KernelSpec, seed=7, restarts=8, steps=200,
@@ -199,24 +201,19 @@ def fit(inputs, targets, spec: KernelSpec, seed=7, restarts=8, steps=200,
     stream = nk.RngStream(seed).substream(f"gp-{spec.kind}")
     span = float(inputs.max() - inputs.min())
     std_y = max(float(np.std(targets)), 1e-12)
-    base = _theta_free_matrix(spec, inputs)
+    y, base = _per_fit(spec, inputs, targets)
 
     def closure(theta):
-        lml, grad = _lml_and_grad(spec.kind, theta, targets, base,
-                                  spec.noise_var)
+        lml, grad = _lml_and_grad(spec.kind, theta, y, base, spec.noise_var)
         return -lml, -grad
 
     def random_start():
         if spec.kind == "se":
-            return np.array([
-                math.log(span) + stream.uniform(math.log(0.002),
-                                                math.log(0.3)),
-                math.log(std_y) + stream.uniform(-1.0, 1.0),
-            ])
+            log_l = stream.uniform(math.log(0.002), math.log(0.3))
+            log_a = stream.uniform(-1.0, 1.0)
+            return np.array([math.log(span) + log_l, math.log(std_y) + log_a])
         scale = 2.0 * spec.m * math.sqrt(spec.zeta * spec.omega_n ** 3)
-        return np.array([
-            math.log(std_y * scale) + stream.uniform(-1.5, 1.5),
-        ])
+        return np.array([math.log(std_y * scale) + stream.uniform(-1.5, 1.5)])
 
     best = None
     for _ in range(restarts):
@@ -230,10 +227,6 @@ def fit(inputs, targets, spec: KernelSpec, seed=7, restarts=8, steps=200,
             best = (neg, theta)
     if best is None:
         raise NumericFailure("hyperparameter search failed on every restart")
-    theta = best[1]
-    if spec.kind == "se":
-        tuned = replace(spec, lengthscale=math.exp(theta[0]),
-                        signal_scale=math.exp(theta[1]))
-    else:
-        tuned = replace(spec, sigma_f=math.exp(theta[0]))
-    return GpModel(inputs, targets, tuned)
+    names = {"se": ("lengthscale", "signal_scale"), "sdof": ("sigma_f",)}
+    tuned = dict(zip(names[spec.kind], map(math.exp, best[1])))
+    return GpModel(inputs, targets, replace(spec, **tuned))

@@ -5,7 +5,8 @@ returns the lower-triangular factor L with A = L Lᵀ as a bare array;
 `solve_lower`, `solve_upper` and `log_det` work on it. A successful
 factorization is the package's certificate that a matrix is symmetric
 positive definite; `FactorizationError` is raised otherwise so callers
-can decide whether to add jitter.
+can decide whether to add jitter. `jittered_spectrum` gives the same
+certificate for a matrix's eigenvalues, on the same jitter schedule.
 """
 
 from __future__ import annotations
@@ -39,22 +40,38 @@ def cholesky(A):
         raise FactorizationError(str(err)) from None
 
 
+def _jitters(trace, n, max_tries):
+    """The diagonal jitters to try in turn: 1e-10·trace/n, doubling."""
+    jitter = 1e-10 * trace / n
+    if jitter <= 0.0:
+        jitter = 1e-12
+    return jitter * 2.0 ** np.arange(max_tries)
+
+
 def cholesky_jittered(A, max_tries=8):
     """Factorize, retrying with doubling diagonal jitter 1e-10·tr(A)/n."""
     try:
         return cholesky(A)
     except FactorizationError:
         pass
-    n = A.shape[0]
-    jitter = 1e-10 * np.trace(A) / n
-    if jitter <= 0.0:
-        jitter = 1e-12
-    eye = np.eye(n)
-    for _ in range(max_tries):
+    eye = np.eye(A.shape[0])
+    for jitter in _jitters(np.trace(A), A.shape[0], max_tries):
         try:
             return cholesky(A + jitter * eye)
         except FactorizationError:
-            jitter *= 2.0
+            pass
+    raise FactorizationError(f"not positive definite after {max_tries} jitter retries")
+
+
+def jittered_spectrum(d, max_tries=8):
+    """The eigenvalues d of a symmetric A; when some dᵢ is not positive,
+    d plus the first jitter of `cholesky_jittered`'s schedule (tr A = Σd)
+    that leaves every one positive."""
+    if d.min() > 0.0:
+        return d
+    for jitter in _jitters(d.sum(), len(d), max_tries):
+        if (d + jitter).min() > 0.0:
+            return d + jitter
     raise FactorizationError(f"not positive definite after {max_tries} jitter retries")
 
 

@@ -3,11 +3,11 @@
 Everything here is deliberately written without touching the package's
 computation paths: finite differences, random scalar graphs evaluated
 with plain numpy, a hand-rolled discrete Kalman filter, and the earlier
-forms of five fast paths (the per-op network on the tape, the per-op
-neural-ODE loss on the tape, the simulator with scalar forcing, and the
-PINN and PGNN losses that applied their network once per term) that the
-fast ones must match: bit for bit, or in the losses' gradients to
-rounding.
+forms of six fast paths (the per-op network on the tape, the per-op
+neural-ODE loss on the tape, the simulator with scalar forcing, the
+PINN and PGNN losses that applied their network once per term, and the
+oscillator-kernel GP likelihood from a Cholesky factor per evaluation)
+that the fast ones must match: bit for bit, or to rounding.
 """
 
 import math
@@ -140,6 +140,30 @@ def dense_lml(K, y):
     _, logdet = np.linalg.slogdet(K)
     return float(-0.5 * y @ np.linalg.solve(K, y) - 0.5 * logdet
                  - 0.5 * n * np.log(2 * np.pi))
+
+
+def dense_lml_grad(K, dK, y):
+    """∂LML/∂θ = ½ tr((ααᵀ − K⁻¹) ∂K/∂θ) via dense solves, α = K⁻¹y."""
+    alpha = np.linalg.solve(K, y)
+    return float(0.5 * (alpha @ dK @ alpha - np.trace(np.linalg.solve(K, dK))))
+
+
+def sdof_lml_and_grad_cholesky(theta, y, base, noise_var):
+    """The oscillator kernel's LML and its gradient in (log σ_f,) from one
+    jittered Cholesky factor of K = σ_f²·B + σ_n²·I, B the unit-σ_f Gram
+    matrix: the dense path `gp.fit` took before it decomposed B once per
+    fit. ∂LML/∂log σ_f = ½ tr((ααᵀ − K⁻¹)·2σ_f²B)."""
+    n = len(y)
+    Kf = np.exp(2.0 * theta[0]) * base
+    eye = np.eye(n)
+    L = nk.linalg.cholesky_jittered(Kf + noise_var * eye)
+    Linv = nk.linalg.solve_lower(L, eye)
+    w = Linv @ y
+    alpha = Linv.T @ w
+    lml = -0.5 * (w @ w) - 0.5 * nk.linalg.log_det(L) \
+        - 0.5 * n * math.log(2.0 * math.pi)
+    WK = (np.outer(alpha, alpha) - Linv.T @ Linv) * Kf
+    return float(lml), np.array([np.sum(WK)])
 
 
 def hnn_loss_value(hamiltonian, q, p, qdot, pdot):

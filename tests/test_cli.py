@@ -199,6 +199,17 @@ steps = 120
     assert outs["gp-sdof"]["rmse_u"] < outs["gp-se"]["rmse_u"]
 
 
+def test_gp_sdof_without_sensor_noise(tmp_path):
+    """noise_ratio = 0 leaves K = σ_f²·B + 1e-12·I, nearly singular."""
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, f"[experiment]\nmethod = gp-sdof\n"
+                              f"out = {out}\n\n[gp-sdof]\nnoise_ratio = 0\n")
+    assert cli.main(["run", cfg]) == 0
+    metrics = cli.read_metrics(out / "metrics.csv")
+    assert "log_marginal_likelihood" in metrics
+    assert all(np.isfinite(value) for value in metrics.values())
+
+
 class Simulated(Exception):
     """Raised by a patched `cli.simulate`: the run got past its config."""
 

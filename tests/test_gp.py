@@ -168,16 +168,18 @@ LML_THETAS = {"se": ([-0.5, -2.5], [0.0, -1.5], [0.7, -3.0]),
 
 
 def _lml_case(stride12_task, kind):
+    """(t, y, spec, fit_y, base): the record, and what `gp._per_fit`
+    shares between the LML evaluations of one fit."""
     _, obs, y, noise_std = stride12_task
     spec = gp.KernelSpec(kind=kind, noise_var=noise_std ** 2)
-    return obs.t, y, spec, gp._theta_free_matrix(spec, obs.t)
+    return (obs.t, y, spec) + gp._per_fit(spec, obs.t, y)
 
 
 @pytest.mark.parametrize("kind", sorted(LML_THETAS))
 def test_closed_form_lml_matches_dense_oracle(stride12_task, kind):
-    t, y, spec, base = _lml_case(stride12_task, kind)
+    t, y, spec, fit_y, base = _lml_case(stride12_task, kind)
     for theta in LML_THETAS[kind]:
-        lml, _ = gp._lml_and_grad(kind, np.array(theta), y, base,
+        lml, _ = gp._lml_and_grad(kind, np.array(theta), fit_y, base,
                                   spec.noise_var)
         if kind == "se":
             tuned = replace(spec, lengthscale=math.exp(theta[0]),
@@ -191,13 +193,13 @@ def test_closed_form_lml_matches_dense_oracle(stride12_task, kind):
 @pytest.mark.parametrize("kind", sorted(LML_THETAS))
 def test_closed_form_lml_gradient_matches_central_differences(stride12_task,
                                                               kind):
-    _, y, spec, base = _lml_case(stride12_task, kind)
+    _, _, spec, fit_y, base = _lml_case(stride12_task, kind)
 
     def lml(theta):
-        return gp._lml_and_grad(kind, theta, y, base, spec.noise_var)[0]
+        return gp._lml_and_grad(kind, theta, fit_y, base, spec.noise_var)[0]
 
     for theta in map(np.array, LML_THETAS[kind]):
-        _, grad = gp._lml_and_grad(kind, theta, y, base, spec.noise_var)
+        _, grad = gp._lml_and_grad(kind, theta, fit_y, base, spec.noise_var)
         assert grad.shape == theta.shape
         for i in range(len(theta)):
             step = np.zeros_like(theta)
@@ -206,20 +208,22 @@ def test_closed_form_lml_gradient_matches_central_differences(stride12_task,
             assert abs(grad[i] - ref) <= 1e-6 * abs(ref)
 
 
+def counting(module, name, calls):
+    """`module.name`, logging each call's name to `calls`."""
+    real = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(name)
+        return real(*args)
+    return wrapper
+
+
 def test_lml_gradient_evaluation_factorizes_once(monkeypatch):
-    """One LML+gradient evaluation: one Cholesky factor and one forward
-    substitution (L⁻¹), and no back substitution."""
+    """One SE LML+gradient evaluation: one Cholesky factor, L⁻¹ from one
+    LAPACK call and no row-loop solve. One sdof evaluation: no factor and
+    no solve, since its fit decomposes B once, for every restart."""
     names = ("cholesky", "solve_lower", "solve_upper")
-    calls = []
-
-    def counting(name):
-        real = getattr(nk.linalg, name)
-
-        def wrapper(*args):
-            calls.append(name)
-            return real(*args)
-        return wrapper
-
+    calls, eighs = [], []
     counts = []
 
     def one_evaluation(closure, theta0, iters, lr):
@@ -229,13 +233,92 @@ def test_lml_gradient_evaluation_factorizes_once(monkeypatch):
         return theta0, []
 
     for name in names:
-        monkeypatch.setattr(nk.linalg, name, counting(name))
+        monkeypatch.setattr(nk.linalg, name,
+                            counting(nk.linalg, name, calls))
+    monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg, "eigh", eighs))
     monkeypatch.setattr(gp, "adam", one_evaluation)
     t = np.linspace(0.0, 10.0, 20)
     for kind in ("se", "sdof"):
         gp.fit(t, np.sin(t), gp.KernelSpec(kind=kind, noise_var=1e-2),
                restarts=1)
-    assert counts == [(1, 1, 0), (1, 1, 0)]
+    assert counts == [(1, 0, 0), (0, 0, 0)]
+    monkeypatch.setattr(gp, "adam", nets.adam)
+    del eighs[:]
+    gp.fit(t, np.sin(t), gp.KernelSpec(kind="sdof", noise_var=1e-2),
+           restarts=3, steps=5)
+    assert eighs == ["eigh"]
+
+
+# strides of the default 1024-sample record giving n = 20, 86 and 256
+@pytest.mark.parametrize("stride", [52, 12, 4])
+def test_eigen_lml_matches_dense_and_cholesky_oracles(stride12_task, stride):
+    traj, _, _, noise_std = stride12_task
+    obs = subsample(traj, stride=stride)
+    y = add_noise(obs.u, 0.085, nk.RngStream(2025).substream("gp-noise"))
+    spec = gp.KernelSpec(kind="sdof", noise_var=noise_std ** 2)
+    fit_y, lam = gp._per_fit(spec, obs.t, y)
+    B = gp.kernel_matrix(spec, obs.t)
+    noise = spec.noise_var * np.eye(len(obs.t))
+    for theta in map(np.array, LML_THETAS["sdof"]):
+        lml, grad = gp._lml_and_grad("sdof", theta, fit_y, lam,
+                                     spec.noise_var)
+        Kf = np.exp(2.0 * theta[0]) * B
+        assert lml == pytest.approx(oracles.dense_lml(Kf + noise, y),
+                                    rel=1e-8)
+        assert grad[0] == pytest.approx(
+            oracles.dense_lml_grad(Kf + noise, 2.0 * Kf, y), rel=1e-8)
+        ref_lml, ref_grad = oracles.sdof_lml_and_grad_cholesky(
+            theta, y, B, spec.noise_var)
+        assert lml == pytest.approx(ref_lml, rel=1e-8)
+        assert grad == pytest.approx(ref_grad, rel=1e-8)
+
+
+def test_singular_spectrum_takes_the_cholesky_jitter():
+    """Thrice-sampled times make B singular (30 zero eigenvalues), and with
+    noise_var = 0 some computed dᵢ is ≤ 0: the eigen path shifts the
+    spectrum by the jitter the Cholesky oracle adds to the diagonal.
+    K + jitter·I then has a condition number near 1e10, which bounds how
+    closely any two solvers agree."""
+    t = np.repeat(np.linspace(0.0, 10.0, 15), 3)
+    y = np.sin(t)
+    spec = gp.KernelSpec(kind="sdof", noise_var=0.0)
+    fit_y, lam = gp._per_fit(spec, t, y)
+    assert lam.min() <= 0.0
+    B = gp.kernel_matrix(spec, t)
+    for theta in map(np.array, ([-1.0], [0.0], [1.0], [2.0])):
+        lml, grad = gp._lml_and_grad("sdof", theta, fit_y, lam, 0.0)
+        ref_lml, ref_grad = oracles.sdof_lml_and_grad_cholesky(theta, y, B,
+                                                               0.0)
+        assert np.isfinite(lml)
+        assert lml == pytest.approx(ref_lml, rel=1e-6)
+        assert grad == pytest.approx(ref_grad, rel=1e-4)
+
+
+def test_eigendecomposition_failure_is_a_factorization_error(monkeypatch):
+    def no_convergence(A):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    t = np.linspace(0.0, 10.0, 20)
+    with pytest.raises(nk.linalg.FactorizationError, match="converge"):
+        gp.fit(t, np.sin(t), gp.KernelSpec(kind="sdof", noise_var=1e-2))
+
+
+def test_sdof_fits_the_full_record_at_stride_1(stride12_task, monkeypatch):
+    """All 1024 samples: one eigendecomposition, then O(n) steps."""
+    traj, _, _, noise_std = stride12_task
+    y = add_noise(traj.u, 0.085, nk.RngStream(2025).substream("gp-noise"))
+    eighs = []
+    monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg, "eigh", eighs))
+    model = gp.fit(traj.t, y, gp.KernelSpec(kind="sdof",
+                                            noise_var=noise_std ** 2),
+                   restarts=1, steps=200)
+    assert eighs == ["eigh"]
+    lml = model.log_marginal_likelihood
+    K = gp.kernel_matrix(model.spec, traj.t) \
+        + model.spec.noise_var * np.eye(len(traj.t))
+    assert np.isfinite(lml)
+    assert lml == pytest.approx(oracles.dense_lml(K, y), rel=1e-8)
 
 
 def test_diverged_restart_is_skipped(monkeypatch):
