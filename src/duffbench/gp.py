@@ -98,11 +98,20 @@ class PredictiveDist:
     mean: np.ndarray
     std: np.ndarray
 
+    def __post_init__(self):
+        self.std = np.maximum(self.std, 0.0)
+
+    @property
+    def lower2(self):
+        return self.mean - 2.0 * self.std
+
+    @property
+    def upper2(self):
+        return self.mean + 2.0 * self.std
+
     def covers(self, truth):
-        """Whether each truth value lies within mean ± 2·std."""
         truth = np.asarray(truth, dtype=float)
-        return ((truth >= self.mean - 2.0 * self.std)
-                & (truth <= self.mean + 2.0 * self.std))
+        return (truth >= self.lower2) & (truth <= self.upper2)
 
 
 class GpModel:
@@ -209,11 +218,15 @@ def fit(inputs, targets, spec: KernelSpec, seed=7, restarts=8, steps=200,
 
     def random_start():
         if spec.kind == "se":
-            log_l = stream.uniform(math.log(0.002), math.log(0.3))
-            log_a = stream.uniform(-1.0, 1.0)
-            return np.array([math.log(span) + log_l, math.log(std_y) + log_a])
+            return np.array([
+                math.log(span) + stream.uniform(math.log(0.002),
+                                                math.log(0.3)),
+                math.log(std_y) + stream.uniform(-1.0, 1.0),
+            ])
         scale = 2.0 * spec.m * math.sqrt(spec.zeta * spec.omega_n ** 3)
-        return np.array([math.log(std_y * scale) + stream.uniform(-1.5, 1.5)])
+        return np.array([
+            math.log(std_y * scale) + stream.uniform(-1.5, 1.5),
+        ])
 
     best = None
     for _ in range(restarts):
@@ -227,6 +240,10 @@ def fit(inputs, targets, spec: KernelSpec, seed=7, restarts=8, steps=200,
             best = (neg, theta)
     if best is None:
         raise NumericFailure("hyperparameter search failed on every restart")
-    names = {"se": ("lengthscale", "signal_scale"), "sdof": ("sigma_f",)}
-    tuned = dict(zip(names[spec.kind], map(math.exp, best[1])))
-    return GpModel(inputs, targets, replace(spec, **tuned))
+    theta = best[1]
+    if spec.kind == "se":
+        tuned = replace(spec, lengthscale=math.exp(theta[0]),
+                        signal_scale=math.exp(theta[1]))
+    else:
+        tuned = replace(spec, sigma_f=math.exp(theta[0]))
+    return GpModel(inputs, targets, tuned)

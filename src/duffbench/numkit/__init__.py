@@ -25,7 +25,15 @@ from .tape import (
     vsum,
     take,
 )
-from . import linalg
+from .linalg import (
+    FactorizationError,
+    cholesky,
+    cholesky_jittered,
+    log_det,
+    solve_lower,
+    solve_upper,
+    symmetrize,
+)
 from .rng import RngStream
 from .sobol import sobol_sequence, sobol_indices
 
@@ -33,5 +41,7 @@ __all__ = [
     "Tape", "Node", "TapeError", "NumericError", "grad", "backward",
     "add", "sub", "mul", "div", "neg", "powc", "tanh", "sin", "sincos",
     "softplus", "matmul", "mlp", "mlp_forward", "mlp_vjp", "vsum", "take",
-    "linalg", "RngStream", "sobol_sequence", "sobol_indices",
+    "FactorizationError", "cholesky", "cholesky_jittered", "log_det",
+    "solve_lower", "solve_upper", "symmetrize",
+    "RngStream", "sobol_sequence", "sobol_indices",
 ]

@@ -40,39 +40,42 @@ def cholesky(A):
         raise FactorizationError(str(err)) from None
 
 
-def _jitters(trace, n, max_tries):
+_MAX_TRIES = 8
+
+
+def _jitters(trace, n):
     """The diagonal jitters to try in turn: 1e-10·trace/n, doubling."""
     jitter = 1e-10 * trace / n
     if jitter <= 0.0:
         jitter = 1e-12
-    return jitter * 2.0 ** np.arange(max_tries)
+    return jitter * 2.0 ** np.arange(_MAX_TRIES)
 
 
-def cholesky_jittered(A, max_tries=8):
+def cholesky_jittered(A):
     """Factorize, retrying with doubling diagonal jitter 1e-10·tr(A)/n."""
     try:
         return cholesky(A)
     except FactorizationError:
         pass
     eye = np.eye(A.shape[0])
-    for jitter in _jitters(np.trace(A), A.shape[0], max_tries):
+    for jitter in _jitters(np.trace(A), A.shape[0]):
         try:
             return cholesky(A + jitter * eye)
         except FactorizationError:
             pass
-    raise FactorizationError(f"not positive definite after {max_tries} jitter retries")
+    raise FactorizationError(f"not positive definite after {_MAX_TRIES} jitter retries")
 
 
-def jittered_spectrum(d, max_tries=8):
+def jittered_spectrum(d):
     """The eigenvalues d of a symmetric A; when some dᵢ is not positive,
     d plus the first jitter of `cholesky_jittered`'s schedule (tr A = Σd)
     that leaves every one positive."""
     if d.min() > 0.0:
         return d
-    for jitter in _jitters(d.sum(), len(d), max_tries):
+    for jitter in _jitters(d.sum(), len(d)):
         if (d + jitter).min() > 0.0:
             return d + jitter
-    raise FactorizationError(f"not positive definite after {max_tries} jitter retries")
+    raise FactorizationError(f"not positive definite after {_MAX_TRIES} jitter retries")
 
 
 def solve_lower(L, b):

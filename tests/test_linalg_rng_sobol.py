@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from duffbench import numkit as nk
-from duffbench.numkit import linalg
 
 
 def gaussian_elimination_solve(A, b):
@@ -34,8 +33,8 @@ def random_spd(stream, n):
 
 def cholesky_solve(A, b):
     """x with A x = b through A's Cholesky factor L: L⁻ᵀ (L⁻¹ b)."""
-    L = linalg.cholesky(A)
-    return linalg.solve_upper(L.T, linalg.solve_lower(L, b))
+    L = nk.cholesky(A)
+    return nk.solve_upper(L.T, nk.solve_lower(L, b))
 
 
 def test_identity_solve():
@@ -52,13 +51,13 @@ def test_solve_matches_elimination_oracle():
 
 
 def test_indefinite_matrix_raises():
-    with pytest.raises(linalg.FactorizationError):
-        linalg.cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(nk.FactorizationError):
+        nk.cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 def test_asymmetric_matrix_raises():
-    with pytest.raises(linalg.FactorizationError):
-        linalg.cholesky(np.array([[1.0, 0.5], [0.0, 1.0]]))
+    with pytest.raises(nk.FactorizationError):
+        nk.cholesky(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
 def symmetry_cases():
@@ -90,9 +89,9 @@ def test_symmetry_check_agrees_with_allclose():
         with np.errstate(invalid="ignore", over="ignore"):
             symmetric = np.allclose(A, A.T, rtol=0.0, atol=atol)
         try:
-            linalg.cholesky(A)
+            nk.cholesky(A)
             rejected = False
-        except linalg.FactorizationError as err:
+        except nk.FactorizationError as err:
             rejected = "symmetric" in str(err)
         assert rejected == (not symmetric), A
 
@@ -111,31 +110,31 @@ def test_log_det_matches_slogdet():
     stream = nk.RngStream(43).substream("logdet")
     A = random_spd(stream, 12)
     _, ref = np.linalg.slogdet(A)
-    assert linalg.log_det(linalg.cholesky(A)) == pytest.approx(ref, rel=1e-12)
+    assert nk.log_det(nk.cholesky(A)) == pytest.approx(ref, rel=1e-12)
 
 
 def test_jitter_recovers_near_singular():
     A = np.array([[1.0, 1.0], [1.0, 1.0]])  # rank deficient
-    assert np.all(np.isfinite(linalg.cholesky_jittered(A)))
-    with pytest.raises(linalg.FactorizationError):
-        linalg.cholesky_jittered(np.array([[1.0, 3.0], [3.0, 1.0]]))  # indefinite
+    assert np.all(np.isfinite(nk.cholesky_jittered(A)))
+    with pytest.raises(nk.FactorizationError):
+        nk.cholesky_jittered(np.array([[1.0, 3.0], [3.0, 1.0]]))  # indefinite
 
 
 def test_jittered_spectrum_follows_the_cholesky_schedule():
     d = np.array([1.0, 2.0])
-    assert linalg.jittered_spectrum(d) is d  # positive: left alone
+    assert nk.linalg.jittered_spectrum(d) is d  # positive: left alone
     # the jitters are j, 2j, 4j, ... with j = 1e-10·Σd/n; 4j is the first
     # that lifts -3e-10, and the Cholesky of diag(d) takes the same one
     d = np.array([-3e-10, 1.0, 2.0])
     shifted = d + 4.0 * (1e-10 * d.sum() / 3)
-    np.testing.assert_array_equal(linalg.jittered_spectrum(d), shifted)
-    L = linalg.cholesky_jittered(np.diag(d))
+    np.testing.assert_array_equal(nk.linalg.jittered_spectrum(d), shifted)
+    L = nk.cholesky_jittered(np.diag(d))
     np.testing.assert_allclose(np.diag(L) ** 2, shifted, rtol=1e-12)
     for hopeless in ([-1.0, 1.0, 2.0], [np.nan, 1.0, 2.0]):
-        with pytest.raises(linalg.FactorizationError):
-            linalg.jittered_spectrum(np.array(hopeless))
-        with pytest.raises(linalg.FactorizationError):
-            linalg.cholesky_jittered(np.diag(hopeless))
+        with pytest.raises(nk.FactorizationError):
+            nk.linalg.jittered_spectrum(np.array(hopeless))
+        with pytest.raises(nk.FactorizationError):
+            nk.cholesky_jittered(np.diag(hopeless))
 
 
 def test_rng_equal_seeds_equal_draws():
