@@ -12,7 +12,9 @@ known mass/damping/stiffness, leaving (σ_f, σ_n) as hyperparameters.
 Hyperparameters are chosen by multi-start gradient ascent of the log
 marginal likelihood, with its gradient in closed form and no autodiff
 tape (SE: one Cholesky per evaluation; sdof: one eigendecomposition per
-fit).
+fit). Both kernels are K = s²B + σ_n²I, s the SE α or the oscillator's
+σ_f, so `GpModel` conditions on the data through one eigendecomposition
+of B, the unit-scale Gram matrix: the sdof fit hands over its own.
 """
 
 from __future__ import annotations
@@ -98,91 +100,95 @@ class PredictiveDist:
     mean: np.ndarray
     std: np.ndarray
 
-    def __post_init__(self):
-        self.std = np.maximum(self.std, 0.0)
-
-    @property
-    def lower2(self):
-        return self.mean - 2.0 * self.std
-
-    @property
-    def upper2(self):
-        return self.mean + 2.0 * self.std
-
     def covers(self, truth):
         truth = np.asarray(truth, dtype=float)
-        return (truth >= self.lower2) & (truth <= self.upper2)
+        return ((truth >= self.mean - 2.0 * self.std)
+                & (truth <= self.mean + 2.0 * self.std))
+
+
+def _unit_spectrum(spec: KernelSpec, t):
+    """(λ, Q) with B = QΛQᵀ, B the Gram matrix at unit signal scale, so
+    that K = s²B + σ_n²I with s the SE α or the oscillator's σ_f."""
+    unit = replace(spec, signal_scale=1.0, sigma_f=1.0)
+    try:
+        return np.linalg.eigh(kernel_matrix(unit, t))
+    except np.linalg.LinAlgError as err:
+        raise linalg.FactorizationError(str(err)) from None
+
+
+def _spectral_lml(w, d):
+    """(LML, d, w²/d) of a zero-mean GP whose K has eigenvalues d (jittered
+    when some dᵢ ≤ 0) and whose targets are w in K's eigenbasis:
+    LML = −½Σwᵢ²/dᵢ − ½Σlog dᵢ − (n/2)·log 2π."""
+    d = linalg.jittered_spectrum(d)
+    r = w * w / d
+    lml = (-0.5 * np.sum(r) - 0.5 * np.sum(np.log(d))
+           - 0.5 * len(w) * math.log(2.0 * math.pi))
+    return float(lml), d, r
 
 
 class GpModel:
-    """Zero-mean GP conditioned on training data, Cholesky cached."""
+    """Zero-mean GP conditioned through B = QΛQᵀ (`_unit_spectrum`, or the
+    sdof fit's own): K = Q·diag(d)·Qᵀ, d = s²λ + σ_n², α = Q(Qᵀy/d), and
+    K⁻¹ = WᵀW with W = diag(d)^-½·Qᵀ (Rasmussen & Williams 2006, §2.2)."""
 
-    def __init__(self, inputs, targets, spec: KernelSpec):
+    def __init__(self, inputs, targets, spec: KernelSpec, _spectrum=None):
         self.inputs = np.asarray(inputs, dtype=float)
         self.targets = np.asarray(targets, dtype=float)
         if len(self.inputs) < 2:
             raise ConfigError("need at least two training points")
         self.spec = spec
-        K = kernel_matrix(spec, self.inputs)
-        K[np.diag_indices_from(K)] += spec.noise_var
-        self.L = linalg.cholesky_jittered(K)
-        w = linalg.solve_lower(self.L, self.targets)
-        self.alpha = linalg.solve_upper(self.L.T, w)
-
-    @property
-    def log_marginal_likelihood(self):
-        n = len(self.targets)
-        return float(-0.5 * self.targets @ self.alpha
-                     - 0.5 * linalg.log_det(self.L)
-                     - 0.5 * n * math.log(2.0 * math.pi))
+        lam, Q = _spectrum or _unit_spectrum(spec, self.inputs)
+        scale = spec.signal_scale if spec.kind == "se" else spec.sigma_f
+        w = Q.T @ self.targets
+        self.log_marginal_likelihood, d, _ = _spectral_lml(
+            w, scale ** 2 * lam + spec.noise_var)
+        self.alpha = Q @ (w / d)
+        self.whiten = Q.T / np.sqrt(d)[:, None]
 
     def predict(self, query) -> PredictiveDist:
         query = np.asarray(query, dtype=float)
         k_star = kernel_matrix(self.spec, self.inputs, query)  # (n, q)
         mean = k_star.T @ self.alpha
-        white = linalg.solve_lower(self.L, k_star)  # L⁻¹ k*
+        white = self.whiten @ k_star
         prior_var = kernel_eval(self.spec, query, query)
         var = prior_var - np.sum(white ** 2, axis=0)
         return PredictiveDist(mean, np.sqrt(np.maximum(var, 0.0)))
 
 
 def _per_fit(spec: KernelSpec, t, y):
-    """(y, d²) for SE; (w = Qᵀy, λ) for sdof, from B = QΛQᵀ, the unit-σ_f
-    Gram matrix (K = σ_f²B + σ_n²I): what every LML evaluation shares."""
+    """What every LML evaluation of one fit shares, and the spectrum its
+    model conditions through: (y, τ², None) for SE; (w = Qᵀy, λ, (λ, Q))
+    for sdof, whose fit varies σ_f alone (K = σ_f²B + σ_n²I)."""
     if spec.kind == "se":
-        return y, (t[:, None] - t[None, :]) ** 2
-    try:
-        lam, Q = np.linalg.eigh(kernel_matrix(replace(spec, sigma_f=1.0), t))
-    except np.linalg.LinAlgError as err:
-        raise linalg.FactorizationError(str(err)) from None
-    return Q.T @ y, lam
+        return y, (t[:, None] - t[None, :]) ** 2, None
+    lam, Q = _unit_spectrum(spec, t)
+    return Q.T @ y, lam, (lam, Q)
 
 
 def _lml_and_grad(kind, theta, y, base, noise_var):
     """LML and its gradient in θ = (log l, log α) for SE or (log σ_f,)
     for sdof, from `_per_fit`'s (y, base).
 
-    sdof, in O(n): with dᵢ = σ_f²λᵢ + σ_n², LML = −½Σwᵢ²/dᵢ − ½Σlog dᵢ
-    − (n/2)·log 2π and ∂LML/∂log σ_f = Σ(wᵢ²/dᵢ − 1)·σ_f²λᵢ/dᵢ.
+    sdof, in O(n): with dᵢ = σ_f²λᵢ + σ_n², `_spectral_lml` and
+    ∂LML/∂log σ_f = Σ(wᵢ²/dᵢ − 1)·σ_f²λᵢ/dᵢ.
     SE, from one Cholesky factor L and L⁻¹ (K⁻¹ = L⁻ᵀL⁻¹):
     ∂LML/∂θ = ½ tr((ααᵀ − K⁻¹) ∂K/∂θ) (Rasmussen & Williams 2006,
     eq. 5.9), with ∂K/∂log α = 2K_f, ∂K/∂log l = K_f ⊙ d²/l².
     """
-    n = len(y)
-    const = 0.5 * n * math.log(2.0 * math.pi)
     if kind == "sdof":
         s = np.exp(2.0 * theta[0]) * base
-        d = linalg.jittered_spectrum(s + noise_var)
-        r = y * y / d
-        lml = -0.5 * np.sum(r) - 0.5 * np.sum(np.log(d)) - const
-        return float(lml), np.array([np.sum((r - 1.0) * s / d)])
+        lml, d, r = _spectral_lml(y, s + noise_var)
+        return lml, np.array([np.sum((r - 1.0) * s / d)])
+    n = len(y)
     l2 = np.exp(2.0 * theta[0])
     Kf = np.exp(2.0 * theta[1]) * np.exp(-base / (2.0 * l2))
     L = linalg.cholesky_jittered(Kf + noise_var * np.eye(n))
     Linv = np.linalg.inv(L)
     w = Linv @ y
     alpha = Linv.T @ w
-    lml = -0.5 * (w @ w) - 0.5 * linalg.log_det(L) - const
+    lml = (-0.5 * (w @ w) - 0.5 * linalg.log_det(L)
+           - 0.5 * n * math.log(2.0 * math.pi))
     WK = (np.outer(alpha, alpha) - Linv.T @ Linv) * Kf
     return float(lml), np.array([0.5 * np.sum(WK * base) / l2, np.sum(WK)])
 
@@ -210,7 +216,7 @@ def fit(inputs, targets, spec: KernelSpec, seed=7, restarts=8, steps=200,
     stream = nk.RngStream(seed).substream(f"gp-{spec.kind}")
     span = float(inputs.max() - inputs.min())
     std_y = max(float(np.std(targets)), 1e-12)
-    y, base = _per_fit(spec, inputs, targets)
+    y, base, spectrum = _per_fit(spec, inputs, targets)
 
     def closure(theta):
         lml, grad = _lml_and_grad(spec.kind, theta, y, base, spec.noise_var)
@@ -246,4 +252,4 @@ def fit(inputs, targets, spec: KernelSpec, seed=7, restarts=8, steps=200,
                         signal_scale=math.exp(theta[1]))
     else:
         tuned = replace(spec, sigma_f=math.exp(theta[0]))
-    return GpModel(inputs, targets, tuned)
+    return GpModel(inputs, targets, tuned, spectrum)

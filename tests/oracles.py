@@ -17,6 +17,7 @@ import numpy as np
 from duffbench import nets
 from duffbench import numkit as nk
 from duffbench.duffing import rk4_increment
+from duffbench.numkit import linalg
 
 NP_LIB = {"tanh": np.tanh, "sin": np.sin}
 TAPE_LIB = {"tanh": nk.tanh, "sin": nk.sin}
@@ -142,6 +143,15 @@ def dense_lml(K, y):
                  - 0.5 * n * np.log(2 * np.pi))
 
 
+def dense_posterior(K, k_star, prior_var, y):
+    """Posterior mean, std and LML of a zero-mean GP by dense solves: K the
+    training covariance with its noise, k_star the (n, q) covariance with
+    the query points and prior_var their prior variance."""
+    mean = k_star.T @ np.linalg.solve(K, y)
+    var = prior_var - np.sum(k_star * np.linalg.solve(K, k_star), axis=0)
+    return mean, np.sqrt(np.maximum(var, 0.0)), dense_lml(K, y)
+
+
 def dense_lml_grad(K, dK, y):
     """∂LML/∂θ = ½ tr((ααᵀ − K⁻¹) ∂K/∂θ) via dense solves, α = K⁻¹y."""
     alpha = np.linalg.solve(K, y)
@@ -156,11 +166,11 @@ def sdof_lml_and_grad_cholesky(theta, y, base, noise_var):
     n = len(y)
     Kf = np.exp(2.0 * theta[0]) * base
     eye = np.eye(n)
-    L = nk.linalg.cholesky_jittered(Kf + noise_var * eye)
-    Linv = nk.linalg.solve_lower(L, eye)
+    L = linalg.cholesky_jittered(Kf + noise_var * eye)
+    Linv = linalg.solve_lower(L, eye)
     w = Linv @ y
     alpha = Linv.T @ w
-    lml = -0.5 * (w @ w) - 0.5 * nk.linalg.log_det(L) \
+    lml = -0.5 * (w @ w) - 0.5 * linalg.log_det(L) \
         - 0.5 * n * math.log(2.0 * math.pi)
     WK = (np.outer(alpha, alpha) - Linv.T @ Linv) * Kf
     return float(lml), np.array([np.sum(WK)])

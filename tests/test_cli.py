@@ -402,11 +402,15 @@ def test_filters_start_from_the_record_state(tmp_path, method, bound):
     assert worst < bound
 
 
-# short runs of the methods that report rmse_u relative to rms(u)
+# short runs of the methods that report an error relative to the record:
+# rmse_u relative to rms(u), or SINDy's residual relative to |m·a|; each
+# with a metric that is written at rest too
 RELATIVE = {
-    "node": "[node]\nadam_iters = 1\nlbfgs_iters = 0\nrefine = no\n",
-    "pinn-forward": "[pinn-forward]\nwindows = 2\nadam_iters = 1\n"
-                    "lbfgs_iters = 0\n",
+    "node": ("[node]\nadam_iters = 1\nlbfgs_iters = 0\nrefine = no\n",
+             "rmse_u"),
+    "pinn-forward": ("[pinn-forward]\nwindows = 2\nadam_iters = 1\n"
+                     "lbfgs_iters = 0\n", "rmse_u"),
+    "sindy": ("", "support_size"),
 }
 
 
@@ -414,14 +418,18 @@ RELATIVE = {
 @pytest.mark.parametrize("forcing", ["amplitude = 0", "frequencies ="])
 def test_record_at_rest_has_no_relative_error(tmp_path, method, forcing):
     out = tmp_path / "out"
+    section, absolute = RELATIVE[method]
     cfg = write_cfg(tmp_path, f"[experiment]\nmethod = {method}\n"
                               f"out = {out}\n\n[simulator]\nn = 64\n"
-                              f"{forcing}\n\n{RELATIVE[method]}")
+                              f"{forcing}\n\n{section}")
     assert cli.main(["run", cfg]) == 0
     metrics = cli.read_metrics(out / "metrics.csv")
-    assert "rmse_u" in metrics and "rel_rmse_u" not in metrics
-    # a constant truth has no nmse either: left out, not written as inf
-    assert "nmse_u" not in metrics and "nmse_v" not in metrics
+    assert absolute in metrics
+    # a constant truth has no relative error or nmse either: left out,
+    # not written as nan or inf
+    assert all(np.isfinite(value) for value in metrics.values())
+    relative = {"rel_rmse_u", "residual_rel", "nmse_u", "nmse_v"}
+    assert not relative & set(metrics)
 
 
 # a true parameter of 0 has no percent error: the metric is left out and

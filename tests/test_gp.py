@@ -12,6 +12,7 @@ from duffbench import nets
 from duffbench import numkit as nk
 from duffbench.duffing import add_noise, rms, simulate, subsample
 from duffbench.metrics import rmse
+from duffbench.numkit import linalg
 
 
 @pytest.fixture(scope="module")
@@ -172,7 +173,7 @@ def _lml_case(stride12_task, kind):
     shares between the LML evaluations of one fit."""
     _, obs, y, noise_std = stride12_task
     spec = gp.KernelSpec(kind=kind, noise_var=noise_std ** 2)
-    return (obs.t, y, spec) + gp._per_fit(spec, obs.t, y)
+    return (obs.t, y, spec) + gp._per_fit(spec, obs.t, y)[:2]
 
 
 @pytest.mark.parametrize("kind", sorted(LML_THETAS))
@@ -233,8 +234,7 @@ def test_lml_gradient_evaluation_factorizes_once(monkeypatch):
         return theta0, []
 
     for name in names:
-        monkeypatch.setattr(nk.linalg, name,
-                            counting(nk.linalg, name, calls))
+        monkeypatch.setattr(linalg, name, counting(linalg, name, calls))
     monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg, "eigh", eighs))
     monkeypatch.setattr(gp, "adam", one_evaluation)
     t = np.linspace(0.0, 10.0, 20)
@@ -256,7 +256,7 @@ def test_eigen_lml_matches_dense_and_cholesky_oracles(stride12_task, stride):
     obs = subsample(traj, stride=stride)
     y = add_noise(obs.u, 0.085, nk.RngStream(2025).substream("gp-noise"))
     spec = gp.KernelSpec(kind="sdof", noise_var=noise_std ** 2)
-    fit_y, lam = gp._per_fit(spec, obs.t, y)
+    fit_y, lam, _ = gp._per_fit(spec, obs.t, y)
     B = gp.kernel_matrix(spec, obs.t)
     noise = spec.noise_var * np.eye(len(obs.t))
     for theta in map(np.array, LML_THETAS["sdof"]):
@@ -282,7 +282,7 @@ def test_singular_spectrum_takes_the_cholesky_jitter():
     t = np.repeat(np.linspace(0.0, 10.0, 15), 3)
     y = np.sin(t)
     spec = gp.KernelSpec(kind="sdof", noise_var=0.0)
-    fit_y, lam = gp._per_fit(spec, t, y)
+    fit_y, lam, _ = gp._per_fit(spec, t, y)
     assert lam.min() <= 0.0
     B = gp.kernel_matrix(spec, t)
     for theta in map(np.array, ([-1.0], [0.0], [1.0], [2.0])):
@@ -300,25 +300,74 @@ def test_eigendecomposition_failure_is_a_factorization_error(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", no_convergence)
     t = np.linspace(0.0, 10.0, 20)
-    with pytest.raises(nk.linalg.FactorizationError, match="converge"):
+    with pytest.raises(linalg.FactorizationError, match="converge"):
         gp.fit(t, np.sin(t), gp.KernelSpec(kind="sdof", noise_var=1e-2))
 
 
 def test_sdof_fits_the_full_record_at_stride_1(stride12_task, monkeypatch):
-    """All 1024 samples: one eigendecomposition, then O(n) steps."""
+    """All 1024 samples: one eigendecomposition, then O(n) steps, and the
+    model conditions and predicts through the fit's own, with no
+    Cholesky factor and no solve."""
     traj, _, _, noise_std = stride12_task
     y = add_noise(traj.u, 0.085, nk.RngStream(2025).substream("gp-noise"))
-    eighs = []
-    monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg, "eigh", eighs))
+    calls = []
+    for name in ("cholesky", "solve_lower", "solve_upper"):
+        monkeypatch.setattr(linalg, name, counting(linalg, name, calls))
+    monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg, "eigh", calls))
     model = gp.fit(traj.t, y, gp.KernelSpec(kind="sdof",
                                             noise_var=noise_std ** 2),
                    restarts=1, steps=200)
-    assert eighs == ["eigh"]
+    pred = model.predict(traj.t)
+    assert calls == ["eigh"]
     lml = model.log_marginal_likelihood
     K = gp.kernel_matrix(model.spec, traj.t) \
         + model.spec.noise_var * np.eye(len(traj.t))
     assert np.isfinite(lml)
     assert lml == pytest.approx(oracles.dense_lml(K, y), rel=1e-8)
+    assert np.all(np.isfinite(pred.mean)) and np.all(np.isfinite(pred.std))
+
+
+def assert_relative(actual, ref, rel):
+    """max |actual − ref| within rel·max |ref|."""
+    assert np.max(np.abs(actual - ref)) <= rel * np.max(np.abs(ref))
+
+
+# each kernel at the middle of its LML_THETAS
+POSTERIOR_SPECS = (dict(kind="se", lengthscale=1.0,
+                        signal_scale=math.exp(-1.5)),
+                   dict(kind="sdof", sigma_f=math.exp(1.5)))
+
+
+@pytest.mark.parametrize("stride", [52, 12, 4])
+@pytest.mark.parametrize("scales", POSTERIOR_SPECS, ids=lambda s: s["kind"])
+def test_model_matches_dense_posterior(stride12_task, scales, stride):
+    traj, _, _, noise_std = stride12_task
+    obs = subsample(traj, stride=stride)
+    y = add_noise(obs.u, 0.085, nk.RngStream(2025).substream("gp-noise"))
+    spec = gp.KernelSpec(noise_var=noise_std ** 2, **scales)
+    model = gp.GpModel(obs.t, y, spec)
+    pred = model.predict(traj.t)
+    K = gp.kernel_matrix(spec, obs.t) + spec.noise_var * np.eye(len(obs.t))
+    mean, std, lml = oracles.dense_posterior(
+        K, gp.kernel_matrix(spec, obs.t, traj.t),
+        gp.kernel_eval(spec, traj.t, traj.t), y)
+    assert_relative(pred.mean, mean, 1e-8)
+    assert_relative(pred.std, std, 1e-8)
+    assert model.log_marginal_likelihood == pytest.approx(lml, rel=1e-8)
+
+
+def test_model_from_the_fits_spectrum_is_bit_identical(stride12_task):
+    traj, obs, y, noise_std = stride12_task
+    fitted = gp.fit(obs.t, y, gp.KernelSpec(kind="sdof",
+                                            noise_var=noise_std ** 2),
+                    restarts=1, steps=5)
+    own = gp.GpModel(obs.t, y, fitted.spec)
+    assert fitted.log_marginal_likelihood == own.log_marginal_likelihood
+    np.testing.assert_array_equal(fitted.alpha, own.alpha)
+    np.testing.assert_array_equal(fitted.whiten, own.whiten)
+    for a, b in zip(vars(fitted.predict(traj.t)).values(),
+                    vars(own.predict(traj.t)).values()):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_diverged_restart_is_skipped(monkeypatch):
