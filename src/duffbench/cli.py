@@ -277,6 +277,9 @@ def run_pf(opts, sim, out, seed):
 
 
 def run_sindy(opts, sim, out, seed):
+    for key in ("threshold", "ridge"):
+        if opts[key] < 0:
+            raise ConfigError(f"[sindy] {key} must be >= 0, got {opts[key]}")
     params, forcing, traj = build_simulation(sim)
     lib = dictionary.build_library(traj)
     target = params.m * traj.a
@@ -493,6 +496,9 @@ def run_experiment(cfg: Config, seed_override=None, out_override=None):
     if opts.get("stride", 1) < 1:
         raise ConfigError(f"[{method}] stride must be >= 1, got "
                           f"{opts['stride']}")
+    if opts.get("adam_lr", 1.0) <= 0:
+        raise ConfigError(f"[{method}] adam_lr must be > 0, got "
+                          f"{opts['adam_lr']}")
     seed = seed_override if seed_override is not None else exp["seed"]
     check_seed("--seed" if seed_override is not None else "[experiment] seed",
                seed)

@@ -103,6 +103,8 @@ def stlsq(lib: CandidateLibrary, y, threshold: float,
     """
     if threshold < 0:
         raise ConfigError("threshold must be nonnegative")
+    if ridge < 0:
+        raise ConfigError("ridge must be nonnegative")
     y = np.asarray(y, dtype=float)
     theta = lib.theta
     norms = np.linalg.norm(theta, axis=0)

@@ -220,7 +220,7 @@ def fit(inputs, targets, spec: KernelSpec, seed=7, restarts=8, steps=200,
 
     def closure(theta):
         lml, grad = _lml_and_grad(spec.kind, theta, y, base, spec.noise_var)
-        return -lml, -grad
+        return -lml, lambda: -grad
 
     def random_start():
         if spec.kind == "se":

@@ -7,10 +7,18 @@ the outputs with respect to the scalar input alongside the outputs,
 which is what the physics losses differentiate. Frozen networks are
 evaluated by the plain-numpy twins of both. Training is Adam followed
 by an optional L-BFGS refinement, both deterministic.
+
+Both optimizers take a closure theta -> (loss, grad): `loss` is a float
+and `grad` a zero-argument callable that returns the gradient at theta
+as a flat array. Adam calls it at every step; L-BFGS only at its start
+and at each trial point its Armijo test accepts, so a rejected trial
+costs a forward pass alone. A callable may be called once, before the
+closure is next called.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,23 +225,46 @@ def fit_arrays(arrays0, loss_builder, config: TrainConfig):
     """Train a list of arrays against a tape-loss builder.
 
     `loss_builder(tape, leaves)` gets one leaf per input array and must
-    return a scalar loss node; a fresh tape is built per iteration.
+    return a scalar loss node; a fresh tape is built per evaluation. Its
+    graph is kept until the gradient is taken or the next evaluation
+    starts, whichever comes first, and none outlives training.
     Returns (trained arrays, loss history).
     """
     arrays0 = [np.asarray(a, dtype=float) for a in arrays0]
     flat, metas = flatten(arrays0)
+    # evaluation key -> (loss node, leaves); a gradient callable holds
+    # its key only, so a stale callable keeps no graph alive
+    live = {}
+
+    def release():
+        # nodes and their tape refer to each other; unlinking them frees
+        # an evaluation's arrays now instead of at a later cyclic GC
+        for loss, _ in live.values():
+            loss.tape.nodes.clear()
+        live.clear()
+
+    def gradient(key):
+        if key not in live:
+            raise RuntimeError("gradient requested after its evaluation "
+                               "was released")
+        loss, leaves = live[key]
+        gs = nk.backward(loss, leaves)
+        release()
+        return np.concatenate([np.ravel(g) for g in gs])
 
     def closure(theta):
+        release()
         tape = nk.Tape()
         leaves = [tape.leaf(a) for a in unflatten(theta, metas)]
         loss = loss_builder(tape, leaves)
-        gs = nk.backward(loss, leaves)
-        # nodes and their tape refer to each other; unlinking them frees
-        # this evaluation's arrays now instead of at a later cyclic GC
-        tape.nodes.clear()
-        return float(loss.value), np.concatenate([np.ravel(g) for g in gs])
+        key = object()
+        live[key] = (loss, leaves)
+        return float(loss.value), functools.partial(gradient, key)
 
-    theta, history = train(closure, flat, config)
+    try:
+        theta, history = train(closure, flat, config)
+    finally:
+        release()
     return unflatten(theta, metas), history
 
 
@@ -243,13 +274,14 @@ def _finite(loss, g):
 
 def adam(closure, theta0, iters, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8,
          history=None):
-    """Deterministic Adam on a closure theta -> (loss, grad)."""
+    """Deterministic Adam on a closure theta -> (loss, grad callable)."""
     theta = np.array(theta0, dtype=float)
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     history = [] if history is None else history
     for t in range(1, iters + 1):
-        loss, g = closure(theta)
+        loss, grad = closure(theta)
+        g = grad()
         if not _finite(loss, g):
             raise TrainingDivergedError(history)
         history.append(float(loss))
@@ -263,10 +295,16 @@ def adam(closure, theta0, iters, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8,
 
 def lbfgs(closure, theta0, iters, memory=10, c1=1e-4, max_linesearch=25,
           gtol=1e-12, history=None):
-    """Limited-memory BFGS with Armijo backtracking; deterministic."""
+    """Limited-memory BFGS with Armijo backtracking; deterministic.
+
+    The backtracking test reads the loss alone (Nocedal & Wright 2006,
+    Alg. 3.1), so the gradient is taken at the start and at each
+    accepted point only.
+    """
     theta = np.array(theta0, dtype=float)
     history = [] if history is None else history
-    loss, g = closure(theta)
+    loss, grad = closure(theta)
+    g = grad()
     if not _finite(loss, g):
         raise TrainingDivergedError(history)
     history.append(float(loss))
@@ -295,13 +333,14 @@ def lbfgs(closure, theta0, iters, memory=10, c1=1e-4, max_linesearch=25,
         accepted = False
         for _ in range(max_linesearch):
             theta_new = theta + step * d
-            loss_new, g_new = closure(theta_new)
+            loss_new, grad = closure(theta_new)
             if np.isfinite(loss_new) and loss_new <= loss + c1 * step * slope:
                 accepted = True
                 break
             step *= 0.5
         if not accepted:
             break
+        g_new = grad()
         if not np.all(np.isfinite(g_new)):
             raise TrainingDivergedError(history)
         s_vec = theta_new - theta

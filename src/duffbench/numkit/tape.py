@@ -58,7 +58,7 @@ class Tape:
 class Node:
     """One tape entry: value, parents and the local backward rule."""
 
-    __slots__ = ("tape", "idx", "value", "parents", "vjp", "op")
+    __slots__ = ("tape", "idx", "value", "parents", "vjp", "op", "__weakref__")
 
     def __init__(self, tape, value, parents, vjp, op):
         self.tape = tape

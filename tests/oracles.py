@@ -3,11 +3,12 @@
 Everything here is deliberately written without touching the package's
 computation paths: finite differences, random scalar graphs evaluated
 with plain numpy, a hand-rolled discrete Kalman filter, and the earlier
-forms of six fast paths (the per-op network on the tape, the per-op
+forms of seven fast paths (the per-op network on the tape, the per-op
 neural-ODE loss on the tape, the simulator with scalar forcing, the
-PINN and PGNN losses that applied their network once per term, and the
-oscillator-kernel GP likelihood from a Cholesky factor per evaluation)
-that the fast ones must match: bit for bit, or to rounding.
+PINN and PGNN losses that applied their network once per term, the
+oscillator-kernel GP likelihood from a Cholesky factor per evaluation,
+and L-BFGS with a gradient at every line-search trial) that the fast
+ones must match: bit for bit, or to rounding.
 """
 
 import math
@@ -174,6 +175,65 @@ def sdof_lml_and_grad_cholesky(theta, y, base, noise_var):
         - 0.5 * n * math.log(2.0 * math.pi)
     WK = (np.outer(alpha, alpha) - Linv.T @ Linv) * Kf
     return float(lml), np.array([np.sum(WK)])
+
+
+def lbfgs_eager(closure, theta0, iters, memory=10, c1=1e-4,
+                max_linesearch=25, gtol=1e-12, history=None):
+    """L-BFGS with Armijo backtracking on an eager closure theta ->
+    (loss, gradient array): `nets.lbfgs` as it was when every trial
+    point, rejected or not, ran its backward pass."""
+    theta = np.array(theta0, dtype=float)
+    history = [] if history is None else history
+    loss, g = closure(theta)
+    if not (np.isfinite(loss) and np.all(np.isfinite(g))):
+        raise nets.TrainingDivergedError(history)
+    history.append(float(loss))
+    pairs = []
+    for _ in range(iters):
+        q = g.copy()
+        alphas = []
+        for s, y, rho in reversed(pairs):
+            a = rho * (s @ q)
+            q -= a * y
+            alphas.append(a)
+        if pairs:
+            s, y, _ = pairs[-1]
+            q *= (s @ y) / (y @ y)
+        for (s, y, rho), a in zip(pairs, reversed(alphas)):
+            b = rho * (y @ q)
+            q += (a - b) * s
+        d = -q
+        slope = g @ d
+        if not np.isfinite(slope) or slope >= 0.0:
+            d = -g
+            slope = g @ d
+        if slope >= 0.0:
+            break
+        step = 1.0
+        accepted = False
+        for _ in range(max_linesearch):
+            theta_new = theta + step * d
+            loss_new, g_new = closure(theta_new)
+            if np.isfinite(loss_new) and loss_new <= loss + c1 * step * slope:
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            break
+        if not np.all(np.isfinite(g_new)):
+            raise nets.TrainingDivergedError(history)
+        s_vec = theta_new - theta
+        y_vec = g_new - g
+        sy = s_vec @ y_vec
+        if sy > 1e-10 * np.linalg.norm(s_vec) * np.linalg.norm(y_vec):
+            pairs.append((s_vec, y_vec, 1.0 / sy))
+            if len(pairs) > memory:
+                pairs.pop(0)
+        theta, loss, g = theta_new, loss_new, g_new
+        history.append(float(loss))
+        if np.linalg.norm(g) < gtol:
+            break
+    return theta, history
 
 
 def hnn_loss_value(hamiltonian, q, p, qdot, pdot):

@@ -364,6 +364,18 @@ HOSTILE = {
                               "refine_iters = -1\n", 2, "refine_iters"),
     "negative-gp-steps": ("gp-se", "[simulator]\nn = 256\n\n[gp-se]\n"
                           "restarts = 1\nsteps = -3\n", 2, "steps"),
+    # Adam ascends on a negative rate and stands still at zero
+    "negative-adam-lr": ("hnn", "[simulator]\nn = 64\n\n[hnn]\n"
+                         "adam_iters = 1\nlbfgs_iters = 0\nsteps = 4\n"
+                         "adam_lr = -1\n", 2, "[hnn] adam_lr"),
+    "zero-adam-lr": ("pgnn", "[simulator]\nn = 64\n\n[pgnn]\n"
+                     "adam_iters = 1\nlbfgs_iters = 0\nadam_lr = 0\n", 2,
+                     "[pgnn] adam_lr"),
+    "negative-sindy-ridge": ("sindy", "[simulator]\nn = 64\n\n"
+                             "[sindy]\nridge = -1\n", 2, "[sindy] ridge"),
+    "negative-sindy-threshold": ("sindy", "[simulator]\nn = 64\n\n"
+                                 "[sindy]\nthreshold = -1\n", 2,
+                                 "[sindy] threshold"),
 }
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from duffbench import dictionary as dct
 from duffbench.duffing import OscillatorParams, Trajectory, simulate
+from duffbench.errors import ConfigError
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +40,14 @@ def test_non_finite_feature_named():
                       np.zeros(2), np.zeros(2), np.zeros(2))
     with pytest.raises(dct.FeatureError, match="'u' non-finite at row 1"):
         dct.build_library(traj)
+
+
+@pytest.mark.parametrize("threshold,ridge,key", [(-0.1, 0.0, "threshold"),
+                                                 (0.1, -1e-3, "ridge")])
+def test_stlsq_rejects_negative_settings(default_traj, threshold, ridge, key):
+    lib = dct.build_library(default_traj)
+    with pytest.raises(ConfigError, match=f"{key} must be nonnegative"):
+        dct.stlsq(lib, default_traj.a, threshold=threshold, ridge=ridge)
 
 
 def test_zero_target_gives_zero_coefficients(default_traj):

@@ -1,12 +1,20 @@
 """Network forward/loss/training contracts."""
 
+import weakref
+
 import numpy as np
 import pytest
 
 import oracles
 from duffbench import numkit as nk
-from duffbench import nets
-from duffbench.duffing import rk4_increment, simulate, subsample
+from duffbench import nets, pinn
+from duffbench.duffing import (
+    ForcingSpec,
+    OscillatorParams,
+    rk4_increment,
+    simulate,
+    subsample,
+)
 from duffbench.metrics import rmse
 
 TANH = nets.MlpSpec(widths=(1, 8, 2))
@@ -209,8 +217,8 @@ def test_train_quadratic_bowl():
         tape = nk.Tape()
         x = tape.leaf(theta[0])
         loss = (x - 3.0) * (x - 3.0)
-        g = nk.backward(loss, [x])
-        return float(loss.value), np.array([float(g[0])])
+        return float(loss.value), \
+            lambda: np.array([float(nk.backward(loss, [x])[0])])
 
     cfg = nets.TrainConfig(adam_iters=3000, adam_lr=1e-2, lbfgs_iters=50)
     theta, history = nets.train(closure, np.array([0.0]), cfg)
@@ -224,8 +232,8 @@ def test_train_diverged_error_carries_history():
     def closure(theta):
         calls["n"] += 1
         if calls["n"] > 3:
-            return float("nan"), np.zeros_like(theta)
-        return 1.0, np.ones_like(theta)
+            return float("nan"), lambda: np.zeros_like(theta)
+        return 1.0, lambda: np.ones_like(theta)
 
     with pytest.raises(nets.TrainingDivergedError) as err:
         nets.adam(closure, np.zeros(2), 10)
@@ -233,7 +241,7 @@ def test_train_diverged_error_carries_history():
 
 
 def _nan_gradient(theta):
-    return 1.0, np.full_like(theta, np.nan)
+    return 1.0, lambda: np.full_like(theta, np.nan)
 
 
 def test_adam_rejects_non_finite_gradient():
@@ -249,20 +257,162 @@ def test_lbfgs_rejects_non_finite_first_gradient():
 
 
 def test_lbfgs_rejects_non_finite_gradient_at_accepted_step():
-    calls = {"n": 0}
+    calls = {"n": 0, "grad": 0}
 
     def closure(theta):
         calls["n"] += 1
         loss = float(np.sum((theta - 1.0) ** 2))
-        if calls["n"] > 1:  # every line-search point
-            return loss, np.full_like(theta, np.nan)
-        return loss, 2.0 * (theta - 1.0)
+        n = calls["n"]
+
+        def grad():
+            calls["grad"] += 1
+            if n > 1:  # every line-search point
+                return np.full_like(theta, np.nan)
+            return 2.0 * (theta - 1.0)
+        return loss, grad
 
     with pytest.raises(nets.TrainingDivergedError) as err:
         nets.lbfgs(closure, np.zeros(2), 10)
     assert err.value.history == [2.0]
     # the full step is rejected by the Armijo test, the half step accepted
     assert calls["n"] == 3
+    # gradients at the start and at the accepted half step only
+    assert calls["grad"] == 2
+
+
+ROSENBROCK_START = [np.array([-1.2]), np.array([1.0])]
+
+
+def _rosenbrock(tape, leaves):
+    x, y = leaves
+    r = y - x * x
+    return nk.vsum((1.0 - x) * (1.0 - x) + 100.0 * r * r)
+
+
+def _eager_lbfgs(closure, theta0, iters, **kwargs):
+    """The oracle L-BFGS on a lazy closure, its gradient forced at every
+    evaluation."""
+    def evaluate(theta):
+        loss, grad = closure(theta)
+        return loss, grad()
+    return oracles.lbfgs_eager(evaluate, theta0, iters, **kwargs)
+
+
+def _lbfgs_calls(monkeypatch, optimizer, run):
+    """(θ, L-BFGS history, evaluations, accepted steps) of each L-BFGS
+    call that `run()` makes, with `optimizer` as `nets.lbfgs`."""
+    calls = []
+
+    def recording(closure, theta0, iters, history=None):
+        before = len(history) if history is not None else 0
+        evals = []
+
+        def counted(theta):
+            evals.append(theta)
+            return closure(theta)
+
+        theta, history = optimizer(counted, theta0, iters, history=history)
+        steps = len(history) - before - 1
+        calls.append((theta, history[before:], len(evals), steps))
+        return theta, history
+
+    monkeypatch.setattr(nets, "lbfgs", recording)
+    run()
+    return calls
+
+
+def _fit_forward_window():
+    """The first of the shipped pinn-forward layout's 12 windows on the
+    1024-sample record (85 samples plus a margin of 6), at the bench's
+    light budget."""
+    params, forcing = OscillatorParams(), ForcingSpec()
+    pinn.run_forward_model(simulate(params, forcing, n=91), params, forcing,
+                           seed=7, windows=1, margin=0,
+                           train=nets.TrainConfig(adam_iters=8, adam_lr=2e-3,
+                                                  lbfgs_iters=5))
+
+
+@pytest.mark.parametrize("run", [
+    lambda: nets.fit_arrays(ROSENBROCK_START, _rosenbrock,
+                            nets.TrainConfig(adam_iters=0, lbfgs_iters=30)),
+    _fit_forward_window,
+], ids=["rosenbrock", "pinn-forward-window"])
+def test_lbfgs_matches_eager_oracle_bit_for_bit(monkeypatch, run):
+    """Taking no gradient at rejected trials changes no bit of θ or the
+    history, and no evaluation count."""
+    lazy = _lbfgs_calls(monkeypatch, nets.lbfgs, run)
+    eager = _lbfgs_calls(monkeypatch, _eager_lbfgs, run)
+    assert len(lazy) == len(eager) >= 1
+    for (theta, history, evals, steps), ref in zip(lazy, eager):
+        np.testing.assert_array_equal(theta, ref[0])
+        assert history == ref[1]
+        assert (evals, steps) == ref[2:]
+    # some trial point was rejected: evaluated, neither start nor step
+    assert sum(evals - 1 - steps for _, _, evals, steps in lazy) >= 1
+
+
+def test_backward_runs_per_adam_step_and_accepted_lbfgs_point(monkeypatch):
+    backwards, builds = [], []
+    backward = nk.backward
+
+    def counting(output, wrt):
+        backwards.append(output)
+        return backward(output, wrt)
+
+    def build(tape, leaves):
+        builds.append(tape)
+        return _rosenbrock(tape, leaves)
+
+    monkeypatch.setattr(nk, "backward", counting)
+    cfg = nets.TrainConfig(adam_iters=7, adam_lr=1e-2, lbfgs_iters=30)
+    _, history = nets.fit_arrays(ROSENBROCK_START, build, cfg)
+    accepted = len(history) - cfg.adam_iters - 1
+    assert accepted >= 1
+    assert len(backwards) == cfg.adam_iters + 1 + accepted
+    # every other evaluation was a rejected line-search trial
+    assert len(builds) > len(backwards)
+
+
+def test_gradient_is_refused_once_its_graph_is_released(monkeypatch):
+    """A gradient callable of `fit_arrays` serves its own evaluation once,
+    and only until the next evaluation starts."""
+    def misuse(closure, theta0, config):
+        _, stale = closure(theta0)
+        _, grad = closure(theta0)
+        with pytest.raises(RuntimeError, match="released"):
+            stale()
+        grad()
+        with pytest.raises(RuntimeError, match="released"):
+            grad()
+        return theta0, []
+
+    monkeypatch.setattr(nets, "train", misuse)
+    nets.fit_arrays(ROSENBROCK_START, _rosenbrock, nets.TrainConfig())
+
+
+@pytest.mark.parametrize("diverge", [False, True],
+                         ids=["converging", "line-search-fails"])
+def test_fit_arrays_releases_every_graph(diverge):
+    """Evaluation k's graph is gone when evaluation k+1 is built, and no
+    tape keeps a node once `fit_arrays` returns, also when the last
+    evaluation was a rejected trial whose gradient nobody took."""
+    cfg = nets.TrainConfig(adam_iters=7, adam_lr=1e-2, lbfgs_iters=30)
+    tapes, losses = [], []
+
+    def build(tape, leaves):
+        assert all(ref() is None for ref in losses)
+        tapes.append(tape)
+        loss = _rosenbrock(tape, leaves)
+        if diverge and len(tapes) > cfg.adam_iters + 1:
+            loss = loss * float("nan")
+        losses.append(weakref.ref(loss))
+        return loss
+
+    _, history = nets.fit_arrays(ROSENBROCK_START, build, cfg)
+    if diverge:  # Adam and the L-BFGS start, then 25 rejected trials
+        assert len(history) == cfg.adam_iters + 1
+        assert len(tapes) == cfg.adam_iters + 1 + 25
+    assert all(not tape.nodes for tape in tapes)
 
 
 def test_seed_determinism_of_training():
