@@ -323,8 +323,8 @@ def _lbfgs_calls(monkeypatch, optimizer, run):
 
 def _fit_forward_window():
     """The first of the shipped pinn-forward layout's 12 windows on the
-    1024-sample record (85 samples plus a margin of 6), at the bench's
-    light budget."""
+    1024-sample record (85 samples plus a margin of 6), at the budget of
+    the benchmark's focus pinn-forward config."""
     params, forcing = OscillatorParams(), ForcingSpec()
     pinn.run_forward_model(simulate(params, forcing, n=91), params, forcing,
                            seed=7, windows=1, margin=0,
@@ -369,7 +369,7 @@ def test_backward_runs_per_adam_step_and_accepted_lbfgs_point(monkeypatch):
     accepted = len(history) - cfg.adam_iters - 1
     assert accepted >= 1
     assert len(backwards) == cfg.adam_iters + 1 + accepted
-    # every other evaluation was a rejected line-search trial
+    # the remaining evaluations were rejected line-search trials
     assert len(builds) > len(backwards)
 
 
