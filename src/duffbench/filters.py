@@ -39,7 +39,8 @@ UKF_KAPPA = 0.0
 
 
 class FilterDivergenceError(NumericFailure):
-    """Covariance lost positive definiteness beyond jitter repair."""
+    """Covariance lost positive definiteness beyond jitter repair, or a
+    sigma point's propagation went non-finite."""
 
 
 class DegeneracyError(NumericFailure):
@@ -203,7 +204,10 @@ def ukf_step(belief: GaussianBelief, layout: AugmentedState,
     cov_a[n_x + 1, n_x + 1] = max(noise.r_measurement, 1e-300)
     pts, w_mean, w_cov = _sigma_points(mean_a, cov_a)
 
-    x_pts = _propagate(pts[:, :n_x], layout, base, h, f_stages)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_pts = _propagate(pts[:, :n_x], layout, base, h, f_stages)
+    if not np.isfinite(x_pts).all():
+        raise FilterDivergenceError("sigma-point propagation went non-finite")
     x_pts[:, 1] += pts[:, n_x]  # velocity process noise
     x_mean = w_mean @ x_pts
     dx = x_pts - x_mean

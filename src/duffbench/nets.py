@@ -13,7 +13,9 @@ and `grad` a zero-argument callable that returns the gradient at theta
 as a flat array. Adam calls it at every step; L-BFGS only at its start
 and at each trial point its Armijo test accepts, so a rejected trial
 costs a forward pass alone. A callable may be called once, before the
-closure is next called.
+closure is next called. L-BFGS backtracks from min(1, 1/‖g‖₁) on its
+first iteration, where the direction is −g, and from 1 on every later
+one.
 """
 
 from __future__ import annotations
@@ -232,34 +234,37 @@ def fit_arrays(arrays0, loss_builder, config: TrainConfig):
     """
     arrays0 = [np.asarray(a, dtype=float) for a in arrays0]
     flat, metas = flatten(arrays0)
-    # evaluation key -> (loss node, leaves); a gradient callable holds
-    # its key only, so a stale callable keeps no graph alive
-    live = {}
+    # (token, loss node, leaves) of the one unreleased evaluation; a
+    # gradient callable holds its token only, so a stale one keeps no
+    # graph alive
+    live = None
 
     def release():
         # nodes and their tape refer to each other; unlinking them frees
         # an evaluation's arrays now instead of at a later cyclic GC
-        for loss, _ in live.values():
-            loss.tape.nodes.clear()
-        live.clear()
+        nonlocal live
+        if live is not None:
+            live[1].tape.nodes.clear()
+            live = None
 
-    def gradient(key):
-        if key not in live:
+    def gradient(token):
+        if live is None or live[0] is not token:
             raise RuntimeError("gradient requested after its evaluation "
                                "was released")
-        loss, leaves = live[key]
+        _, loss, leaves = live
         gs = nk.backward(loss, leaves)
         release()
         return np.concatenate([np.ravel(g) for g in gs])
 
     def closure(theta):
+        nonlocal live
         release()
         tape = nk.Tape()
         leaves = [tape.leaf(a) for a in unflatten(theta, metas)]
         loss = loss_builder(tape, leaves)
-        key = object()
-        live[key] = (loss, leaves)
-        return float(loss.value), functools.partial(gradient, key)
+        token = object()
+        live = (token, loss, leaves)
+        return float(loss.value), functools.partial(gradient, token)
 
     try:
         theta, history = train(closure, flat, config)
@@ -299,7 +304,11 @@ def lbfgs(closure, theta0, iters, memory=10, c1=1e-4, max_linesearch=25,
 
     The backtracking test reads the loss alone (Nocedal & Wright 2006,
     Alg. 3.1), so the gradient is taken at the start and at each
-    accepted point only.
+    accepted point only. The first iteration, with no curvature pair
+    yet, searches along −g from min(1, 1/‖g‖₁) (N&W §3.5, as
+    `torch.optim.LBFGS` does); every later one from 1, also after a
+    rejected pair, since a tiny step repeated keeps meeting the same
+    negative curvature.
     """
     theta = np.array(theta0, dtype=float)
     history = [] if history is None else history
@@ -309,7 +318,7 @@ def lbfgs(closure, theta0, iters, memory=10, c1=1e-4, max_linesearch=25,
         raise TrainingDivergedError(history)
     history.append(float(loss))
     pairs = []
-    for _ in range(iters):
+    for it in range(iters):
         q = g.copy()
         alphas = []
         for s, y, rho in reversed(pairs):
@@ -329,7 +338,7 @@ def lbfgs(closure, theta0, iters, memory=10, c1=1e-4, max_linesearch=25,
             slope = g @ d
         if slope >= 0.0:
             break
-        step = 1.0
+        step = 1.0 / max(1.0, np.abs(g).sum()) if it == 0 else 1.0
         accepted = False
         for _ in range(max_linesearch):
             theta_new = theta + step * d

@@ -178,10 +178,13 @@ def sdof_lml_and_grad_cholesky(theta, y, base, noise_var):
 
 
 def lbfgs_eager(closure, theta0, iters, memory=10, c1=1e-4,
-                max_linesearch=25, gtol=1e-12, history=None):
+                max_linesearch=25, gtol=1e-12, history=None,
+                scaled_first_step=True):
     """L-BFGS with Armijo backtracking on an eager closure theta ->
     (loss, gradient array): `nets.lbfgs` as it was when every trial
-    point, rejected or not, ran its backward pass."""
+    point, rejected or not, ran its backward pass. The first iteration's
+    backtracking starts at min(1, 1/‖g‖₁), as in `nets.lbfgs`, or at 1
+    with `scaled_first_step=False`, as it did before that rule."""
     theta = np.array(theta0, dtype=float)
     history = [] if history is None else history
     loss, g = closure(theta)
@@ -189,7 +192,7 @@ def lbfgs_eager(closure, theta0, iters, memory=10, c1=1e-4,
         raise nets.TrainingDivergedError(history)
     history.append(float(loss))
     pairs = []
-    for _ in range(iters):
+    for it in range(iters):
         q = g.copy()
         alphas = []
         for s, y, rho in reversed(pairs):
@@ -210,6 +213,8 @@ def lbfgs_eager(closure, theta0, iters, memory=10, c1=1e-4,
         if slope >= 0.0:
             break
         step = 1.0
+        if it == 0 and scaled_first_step:
+            step = min(1.0, 1.0 / np.sum(np.abs(g)))
         accepted = False
         for _ in range(max_linesearch):
             theta_new = theta + step * d

@@ -1,6 +1,7 @@
 """Harness contracts: config validation, determinism, manifests, compare."""
 
 import configparser
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -391,6 +392,23 @@ def test_hostile_config_exits_with_contract_code(tmp_path, capsys, case):
     assert all(word in err for word in named), err
     if expected == 3:
         assert (out / "manifest.txt").exists()
+
+
+def test_overflowing_ukf_sigma_point_is_a_named_divergence(tmp_path, capsys):
+    """At this seed a sigma point of the 128-sample record's UKF overflows
+    in its RK4 step: the run exits 3 and says so, with no overflow warning
+    and no NaN left to reach the covariance's Cholesky factor."""
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, f"[experiment]\nmethod = ukf\nseed = 1520\n"
+                              f"out = {out}\n\n[simulator]\nphase_seed = 101\n"
+                              f"n = 128\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["run", cfg]) == 3
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert "sigma-point propagation went non-finite" in err, err
+    assert (out / "manifest.txt").exists()
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2 ** 128)])

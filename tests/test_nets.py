@@ -271,9 +271,10 @@ def test_lbfgs_rejects_non_finite_gradient_at_accepted_step():
             return 2.0 * (theta - 1.0)
         return loss, grad
 
+    # ‖g‖₁ = 0.5 < 1 at the start, so the first trial is the unit step
     with pytest.raises(nets.TrainingDivergedError) as err:
-        nets.lbfgs(closure, np.zeros(2), 10)
-    assert err.value.history == [2.0]
+        nets.lbfgs(closure, np.full(2, 0.875), 10)
+    assert err.value.history == [0.03125]
     # the full step is rejected by the Armijo test, the half step accepted
     assert calls["n"] == 3
     # gradients at the start and at the accepted half step only
@@ -323,13 +324,14 @@ def _lbfgs_calls(monkeypatch, optimizer, run):
 
 def _fit_forward_window():
     """The first of the shipped pinn-forward layout's 12 windows on the
-    1024-sample record (85 samples plus a margin of 6), at the budget of
-    the benchmark's focus pinn-forward config."""
+    1024-sample record (85 samples plus a margin of 6), at the Adam budget
+    of the benchmark's focus pinn-forward config. Its 5 L-BFGS iterations
+    reject no trial since the first step is scaled; 30 reject some."""
     params, forcing = OscillatorParams(), ForcingSpec()
     pinn.run_forward_model(simulate(params, forcing, n=91), params, forcing,
                            seed=7, windows=1, margin=0,
                            train=nets.TrainConfig(adam_iters=8, adam_lr=2e-3,
-                                                  lbfgs_iters=5))
+                                                  lbfgs_iters=30))
 
 
 @pytest.mark.parametrize("run", [
@@ -349,6 +351,62 @@ def test_lbfgs_matches_eager_oracle_bit_for_bit(monkeypatch, run):
         assert (evals, steps) == ref[2:]
     # some trial point was rejected: evaluated, neither start nor step
     assert sum(evals - 1 - steps for _, _, evals, steps in lazy) >= 1
+
+
+def _quadratic(scale, trials):
+    """Closure of scale·‖θ − 1‖²/2 that records every trial point."""
+    def closure(theta):
+        trials.append(theta.copy())
+        r = theta - 1.0
+        return 0.5 * scale * float(r @ r), lambda: scale * r
+    return closure
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e100],
+                         ids=["l1-below-1", "l1-huge"])
+def test_lbfgs_first_trial_is_gradient_scaled(scale):
+    """The first iteration's first trial is θ₀ − min(1, 1/‖g‖₁)·g, also
+    when that step is tiny or the unit step; no warning either way."""
+    trials = []
+    theta0 = np.array([0.5, 3.0, -1.0])
+    g = scale * (theta0 - 1.0)
+    nets.lbfgs(_quadratic(scale, trials), theta0, 4)
+    step = min(1.0, 1.0 / np.sum(np.abs(g)))
+    assert (step == 1.0) == (scale < 1.0)
+    np.testing.assert_array_equal(trials[1], theta0 + step * -g)
+
+
+def test_lbfgs_later_iterations_start_at_the_unit_step():
+    """When the first step meets negative curvature, its pair is dropped
+    and the next direction is −g again; its first trial is still the unit
+    step, not another gradient-scaled one."""
+    trials = []
+
+    def closure(theta):  # 10·(1 − cos θ), concave for |θ| > π/2
+        trials.append(theta.copy())
+        return 10.0 * (1.0 - np.cos(theta[0])), lambda: 10.0 * np.sin(theta)
+
+    theta0 = np.array([2.5])
+    nets.lbfgs(closure, theta0, 2)
+    # iteration 0 accepted its first trial θ₁ with sᵀy < 0
+    theta1 = trials[1]
+    s, y = theta1 - theta0, 10.0 * (np.sin(theta1) - np.sin(theta0))
+    assert s @ y < 0.0
+    assert np.sum(np.abs(10.0 * np.sin(theta1))) > 1.0
+    np.testing.assert_array_equal(trials[2], theta1 - 10.0 * np.sin(theta1))
+
+
+def test_scaled_first_step_saves_evaluations_not_steps(monkeypatch):
+    """On a PINN window, the gradient-scaled first step needs fewer
+    evaluations than a unit first step, for as many accepted steps."""
+    scaled = _lbfgs_calls(monkeypatch, nets.lbfgs, _fit_forward_window)
+
+    def unit(closure, theta0, iters, **kwargs):
+        return _eager_lbfgs(closure, theta0, iters, scaled_first_step=False,
+                            **kwargs)
+    unit_calls = _lbfgs_calls(monkeypatch, unit, _fit_forward_window)
+    assert sum(c[2] for c in scaled) < sum(c[2] for c in unit_calls)
+    assert sum(c[3] for c in scaled) >= sum(c[3] for c in unit_calls)
 
 
 def test_backward_runs_per_adam_step_and_accepted_lbfgs_point(monkeypatch):
