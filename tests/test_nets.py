@@ -353,24 +353,21 @@ def test_lbfgs_matches_eager_oracle_bit_for_bit(monkeypatch, run):
     assert sum(evals - 1 - steps for _, _, evals, steps in lazy) >= 1
 
 
-def _quadratic(scale, trials):
-    """Closure of scale·‖θ − 1‖²/2 that records every trial point."""
-    def closure(theta):
-        trials.append(theta.copy())
-        r = theta - 1.0
-        return 0.5 * scale * float(r @ r), lambda: scale * r
-    return closure
-
-
 @pytest.mark.parametrize("scale", [1e-3, 1e100],
                          ids=["l1-below-1", "l1-huge"])
 def test_lbfgs_first_trial_is_gradient_scaled(scale):
     """The first iteration's first trial is θ₀ − min(1, 1/‖g‖₁)·g, also
     when that step is tiny or the unit step; no warning either way."""
     trials = []
+
+    def closure(theta):  # scale·‖θ − 1‖²/2
+        trials.append(theta.copy())
+        r = theta - 1.0
+        return 0.5 * scale * float(r @ r), lambda: scale * r
+
     theta0 = np.array([0.5, 3.0, -1.0])
     g = scale * (theta0 - 1.0)
-    nets.lbfgs(_quadratic(scale, trials), theta0, 4)
+    nets.lbfgs(closure, theta0, 4)
     step = min(1.0, 1.0 / np.sum(np.abs(g)))
     assert (step == 1.0) == (scale < 1.0)
     np.testing.assert_array_equal(trials[1], theta0 + step * -g)
