@@ -387,6 +387,16 @@ def run_gp(kind, opts, sim, out, seed):
 
 
 def run_node(opts, sim, out, seed):
+    if opts["refine"]:
+        if opts["refine_iters"] < 1:
+            raise ConfigError(f"[node] refine_iters must be >= 1, got "
+                              f"{opts['refine_iters']}")
+        # the longest refinement windows need one more pair than steps
+        longest = max(node_mod.REFINE_HORIZONS)
+        if sim["n"] - 1 <= longest:
+            raise ConfigError(f"[node] refine needs [simulator] n > "
+                              f"{longest + 1} for its {longest}-step "
+                              f"windows, got n = {sim['n']}")
     params, forcing, traj = build_simulation(sim)
     dataset = node_mod.OneStepDataset.from_trajectory(traj, forcing)
     func, history = node_mod.train_k1_predictor(

@@ -4,9 +4,13 @@ The neural ODE approximates ż from (u, v, f) and is trained through its
 RK4 integrator (discretise-then-optimise), first as a k+1 predictor,
 then on multi-step rollout windows. Each of those losses is one tape
 node, `rk4_windows_loss`, whose backward rule is the discrete RK4
-adjoint in numpy. The Hamiltonian route learns a separable
-H(q, p) = T(p) + V(q) from conservative data by matching its partial
-derivatives to observed rates, and is integrated symplectically.
+adjoint in numpy. Each fit owns a `WindowWorkspace`: the loss writes
+every stage application's layer values and adjoints into its stacked
+buffers on every evaluation instead of allocating fresh ones, and takes
+the weight adjoints of many applications in one batched product per
+layer. The Hamiltonian route learns a separable H(q, p) = T(p) + V(q)
+from conservative data by matching its partial derivatives to observed
+rates, and is integrated symplectically.
 """
 
 from __future__ import annotations
@@ -122,7 +126,46 @@ def rollout_windows(dataset: OneStepDataset, starts, horizon):
     return dataset.z[starts], forces, targets
 
 
-def rk4_windows_loss(func: OdeFunc, pairs, windows, h):
+# Rows of one chunk buffer of the window loss's backward sweep, which
+# stacks the layer adjoints of as many stage applications as fit
+ADJOINT_ROWS = 1024
+
+
+class WindowWorkspace:
+    """The arrays `rk4_windows_loss` writes on each evaluation of one fit.
+
+    Forward slabs hold, for each of the 4·horizon stage applications of
+    `windows`, the scaled (z, f) input and every hidden layer's output
+    (and cosine, for sin), in the order the backward sweep visits them:
+    the last step's last stage first. The sweep writes each layer's
+    adjoint into chunk slabs of at most ADJOINT_ROWS rows, and
+    `products` holds a chunk's per-application weight adjoints. One
+    evaluation owns the buffers at a time; the next one takes them over.
+    """
+
+    def __init__(self, spec: nets.MlpSpec, windows):
+        z0, _, targets = windows
+        n, apps = len(z0), 4 * len(targets)
+        widths = spec.widths
+        sin = spec.activation == "sin"
+        # what each layer reads: the scaled input, then each hidden output
+        self.inputs = [np.empty((apps, n, w)) for w in widths[:-1]]
+        cos = [np.empty((apps, n, w)) if sin else None for w in widths[1:-1]]
+        self.hidden = [[(h[a], None if c is None else c[a])
+                        for h, c in zip(self.inputs[1:], cos)]
+                       for a in range(apps)]
+        self.chunk = max(1, min(apps, ADJOINT_ROWS // max(n, *widths[:-1])))
+        self.adjoints = [np.empty((self.chunk, n, w)) for w in widths[1:]]
+        scratch = [None if sin else np.empty((n, w)) for w in widths[1:-1]]
+        self.slots = [[(g[k], t) for g, t in zip(self.adjoints, scratch)]
+                      for k in range(self.chunk)]
+        self.products = [(np.empty((self.chunk, a, b)),
+                          np.empty((self.chunk, b)))
+                         for a, b in zip(widths[:-1], widths[1:])]
+        self.owner = None
+
+
+def rk4_windows_loss(func: OdeFunc, pairs, windows, h, workspace=None):
     """Mean over the horizon of `nets.observation_loss` after every RK4
     step of the flow on all `windows` at once, as one tape node.
 
@@ -131,21 +174,33 @@ def rk4_windows_loss(func: OdeFunc, pairs, windows, h):
     of the per-op chain (the network on the scaled (z, f) input inside
     `rk4_increment`, one observation loss per step, their mean over the
     horizon) bit for bit. The VJP runs the discrete RK4 adjoint in numpy
-    from the last step back to the first, reusing each stage's saved
-    layer inputs, and adds every contribution in the order the chain's
-    `backward` would, so the weight adjoints are bit-identical too.
+    from the last step back to the first: per stage application only
+    the input-adjoint chain, writing each layer's adjoint into a chunk
+    slab, then per full chunk one batched weight product per layer
+    (`nk.stacked_weight_adjoints`). Every contribution is added in the
+    order the chain's `backward` would add it, so the weight adjoints
+    are bit-identical too.
+
+    The values and adjoints live in `workspace` (a fresh one if None),
+    which a fit reuses for all its evaluations. Evaluating through it
+    again takes it over: the earlier node's backward then raises
+    RuntimeError instead of reading overwritten values.
     """
     z0, forces, targets = windows
+    n, horizon = len(z0), len(targets)
+    ws = workspace or WindowWorkspace(func.spec, windows)
     weights = [(W.value, b.value) for W, b in pairs]
     activation, scale = func.spec.activation, func.scale
-    n, horizon = len(z0), len(targets)
-    stage_io, residuals = [], []  # each stage's (input, hidden layers)
+    token = ws.owner = object()
+    # forward stage applications fill the slabs from the back
+    order = iter(range(4 * horizon - 1, -1, -1))
+    residuals = []
 
     def flow(z, f):
-        x = np.concatenate([z, f], axis=1) / scale
-        hidden = []
-        stage_io.append((x, hidden))
-        return nk.mlp_forward(x, weights, activation, hidden)
+        a = next(order)
+        x = np.concatenate([z, f], axis=1, out=ws.inputs[0][a])
+        x /= scale
+        return nk.mlp_forward(x, weights, activation, slots=ws.hidden[a])
 
     z, total = z0, None
     for f_stages, target in zip(forces, targets):
@@ -156,14 +211,31 @@ def rk4_windows_loss(func: OdeFunc, pairs, windows, h):
         total = term if total is None else total + term
 
     def backward(g):
+        if ws.owner is not token:
+            raise RuntimeError("rk4_windows backward after a later "
+                               "evaluation took over its workspace")
         g_term = g / float(horizon) / float(n)
-        acc = [None] * (2 * len(weights))
+        grads = [np.full_like(a, -0.0) for pair in weights for a in pair]
+        swept = done = 0  # applications reversed; of them, in `grads`
 
-        def stage_vjp(s, g_k):  # stage s of step j, the step being reversed
-            x, hidden = stage_io[4 * j + s]
-            gx, grads = nk.mlp_vjp(g_k, weights, x, hidden)
-            for k, c in enumerate(grads):
-                acc[k] = c if acc[k] is None else acc[k] + c
+        def flush():
+            nonlocal done
+            nk.stacked_weight_adjoints(
+                [x[done:swept] for x in ws.inputs],
+                [slab[:swept - done] for slab in ws.adjoints], ws.products,
+                grads)
+            done = swept
+
+        def stage_vjp(s, g_k):  # called in slab order, last stage first
+            nonlocal swept
+            k = swept - done
+            out = ws.adjoints[-1][k]
+            out[...] = g_k
+            gx, _ = nk.mlp_vjp(out, weights, ws.inputs[0][swept],
+                               ws.hidden[swept], ws.slots[k])
+            swept += 1
+            if k + 1 == ws.chunk:
+                flush()
             return (gx / scale)[:, :2]
 
         gz = None  # adjoint of the state after step j
@@ -173,7 +245,9 @@ def rk4_windows_loss(func: OdeFunc, pairs, windows, h):
             g_res = g_res + g_res
             gz = g_res if gz is None else gz + g_res
             gz = rk4_step_vjp(stage_vjp, gz, h)
-        return tuple(acc)
+        if swept > done:
+            flush()
+        return tuple(grads)
 
     parents = tuple(node for pair in pairs for node in pair)
     return nk.Node(parents[0].tape, total / float(horizon), parents,
@@ -195,10 +269,11 @@ def node_train(dataset: OneStepDataset, spec: nets.MlpSpec = FLOW_NET,
     stream = nk.RngStream(seed).substream("node-init")
     func = OdeFunc(spec, nets.init_params(spec, stream), scale)
     windows = rollout_windows(dataset, np.arange(len(dataset)), 1)
+    workspace = WindowWorkspace(spec, windows)
 
     def build(tape, leaves):
         return rk4_windows_loss(func, nets.arrays_to_pairs(leaves), windows,
-                                dataset.h)
+                                dataset.h, workspace)
 
     arrays, history = nets.fit_arrays(nets.pairs_to_arrays(func.params),
                                       build, train or nets.TrainConfig())
@@ -219,10 +294,11 @@ def multistep_refine(func: OdeFunc, dataset: OneStepDataset, horizon: int,
         raise ConfigError("horizon must fit inside the dataset")
     starts = np.arange(0, n_pairs - horizon, max(horizon // 2, 1))
     windows = rollout_windows(dataset, starts, horizon)
+    workspace = WindowWorkspace(func.spec, windows)
 
     def build(tape, leaves):
         return rk4_windows_loss(func, nets.arrays_to_pairs(leaves), windows,
-                                dataset.h)
+                                dataset.h, workspace)
 
     arrays, _ = nets.fit_arrays(nets.pairs_to_arrays(func.params), build,
                                 train)
@@ -242,8 +318,6 @@ def train_k1_predictor(dataset: OneStepDataset, spec: nets.MlpSpec = FLOW_NET,
     steps) at decreasing learning rates; they roughly halve the
     free-run rollout error at every seed tried.
     """
-    if refine and refine_iters < 1:
-        raise ConfigError(f"refine_iters must be >= 1, got {refine_iters}")
     func, history = node_train(dataset, spec=spec, seed=seed, train=train)
     if refine:
         for horizon, lr in zip(REFINE_HORIZONS, REFINE_RATES):

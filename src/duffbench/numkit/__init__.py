@@ -5,8 +5,6 @@ from .tape import (
     Tape,
     Node,
     TapeError,
-    NumericError,
-    grad,
     backward,
     add,
     sub,
@@ -22,6 +20,7 @@ from .tape import (
     mlp,
     mlp_forward,
     mlp_vjp,
+    stacked_weight_adjoints,
     vsum,
     take,
 )
@@ -29,8 +28,9 @@ from .rng import RngStream
 from .sobol import sobol_sequence, sobol_indices
 
 __all__ = [
-    "Tape", "Node", "TapeError", "NumericError", "grad", "backward",
+    "Tape", "Node", "TapeError", "backward",
     "add", "sub", "mul", "div", "neg", "powc", "tanh", "sin", "sincos",
-    "softplus", "matmul", "mlp", "mlp_forward", "mlp_vjp", "vsum", "take",
+    "softplus", "matmul", "mlp", "mlp_forward", "mlp_vjp",
+    "stacked_weight_adjoints", "vsum", "take",
     "RngStream", "sobol_sequence", "sobol_indices",
 ]

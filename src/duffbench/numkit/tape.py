@@ -8,28 +8,21 @@ a backward sweep accumulates arrays and never grows the tape.
 
 Supported matmul shapes are (2D, 2D) and (2D, 1D); everything else is
 elementwise with numpy broadcasting. `mlp` records a whole network
-application as one node; `mlp_vjp`, its reverse layer loop, also serves
-ops that fuse several applications into one node.
+application as one node. Its layer loops, `mlp_forward` and `mlp_vjp`,
+also serve ops that fuse many applications into one node: such an op
+can hand them preallocated slots to write into, and take the weight
+adjoints of a whole stack of applications at once with
+`stacked_weight_adjoints`, one batched product per layer, adding them
+in the order of the per-application chain so the bits stay the same.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import NumericFailure
-
 
 class TapeError(Exception):
     """Structural problem in the graph (cross-tape ops, broken order)."""
-
-
-class NumericError(NumericFailure):
-    """Non-finite value encountered on the tape."""
-
-    def __init__(self, node_id, op):
-        super().__init__(f"non-finite value at node {node_id} (op '{op}')")
-        self.node_id = node_id
-        self.op = op
 
 
 class Tape:
@@ -45,14 +38,6 @@ class Tape:
     def constant(self, value):
         """Register a value gradients do not flow into."""
         return Node(self, np.asarray(value, dtype=float), (), None, "const")
-
-    def validate(self):
-        for node in self.nodes:
-            for p in node.parents:
-                if p.tape is not self:
-                    raise TapeError("node references a foreign tape")
-                if p.idx >= node.idx:
-                    raise TapeError(f"topological order violated at node {node.idx}")
 
 
 class Node:
@@ -258,25 +243,33 @@ def vsum(a, axis=None, keepdims=False):
                 backward, "sum")
 
 
-def mlp_forward(x, params, activation, hidden=None):
+def mlp_forward(x, params, activation, hidden=None, slots=None):
     """Plain-numpy MLP: act(h @ W + b) per hidden layer, affine output.
 
     `params` holds (W, b) arrays and `activation` is "tanh" or "sin".
     With a `hidden` list, each hidden layer appends (its output, cos of
     its pre-activation for sin or None for tanh): what `mlp_vjp` reads.
+    `slots` holds one such (output, cos or None) pair of preallocated
+    arrays per hidden layer for the layers to write into instead of
+    fresh arrays; `out=` does not change the bits.
     """
-    act = np.sin if activation == "sin" else np.tanh
+    sin = activation == "sin"
+    act = np.sin if sin else np.tanh
     h = x
-    for W, b in params[:-1]:
-        a = h @ W + b
-        h = act(a)
+    for i, (W, b) in enumerate(params[:-1]):
+        out, cos_a = (None, None) if slots is None else slots[i]
+        a = np.matmul(h, W, out=out)
+        a += b
+        if sin:
+            cos_a = np.cos(a, out=cos_a)
+        h = act(a, out=a)
         if hidden is not None:
-            hidden.append((h, np.cos(a) if activation == "sin" else None))
+            hidden.append((h, cos_a))
     W, b = params[-1]
     return h @ W + b
 
 
-def mlp_vjp(g, weights, x, hidden):
+def mlp_vjp(g, weights, x, hidden, slots=None):
     """Adjoints of one MLP application from its output adjoint `g`.
 
     `weights` holds the (W, b) arrays, `x` and `hidden` what
@@ -284,16 +277,53 @@ def mlp_vjp(g, weights, x, hidden):
     [gW0, gb0, gW1, gb1, ...]. The layers are walked in reverse with the
     float operations and order of the per-op chain (matmul, add,
     activation), so every adjoint equals that chain's bit for bit.
+
+    `slots`, one (adjoint, scratch) pair of arrays per hidden layer,
+    takes that layer's pre-activation adjoint and tanh's 1 − h²; the
+    weight adjoints are then left to the caller, which can take those of
+    many applications at once (`stacked_weight_adjoints`), and the list
+    comes back empty.
     """
-    grads = [None] * (2 * len(weights))
-    for i in range(len(weights) - 1, -1, -1):
-        grads[2 * i] = (hidden[i - 1][0] if i else x).T @ g
-        grads[2 * i + 1] = g.sum(axis=0)
-        g = g @ weights[i][0].T
-        if i:
-            h, cos_a = hidden[i - 1]
-            g = g * (1.0 - h * h) if cos_a is None else g * cos_a
-    return g, grads
+    grads = []
+    for i in range(len(weights) - 1, 0, -1):
+        h, slope = hidden[i - 1]
+        if slots is None:
+            grads[:0] = (h.T @ g, g.sum(axis=0))
+        adjoint, scratch = (None, None) if slots is None else slots[i - 1]
+        g = np.matmul(g, weights[i][0].T, out=adjoint)
+        if slope is None:  # tanh: 1 - h * h, as the tanh node's VJP
+            slope = np.multiply(h, h, out=scratch)
+            np.subtract(1.0, slope, out=slope)
+        np.multiply(g, slope, out=g)
+    if slots is None:
+        grads[:0] = (x.T @ g, g.sum(axis=0))
+    return g @ weights[0][0].T, grads
+
+
+def stacked_weight_adjoints(inputs, adjoints, products, grads):
+    """Add the weight adjoints of a stack of MLP applications to `grads`.
+
+    `inputs[l]` (m, n, d_in) and `adjoints[l]` (m, n, d_out) hold layer
+    l's input and output adjoint for m applications in the order of the
+    backward sweep, forward in memory; `products[l]` is a pair of
+    (≥ m, d_in, d_out) and (≥ m, d_out) scratch arrays. `grads`
+    [gW0, gb0, ...] holds the running totals, −0.0 at the start. Each
+    layer takes one batched matmul and one row sum, and adds their m
+    slices in order with the running total in slot 0: the order in
+    which a backward sweep adds each application's own product, so the
+    totals equal it bit for bit.
+    """
+    m = len(inputs[0])
+    for i, (inp, g, (gW, gb)) in enumerate(zip(inputs, adjoints, products)):
+        np.matmul(inp.transpose(0, 2, 1), g, out=gW[:m])
+        np.sum(g, axis=1, out=gb[:m])
+        for total, stack in ((grads[2 * i], gW[:m]), (grads[2 * i + 1],
+                                                      gb[:m])):
+            stack[0] += total
+            if total.size > 1:  # slices are added whole, in order
+                np.sum(stack, axis=0, out=total, initial=-0.0)
+            else:  # np.sum would add single elements pairwise
+                total[...] = np.add.accumulate(stack, axis=0)[-1]
 
 
 def mlp(x, params, activation):
@@ -332,7 +362,7 @@ def take(a, index):
 
 # -- backward pass ----------------------------------------------------------
 
-def backward(output, wrt, check_finite=False):
+def backward(output, wrt):
     """Adjoints of `output` with respect to the nodes in `wrt`.
 
     Returns one ndarray per entry of `wrt`, in order; nodes that do not
@@ -343,11 +373,6 @@ def backward(output, wrt, check_finite=False):
     if output.value.size != 1:
         raise TapeError("backward expects a scalar output node")
     span = tape.nodes[: output.idx + 1]
-    if check_finite:
-        tape.validate()
-        for node in span:
-            if not np.all(np.isfinite(node.value)):
-                raise NumericError(node.idx, node.op)
     wrt_ids = {w.idx for w in wrt}
     # adjoints[i] is the adjoint of node i, None until a consumer adds to it
     adjoints = [None] * len(span)
@@ -372,16 +397,3 @@ def backward(output, wrt, check_finite=False):
         results.append(np.zeros_like(w.value) if g is None else np.asarray(g))
     return results
 
-
-def grad(output, wrt=None, check_finite=True):
-    """Map every requested leaf to d(output)/d(leaf).
-
-    With ``wrt=None`` all leaves of the tape are used; leaves the output
-    never touched map to exactly zero. Forward values on the tape are
-    left untouched by the sweep.
-    """
-    tape = output.tape
-    if wrt is None:
-        wrt = [n for n in tape.nodes[: output.idx + 1] if n.op == "leaf"]
-    gs = backward(output, wrt, check_finite=check_finite)
-    return dict(zip(wrt, gs))

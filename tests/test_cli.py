@@ -246,6 +246,29 @@ def test_config_errors_exit_before_simulating(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extra,keys", [
+    ("[node]\nrefine_iters = 0\n", ["[node] refine_iters"]),
+    ("[simulator]\nn = 65\n", ["[node] refine", "[simulator] n"])])
+def test_node_refine_checks_come_before_simulating(tmp_path, capsys,
+                                                   monkeypatch, extra, keys):
+    monkeypatch.setattr(cli, "simulate", refuse_to_simulate)
+    cfg = write_cfg(tmp_path, f"[experiment]\nmethod = node\n"
+                              f"out = {tmp_path / 'out'}\n\n{extra}")
+    assert cli.main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert all(key in err for key in keys), err
+
+
+def test_refine_runs_on_the_shortest_record(tmp_path):
+    """66 samples make 65 pairs: one window for the 64-step stage."""
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, f"[experiment]\nmethod = node\nout = {out}\n\n"
+                              "[simulator]\nn = 66\n\n[node]\nadam_iters = 1\n"
+                              "lbfgs_iters = 0\nrefine_iters = 1\n")
+    assert cli.main(["run", cfg]) == 0
+    assert (out / "rollout.csv").exists()
+
+
 # configs that once crashed with a traceback:
 # (method, extra INI, exit code[, a word the one-line error must name])
 HOSTILE = {
@@ -362,7 +385,12 @@ HOSTILE = {
                              2, "lbfgs_iters"),
     "negative-refine-iters": ("node", "[simulator]\nn = 64\n\n[node]\n"
                               "adam_iters = 1\nlbfgs_iters = 0\n"
-                              "refine_iters = -1\n", 2, "refine_iters"),
+                              "refine_iters = -1\n", 2,
+                              "[node] refine_iters"),
+    # the 64-step refinement windows need 65 pairs, so 66 samples
+    "refine-on-short-record": ("node", "[simulator]\nn = 65\n\n[node]\n"
+                               "adam_iters = 1\nlbfgs_iters = 0\n", 2,
+                               "[node] refine", "[simulator] n"),
     "negative-gp-steps": ("gp-se", "[simulator]\nn = 256\n\n[gp-se]\n"
                           "restarts = 1\nsteps = -3\n", 2, "steps"),
     # Adam ascends on a negative rate and stands still at zero

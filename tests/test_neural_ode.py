@@ -246,29 +246,118 @@ def _flow(spec):
                         np.array([1.5, 2.0, 0.7]))
 
 
-def _loss_and_adjoints(build, func, windows, h):
+def _loss_and_adjoints(build, func, windows, h, *workspace):
     tape = nk.Tape()
     leaves = [tape.leaf(a) for a in nets.pairs_to_arrays(func.params)]
-    loss = build(func, nets.arrays_to_pairs(leaves), windows, h)
+    loss = build(func, nets.arrays_to_pairs(leaves), windows, h, *workspace)
     return loss, nk.backward(loss, leaves), len(tape.nodes) - len(leaves)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _case_windows(dataset, case):
+    starts, horizon = WINDOWS[case]
+    return node.rollout_windows(dataset, starts(len(dataset)), horizon)
+
+
+# chunk row budgets: one stage application per chunk; three per chunk,
+# which leaves a remainder chunk at every horizon
+ROW_BUDGETS = {"one-row": (lambda rows: 1, 1),
+               "remainder": (lambda rows: 3 * rows, 3)}
+
+
+def _assert_matches_per_op_chain(dataset, spec, case, workspace):
+    windows = _case_windows(dataset, case)
+    func = _flow(spec)
+    fused, fused_adj, fused_nodes = _loss_and_adjoints(
+        node.rk4_windows_loss, func, windows, dataset.h, workspace)
+    chain, chain_adj, _ = _loss_and_adjoints(
+        oracles.rk4_windows_loss_per_op, func, windows, dataset.h)
+    assert fused_nodes == 1 and fused.op == "rk4_windows"
+    assert fused.value == chain.value
+    for a, b in zip(fused_adj, chain_adj):
+        assert _same_bits(a, b)
+        assert np.any(a != 0.0)
 
 
 @pytest.mark.parametrize("spec", WINDOW_NETS, ids=lambda s: s.activation)
 @pytest.mark.parametrize("case", sorted(WINDOWS))
 def test_window_loss_matches_per_op_chain_bitwise(short_dataset, spec, case):
-    starts, horizon = WINDOWS[case]
-    windows = node.rollout_windows(short_dataset,
-                                   starts(len(short_dataset)), horizon)
+    workspace = node.WindowWorkspace(spec, _case_windows(short_dataset, case))
+    _assert_matches_per_op_chain(short_dataset, spec, case, workspace)
+
+
+@pytest.mark.parametrize("budget", sorted(ROW_BUDGETS))
+@pytest.mark.parametrize("spec", WINDOW_NETS, ids=lambda s: s.activation)
+@pytest.mark.parametrize("case", sorted(WINDOWS))
+def test_window_loss_chunks_match_per_op_chain_bitwise(short_dataset, spec,
+                                                       case, budget,
+                                                       monkeypatch):
+    windows = _case_windows(short_dataset, case)
+    # a chunk of k applications holds k times this many rows
+    rows = max(len(windows[0]), *spec.widths[:-1])
+    budget_of, chunk = ROW_BUDGETS[budget]
+    monkeypatch.setattr(node, "ADJOINT_ROWS", budget_of(rows))
+    workspace = node.WindowWorkspace(spec, windows)
+    applications = 4 * len(windows[2])
+    assert workspace.chunk == min(chunk, applications)
+    assert applications % workspace.chunk or workspace.chunk == 1
+    _assert_matches_per_op_chain(short_dataset, spec, case, workspace)
+
+
+def test_window_loss_with_unit_width_layers_matches_per_op_chain_bitwise(
+        short_dataset):
+    """One-unit layers make one-element weight and bias products, which a
+    plain sum over the stack would add pairwise, not in order."""
+    spec = nets.MlpSpec(widths=(3, 1, 1, 2))
+    windows = _case_windows(short_dataset, "h16")
+    assert node.WindowWorkspace(spec, windows).chunk >= 8
     func = _flow(spec)
-    fused, fused_adj, fused_nodes = _loss_and_adjoints(
+    fused, fused_adj, _ = _loss_and_adjoints(
         node.rk4_windows_loss, func, windows, short_dataset.h)
     chain, chain_adj, _ = _loss_and_adjoints(
         oracles.rk4_windows_loss_per_op, func, windows, short_dataset.h)
-    assert fused_nodes == 1 and fused.op == "rk4_windows"
     assert fused.value == chain.value
     for a, b in zip(fused_adj, chain_adj):
-        assert a.shape == b.shape and np.array_equal(a, b)
-        assert np.any(a != 0.0)
+        assert _same_bits(a, b)
+
+
+@pytest.mark.parametrize("spec", WINDOW_NETS, ids=lambda s: s.activation)
+def test_workspace_reuse_matches_fresh_evaluations(short_dataset, spec):
+    windows = _case_windows(short_dataset, "h16")
+    funcs = [_flow(spec), node.OdeFunc(
+        spec, nets.init_params(spec, nk.RngStream(4)), np.array([1.5, 2.0, 0.7]))]
+    fresh = [_loss_and_adjoints(node.rk4_windows_loss, f, windows,
+                                short_dataset.h)[:2] for f in funcs]
+    workspace = node.WindowWorkspace(spec, windows)
+    graphs = []
+    for func, (ref, ref_adj) in zip(funcs, fresh):
+        tape = nk.Tape()
+        leaves = [tape.leaf(a) for a in nets.pairs_to_arrays(func.params)]
+        loss = node.rk4_windows_loss(func, nets.arrays_to_pairs(leaves),
+                                     windows, short_dataset.h, workspace)
+        if graphs:  # the second evaluation took the workspace over
+            with pytest.raises(RuntimeError):
+                nk.backward(*graphs[-1])
+        graphs.append((loss, leaves))
+        assert loss.value == ref.value
+        adjoints = nk.backward(loss, leaves)
+        assert all(_same_bits(a, b) for a, b in zip(adjoints, ref_adj))
+    assert fresh[0][0].value != fresh[1][0].value
+
+
+@pytest.mark.parametrize("case", sorted(WINDOWS))
+def test_workspace_chunk_buffers_stay_within_the_row_budget(short_dataset,
+                                                            case):
+    workspace = node.WindowWorkspace(node.FLOW_NET,
+                                     _case_windows(short_dataset, case))
+    slabs = workspace.adjoints + [p for pair in workspace.products
+                                  for p in pair]
+    for slab in slabs:
+        width = slab.shape[-1]
+        assert slab.nbytes <= node.ADJOINT_ROWS * width * slab.itemsize
 
 
 @pytest.mark.parametrize("spec", WINDOW_NETS, ids=lambda s: s.activation)
