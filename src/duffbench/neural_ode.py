@@ -138,9 +138,10 @@ class WindowWorkspace:
     `windows`, the scaled (z, f) input and every hidden layer's output
     (and cosine, for sin), in the order the backward sweep visits them:
     the last step's last stage first. The sweep writes each layer's
-    adjoint into chunk slabs of at most ADJOINT_ROWS rows, and
-    `products` holds a chunk's per-application weight adjoints. One
-    evaluation owns the buffers at a time; the next one takes them over.
+    adjoint into chunk slabs of at most ADJOINT_ROWS rows, takes tanh's
+    1 − h² for a whole chunk at once, and `products` holds a chunk's
+    per-application weight adjoints. One evaluation owns the buffers at
+    a time; the next one takes them over.
     """
 
     def __init__(self, spec: nets.MlpSpec, windows):
@@ -156,9 +157,13 @@ class WindowWorkspace:
                        for a in range(apps)]
         self.chunk = max(1, min(apps, ADJOINT_ROWS // max(n, *widths[:-1])))
         self.adjoints = [np.empty((self.chunk, n, w)) for w in widths[1:]]
-        scratch = [None if sin else np.empty((n, w)) for w in widths[1:-1]]
-        self.slots = [[(g[k], t) for g, t in zip(self.adjoints, scratch)]
+        self.slots = [[g[k] for g in self.adjoints[:-1]]
                       for k in range(self.chunk)]
+        # tanh's 1 - h * h of a chunk's applications, taken at once
+        self.slopes = None if sin else [np.empty((self.chunk, n, w))
+                                        for w in widths[1:-1]]
+        self.slope_hidden = None if sin else [
+            [(None, d[k]) for d in self.slopes] for k in range(self.chunk)]
         self.products = [(np.empty((self.chunk, a, b)),
                           np.empty((self.chunk, b)))
                          for a, b in zip(widths[:-1], widths[1:])]
@@ -226,13 +231,25 @@ def rk4_windows_loss(func: OdeFunc, pairs, windows, h, workspace=None):
                 grads)
             done = swept
 
+        def tanh_slopes():  # 1 - h * h of the chunk starting at `swept`
+            end = min(swept + ws.chunk, len(ws.hidden))
+            for out, slope in zip(ws.inputs[1:], ws.slopes):
+                slope = np.multiply(out[swept:end], out[swept:end],
+                                    out=slope[:end - swept])
+                np.subtract(1.0, slope, out=slope)
+
         def stage_vjp(s, g_k):  # called in slab order, last stage first
             nonlocal swept
             k = swept - done
+            hidden = ws.hidden[swept]
+            if ws.slopes is not None:
+                if not k:
+                    tanh_slopes()
+                hidden = ws.slope_hidden[k]
             out = ws.adjoints[-1][k]
             out[...] = g_k
-            gx, _ = nk.mlp_vjp(out, weights, ws.inputs[0][swept],
-                               ws.hidden[swept], ws.slots[k])
+            gx, _ = nk.mlp_vjp(out, weights, ws.inputs[0][swept], hidden,
+                               ws.slots[k])
             swept += 1
             if k + 1 == ws.chunk:
                 flush()

@@ -273,28 +273,26 @@ def mlp_vjp(g, weights, x, hidden, slots=None):
     """Adjoints of one MLP application from its output adjoint `g`.
 
     `weights` holds the (W, b) arrays, `x` and `hidden` what
-    `mlp_forward` read and saved. Returns the input's adjoint and
-    [gW0, gb0, gW1, gb1, ...]. The layers are walked in reverse with the
-    float operations and order of the per-op chain (matmul, add,
-    activation), so every adjoint equals that chain's bit for bit.
+    `mlp_forward` read and saved; a hidden layer's second entry may
+    also hold tanh's 1 − h², taken ahead of time. Returns the input's
+    adjoint and [gW0, gb0, gW1, gb1, ...]. The layers are walked in
+    reverse with the float operations and order of the per-op chain
+    (matmul, add, activation), so every adjoint equals that chain's bit
+    for bit.
 
-    `slots`, one (adjoint, scratch) pair of arrays per hidden layer,
-    takes that layer's pre-activation adjoint and tanh's 1 − h²; the
-    weight adjoints are then left to the caller, which can take those of
-    many applications at once (`stacked_weight_adjoints`), and the list
-    comes back empty.
+    `slots`, one array per hidden layer, takes that layer's
+    pre-activation adjoint; the weight adjoints are then left to the
+    caller, which can take those of many applications at once
+    (`stacked_weight_adjoints`), and the list comes back empty.
     """
     grads = []
     for i in range(len(weights) - 1, 0, -1):
         h, slope = hidden[i - 1]
         if slots is None:
             grads[:0] = (h.T @ g, g.sum(axis=0))
-        adjoint, scratch = (None, None) if slots is None else slots[i - 1]
-        g = np.matmul(g, weights[i][0].T, out=adjoint)
-        if slope is None:  # tanh: 1 - h * h, as the tanh node's VJP
-            slope = np.multiply(h, h, out=scratch)
-            np.subtract(1.0, slope, out=slope)
-        np.multiply(g, slope, out=g)
+        g = np.matmul(g, weights[i][0].T,
+                      out=None if slots is None else slots[i - 1])
+        np.multiply(g, 1.0 - h * h if slope is None else slope, out=g)
     if slots is None:
         grads[:0] = (x.T @ g, g.sum(axis=0))
     return g @ weights[0][0].T, grads
