@@ -293,3 +293,33 @@ PRIMITIVES = {
 def test_primitive_gradient_matches_finite_differences(name):
     op, arrays = PRIMITIVES[name]
     fd_check(op, arrays)
+
+
+@pytest.mark.parametrize("widths", [(3, 32, 2), (1, 1, 1), (2, 1, 5)],
+                         ids=lambda w: "-".join(map(str, w)))
+def test_stacked_weight_adjoints_add_in_running_total_order(widths):
+    """Stacks of 1, 3 and 9 applications, each adding the batched
+    products on top of the previous stacks, give the totals of a running
+    sum of per-application products bit for bit."""
+    stream = nk.RngStream(19).substream("stacked-adjoints")
+    n, apps = 5, 13
+    pairs = list(zip(widths[:-1], widths[1:]))
+    inputs = [stream.normal(size=(apps, n, a)) for a, _ in pairs]
+    adjoints = [stream.normal(size=(apps, n, b)) for _, b in pairs]
+    running = [None] * (2 * len(pairs))
+    for k in range(apps):
+        for i, (x, g) in enumerate(zip(inputs, adjoints)):
+            for j, c in ((2 * i, x[k].T @ g[k]), (2 * i + 1,
+                                                  g[k].sum(axis=0))):
+                running[j] = c if running[j] is None else running[j] + c
+    grads = [np.full(shape, -0.0) for a, b in pairs for shape in ((a, b),
+                                                                  (b,))]
+    products = [(np.empty((9, a, b)), np.empty((9, b))) for a, b in pairs]
+    start = 0
+    for m in (1, 3, 9):
+        nk.stacked_weight_adjoints([x[start:start + m] for x in inputs],
+                                   [g[start:start + m] for g in adjoints],
+                                   products, grads)
+        start += m
+    for got, ref in zip(grads, running):
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
