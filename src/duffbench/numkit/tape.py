@@ -314,13 +314,13 @@ def stacked_weight_adjoints(inputs, adjoints, products, grads):
     m = len(inputs[0])
     for i, (inp, g, (gW, gb)) in enumerate(zip(inputs, adjoints, products)):
         np.matmul(inp.transpose(0, 2, 1), g, out=gW[:m])
-        np.sum(g, axis=1, out=gb[:m])
+        np.add.reduce(g, axis=1, out=gb[:m])
         for total, stack in ((grads[2 * i], gW[:m]), (grads[2 * i + 1],
                                                       gb[:m])):
             stack[0] += total
             if total.size > 1:  # slices are added whole, in order
-                np.sum(stack, axis=0, out=total, initial=-0.0)
-            else:  # np.sum would add single elements pairwise
+                np.add.reduce(stack, axis=0, out=total, initial=-0.0)
+            else:  # a reduce would add single elements pairwise
                 total[...] = np.add.accumulate(stack, axis=0)[-1]
 
 

@@ -327,12 +327,12 @@ def test_window_loss_with_unit_width_layers_matches_per_op_chain_bitwise(
 @pytest.mark.parametrize("spec", WINDOW_NETS, ids=lambda s: s.activation)
 def test_workspace_reuse_matches_fresh_evaluations(short_dataset, spec):
     windows = _case_windows(short_dataset, "h16")
-    funcs = [_flow(spec), node.OdeFunc(
-        spec, nets.init_params(spec, nk.RngStream(4)), np.array([1.5, 2.0, 0.7]))]
+    other = nets.init_params(spec, nk.RngStream(4))
+    funcs = [_flow(spec), node.OdeFunc(spec, other, _flow(spec).scale)]
     fresh = [_loss_and_adjoints(node.rk4_windows_loss, f, windows,
                                 short_dataset.h)[:2] for f in funcs]
     workspace = node.WindowWorkspace(spec, windows)
-    graphs = []
+    graphs, results = [], []
     for func, (ref, ref_adj) in zip(funcs, fresh):
         tape = nk.Tape()
         leaves = [tape.leaf(a) for a in nets.pairs_to_arrays(func.params)]
@@ -343,9 +343,11 @@ def test_workspace_reuse_matches_fresh_evaluations(short_dataset, spec):
                 nk.backward(*graphs[-1])
         graphs.append((loss, leaves))
         assert loss.value == ref.value
-        adjoints = nk.backward(loss, leaves)
-        assert all(_same_bits(a, b) for a, b in zip(adjoints, ref_adj))
+        results.append(nk.backward(loss, leaves))
     assert fresh[0][0].value != fresh[1][0].value
+    # the first adjoints are the caller's, not views of the workspace
+    for adjoints, (_, ref_adj) in zip(results, fresh):
+        assert all(_same_bits(a, b) for a, b in zip(adjoints, ref_adj))
 
 
 @pytest.mark.parametrize("case", sorted(WINDOWS))
@@ -353,8 +355,8 @@ def test_workspace_chunk_buffers_stay_within_the_row_budget(short_dataset,
                                                             case):
     workspace = node.WindowWorkspace(node.FLOW_NET,
                                      _case_windows(short_dataset, case))
-    slabs = workspace.adjoints + [p for pair in workspace.products
-                                  for p in pair]
+    slabs = workspace.adjoints + workspace.slopes + [
+        p for pair in workspace.products for p in pair]
     for slab in slabs:
         width = slab.shape[-1]
         assert slab.nbytes <= node.ADJOINT_ROWS * width * slab.itemsize
