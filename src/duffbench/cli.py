@@ -312,6 +312,9 @@ def run_nn_baseline(opts, sim, out, seed):
 
 
 def run_pinn_discovery(opts, sim, out, seed):
+    if not 1 <= opts["n_obs"] <= sim["n"]:
+        raise ConfigError(f"[pinn-discovery] n_obs must be >= 1 and <= "
+                          f"[simulator] n = {sim['n']}, got {opts['n_obs']}")
     params, forcing, traj = build_simulation(sim)
     res = pinn.run_equation_discovery(
         traj, nonlinear=opts["nonlinear"], seed=seed, truth=params,
@@ -364,6 +367,10 @@ def run_pgnn(opts, sim, out, seed):
 
 def run_gp(kind, opts, sim, out, seed):
     """Runner of gp-<kind> once `kind` is bound."""
+    if opts["stride"] >= sim["n"]:
+        raise ConfigError(f"[gp-{kind}] stride must be < [simulator] n = "
+                          f"{sim['n']} to keep two training points, got "
+                          f"{opts['stride']}")
     params, forcing, traj = build_simulation(sim)
     ratio = opts["noise_ratio"]
     obs = subsample(traj, stride=opts["stride"])

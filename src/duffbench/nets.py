@@ -4,7 +4,8 @@ A network is a list of (W, b) numpy pairs described by an MlpSpec.
 Forward evaluation happens on the autodiff tape, one `mlp` node per
 application; a tangent-propagation variant returns the derivative of
 the outputs with respect to the scalar input alongside the outputs,
-which is what the physics losses differentiate. Frozen networks are
+which is what the physics losses differentiate, also as one node per
+application (`mlp_tangent`). Frozen networks are
 evaluated by the plain-numpy twins of both. Training is Adam followed
 by an optional L-BFGS refinement, both deterministic.
 
@@ -89,27 +90,11 @@ def mlp_apply(spec: MlpSpec, param_nodes, x):
     return nk.mlp(x, param_nodes, spec.activation)
 
 
-def _np_sincos(a):
-    return np.sin(a), np.cos(a)
-
-
-def _tangent_pass(spec, params, x, lift, sincos, tanh):
-    """Outputs and d(outputs)/d(input) at the (N, 1) array x, on tape nodes
-    or numpy arrays by the matching `lift` of an array, sincos and tanh."""
+def _tangent_input(x):
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != 1:
         raise ValueError("tangent propagation expects (N, 1) inputs")
-    h, s = lift(x), lift(np.ones_like(x))
-    for W, b in params[:-1]:
-        a = h @ W + b
-        if spec.activation == "sin":
-            h, cos_a = sincos(a)
-            s = (s @ W) * cos_a
-        else:
-            h = tanh(a)
-            s = (s @ W) * (1.0 - h * h)
-    W, b = params[-1]
-    return h @ W + b, s @ W
+    return x
 
 
 def mlp_apply_tangent(spec: MlpSpec, param_nodes, x):
@@ -117,12 +102,11 @@ def mlp_apply_tangent(spec: MlpSpec, param_nodes, x):
     the tape of `param_nodes` at the constant (N, 1) input array x.
 
     Propagates the input tangent through each layer,
-    s_l = (s_{l-1} W_l) ⊙ σ'(a_l), so the returned derivative is an
-    ordinary tape expression and stays differentiable with respect to
-    the parameters.
+    s_l = (s_{l-1} W_l) ⊙ σ'(a_l), as one `mlp_tangent` node, so the
+    returned derivative stays differentiable with respect to the
+    parameters.
     """
-    return _tangent_pass(spec, param_nodes, x, param_nodes[0][0].tape.constant,
-                         nk.sincos, nk.tanh)
+    return nk.mlp_tangent(_tangent_input(x), param_nodes, spec.activation)
 
 
 def mlp_predict(spec: MlpSpec, params, x):
@@ -133,7 +117,7 @@ def mlp_predict(spec: MlpSpec, params, x):
 def mlp_predict_tangent(spec: MlpSpec, params, x):
     """Plain numpy twin of `mlp_apply_tangent` for frozen parameters;
     its values equal the tape's bit for bit."""
-    return _tangent_pass(spec, params, x, np.asarray, _np_sincos, np.tanh)
+    return nk.mlp_tangent_forward(_tangent_input(x), params, spec.activation)
 
 
 def observation_loss(pred, obs):
@@ -227,13 +211,15 @@ def fit_arrays(arrays0, loss_builder, config: TrainConfig):
     """Train a list of arrays against a tape-loss builder.
 
     `loss_builder(tape, leaves)` gets one leaf per input array and must
-    return a scalar loss node; a fresh tape is built per evaluation. Its
-    graph is kept until the gradient is taken or the next evaluation
-    starts, whichever comes first, and none outlives training.
-    Returns (trained arrays, loss history).
+    return a scalar loss node; a fresh tape is built per evaluation, and
+    all of them share one `nk.Workspace`. Its graph is kept until the
+    gradient is taken or the next evaluation starts, whichever comes
+    first, and none outlives training. Returns (trained arrays, loss
+    history).
     """
     arrays0 = [np.asarray(a, dtype=float) for a in arrays0]
     flat, metas = flatten(arrays0)
+    workspace = nk.Workspace()
     # (token, loss node, leaves) of the one unreleased evaluation; a
     # gradient callable holds its token only, so a stale one keeps no
     # graph alive
@@ -259,7 +245,7 @@ def fit_arrays(arrays0, loss_builder, config: TrainConfig):
     def closure(theta):
         nonlocal live
         release()
-        tape = nk.Tape()
+        tape = nk.Tape(workspace)
         leaves = [tape.leaf(a) for a in unflatten(theta, metas)]
         loss = loss_builder(tape, leaves)
         token = object()

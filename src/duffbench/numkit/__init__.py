@@ -3,6 +3,7 @@ random streams and quasi-random sampling."""
 
 from .tape import (
     Tape,
+    Workspace,
     Node,
     TapeError,
     backward,
@@ -14,12 +15,13 @@ from .tape import (
     powc,
     tanh,
     sin,
-    sincos,
     softplus,
     matmul,
     mlp,
     mlp_forward,
     mlp_vjp,
+    mlp_tangent,
+    mlp_tangent_forward,
     stacked_weight_adjoints,
     vsum,
     take,
@@ -28,9 +30,9 @@ from .rng import RngStream
 from .sobol import sobol_sequence, sobol_indices
 
 __all__ = [
-    "Tape", "Node", "TapeError", "backward",
-    "add", "sub", "mul", "div", "neg", "powc", "tanh", "sin", "sincos",
-    "softplus", "matmul", "mlp", "mlp_forward", "mlp_vjp",
-    "stacked_weight_adjoints", "vsum", "take",
+    "Tape", "Workspace", "Node", "TapeError", "backward",
+    "add", "sub", "mul", "div", "neg", "powc", "tanh", "sin", "softplus",
+    "matmul", "mlp", "mlp_forward", "mlp_vjp", "mlp_tangent",
+    "mlp_tangent_forward", "stacked_weight_adjoints", "vsum", "take",
     "RngStream", "sobol_sequence", "sobol_indices",
 ]

@@ -14,6 +14,11 @@ can hand them preallocated slots to write into, and take the weight
 adjoints of a whole stack of applications at once with
 `stacked_weight_adjoints`, one batched product per layer, adding them
 in the order of the per-application chain so the bits stay the same.
+`mlp_tangent` records a network application together with the
+derivative of its output with respect to its scalar input as one node
+too, a tangent pass, whose VJP repeats the per-op tangent chain bit for
+bit. A tape made with a `Workspace` hands such a node arrays that the
+previous tape of the same fit used, instead of fresh ones.
 """
 
 from __future__ import annotations
@@ -25,11 +30,51 @@ class TapeError(Exception):
     """Structural problem in the graph (cross-tape ops, broken order)."""
 
 
+class Workspace:
+    """Arrays that the tapes of one fit hand out again and again.
+
+    A fit builds one tape per evaluation, and an evaluation's arrays of
+    a few hundred kB each, once freed together, let the C heap give
+    their pages back to the system, to be faulted in again by the next
+    evaluation. A tape made with a workspace hands its k-th `empty`
+    request the array the previous such tape handed its k-th, when the
+    shape is the same; so the graph of a tape dies once a later tape
+    takes the workspace over, and a sweep over it raises.
+    """
+
+    def __init__(self):
+        self.arrays = []
+        self.tape = None
+        self.used = 0
+
+    def empty(self, tape, shape):
+        if tape is not self.tape:
+            raise RuntimeError("the workspace went to a later tape; this "
+                               "graph's arrays are overwritten")
+        k = self.used
+        self.used += 1
+        if k == len(self.arrays):
+            self.arrays.append(np.empty(shape))
+        elif self.arrays[k].shape != shape:
+            self.arrays[k] = np.empty(shape)
+        return self.arrays[k]
+
+
 class Tape:
     """Append-only record of one computation graph."""
 
-    def __init__(self):
+    def __init__(self, workspace=None):
         self.nodes = []
+        self.workspace = workspace
+        if workspace is not None:
+            workspace.tape, workspace.used = self, 0
+
+    def empty(self, shape):
+        """An uninitialised float array for an op to fill: fresh, or
+        from the tape's workspace."""
+        if self.workspace is None:
+            return np.empty(shape)
+        return self.workspace.empty(self, shape)
 
     def leaf(self, value):
         """Register an independent variable."""
@@ -193,15 +238,6 @@ def sin(a):
                 lambda g: (g * np.cos(a.value),), "sin")
 
 
-def sincos(a):
-    """sin(a) and cos(a) as two nodes; each VJP reuses the other's value."""
-    s = Node(a.tape, np.sin(a.value), (a,), None, "sin")
-    c = Node(a.tape, np.cos(a.value), (a,), None, "cos")
-    s.vjp = lambda g: (g * c.value,)
-    c.vjp = lambda g: (-(g * s.value),)
-    return s, c
-
-
 def _sigmoid_stable(x):
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
@@ -338,6 +374,153 @@ def mlp(x, params, activation):
     return Node(x.tape, value, parents, backward, "mlp")
 
 
+def mlp_tangent_forward(x, params, activation, saved=None, empty=None):
+    """Plain-numpy MLP and its derivative with respect to a scalar input.
+
+    Returns the output y and d = dy/dx at the (N, 1) input x. The
+    tangent starts at s = 1 and each hidden layer maps it to
+    s = (s @ W) ⊙ σ'(a), where σ'(a) is cos(a) for sin and 1 − h² for
+    tanh, with the float operations of the per-op chain on the tape.
+    With a `saved` list, each layer appends its inputs (h, s) and each
+    hidden layer also s @ W, its output and σ'(a): what
+    `mlp_tangent_vjp` reads. With `empty`, each layer's arrays come
+    from `empty(shape)`, and y and d are the halves of one
+    (2, N, n_out) array.
+    """
+    # on a rollout's one-row input the call overheads are the cost: the
+    # seed is filled (np.ones_like takes twice as long), out arrays go in
+    # by position, and None lets numpy allocate
+    sin = activation == "sin"
+    h, s = x, np.empty_like(x)
+    s.fill(1.0)
+    for W, b in params[:-1]:
+        a, sw, slope, s_out = ((None,) * 4 if empty is None else
+                               [empty((len(x), W.shape[1])) for _ in range(4)])
+        a = np.matmul(h, W, a)
+        a += b
+        sw = np.matmul(s, W, sw)
+        if sin:
+            slope = np.cos(a, slope)
+            out = np.sin(a, a)
+        else:
+            out = np.tanh(a, a)
+            slope = np.multiply(out, out, slope)
+            np.subtract(1.0, slope, slope)
+        if saved is not None:
+            saved.append((h, s, sw, out, slope))
+        h, s = out, np.multiply(sw, slope, s_out)
+    W, b = params[-1]
+    if saved is not None:
+        saved.append((h, s))
+    y, d = (None, None) if empty is None else empty((2, len(x), W.shape[1]))
+    y = np.matmul(h, W, y)
+    y += b
+    return y, np.matmul(s, W, d)
+
+
+def mlp_tangent_vjp(gy, gd, weights, activation, saved, empty):
+    """Parameter adjoints [gW0, gb0, gW1, gb1, ...] of one tangent
+    application from the adjoints of its output y and derivative d.
+
+    Either adjoint may be None, for an output nobody reads; then its
+    path is skipped and the last layer's bias gets None. The layers are
+    walked in reverse with the float operations and the order of
+    accumulation of the per-op chain (see `mlp_tangent`), so every
+    adjoint equals that chain's bit for bit. The constant input and
+    the all-ones seed get no adjoint. The (N, width) arrays of the
+    sweep come from `empty(shape)`; the adjoints it returns are fresh.
+    """
+    sin = activation == "sin"
+    grads = []
+    gh, gs = gy, gd  # adjoints of the current layer's output and tangent
+    for i in range(len(weights) - 1, -1, -1):
+        W = weights[i][0]
+        if i == len(weights) - 1:
+            h, s = saved[i]
+            ga, gsw = gy, gd
+        else:
+            # gh and gs, products of the layer above, are ours to overwrite
+            h, s, sw, out, slope = saved[i]
+            gsw = t = None
+            if gs is not None:
+                t = np.multiply(gs, sw, out=empty(gs.shape))
+                gsw = np.multiply(gs, slope, out=gs)
+            if sin:  # a's adjoint: −(g_s·sw)·sin a, then + gh·cos a
+                if t is not None:
+                    t *= out
+                    np.negative(t, out=t)
+                if gh is not None:
+                    gh *= slope
+                    t = gh if t is None else np.add(t, gh, out=t)
+                ga = t
+            else:  # h's adjoint: the next layer's, then twice h·(−gs·sw)
+                if t is not None:
+                    np.negative(t, out=t)
+                    t *= out
+                    if gh is None:
+                        gh = np.add(t, t, out=t)
+                    else:
+                        gh += t
+                        gh += t
+                gh *= slope
+                ga = gh
+        gW = None if gsw is None else s.T @ gsw
+        if ga is not None:
+            gW = h.T @ ga if gW is None else gW + h.T @ ga
+        grads[:0] = (gW, None if ga is None else ga.sum(axis=0))
+        if i > 0:
+            shape = (len(h), W.shape[0])
+            gh = None if ga is None else np.matmul(ga, W.T, out=empty(shape))
+            gs = None if gsw is None else np.matmul(gsw, W.T,
+                                                     out=empty(shape))
+    return grads
+
+
+def mlp_tangent(x, params, activation):
+    """One node for a network application and its input derivative.
+
+    The constant (N, 1) array x goes through the network of parameter
+    nodes `params` [(W0, b0), ...] by `mlp_tangent_forward`. Returns the
+    output y and d = dy/dx as two views of the node, whose value stacks
+    them. Its VJP takes both adjoints at once, because the per-op
+    chain's y and d paths meet at every hidden layer: a tanh layer's
+    output adjoint is (g_next + t) + t with t = −(g_s·(s @ W))·h, a
+    sin layer's pre-activation adjoint −((g_s·(s @ W))·sin a) + g_h·cos a,
+    and each W adjoint the tangent product plus the output product. The
+    y path runs only when y is read. Its arrays come from the tape's
+    `empty`, so a fit's workspace serves them again and again.
+    """
+    tape = params[0][0].tape
+    weights = [(W.value, b.value) for W, b in params]
+    saved = []
+    y, _ = mlp_tangent_forward(x, weights, activation, saved, tape.empty)
+    value = y.base
+    read = [False, False]
+
+    def backward(g):
+        gy, gd = (g[i] if read[i] else None for i in (0, 1))
+        read[:] = False, False  # a later sweep marks its own readers
+        return mlp_tangent_vjp(gy, gd, weights, activation, saved,
+                               tape.empty)
+
+    parents = tuple(node for pair in params for node in pair)
+    node = Node(tape, value, parents, backward, "mlp_tangent")
+
+    def half(i):
+        def vjp(g):
+            read[i] = True
+            # −0.0 is the exact identity of addition: the sum of both
+            # halves' adjoints carries each one's bits, zeros' signs
+            # too; and a sweep over a dead graph raises here, in `empty`
+            full = tape.empty(value.shape)
+            full.fill(-0.0)
+            full[i] = g
+            return (full,)
+        return Node(tape, value[i], (node,), vjp, "take")
+
+    return half(0), half(1)
+
+
 def _is_fancy(index):
     if isinstance(index, (np.ndarray, list)):
         return True
@@ -385,8 +568,9 @@ def backward(output, wrt):
         if node.vjp is None:
             continue
         for parent, contrib in zip(node.parents, node.vjp(g)):
-            if parent.vjp is None and parent.idx not in wrt_ids:
-                continue  # a constant, or a leaf nobody asked for
+            if contrib is None or (parent.vjp is None
+                                   and parent.idx not in wrt_ids):
+                continue  # no path, a constant, or a leaf nobody asked for
             prev = adjoints[parent.idx]
             adjoints[parent.idx] = contrib if prev is None else prev + contrib
     results = []

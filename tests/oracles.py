@@ -5,8 +5,9 @@ computation paths: finite differences, random scalar graphs evaluated
 with plain numpy, a checked gradient map over the tape (order and
 finiteness checks, which the package's own sweep skips), a hand-rolled
 discrete Kalman filter, and the earlier
-forms of seven fast paths (the per-op network on the tape, the per-op
-neural-ODE loss on the tape, the simulator with scalar forcing, the
+forms of eight fast paths (the per-op network on the tape, the per-op
+tangent pass and its sin/cos pair on the tape, the per-op neural-ODE
+loss on the tape, the simulator with scalar forcing, the
 PINN and PGNN losses that applied their network once per term, the
 oscillator-kernel GP likelihood from a Cholesky factor per evaluation,
 and L-BFGS with a gradient at every line-search trial) that the fast
@@ -298,6 +299,34 @@ def mlp_apply_per_op(spec, param_nodes, x):
         h = act(h @ W + b)
     W, b = param_nodes[-1]
     return h @ W + b
+
+
+def sincos(a):
+    """sin(a) and cos(a) as two nodes; each VJP reuses the other's value."""
+    s = nk.Node(a.tape, np.sin(a.value), (a,), None, "sin")
+    c = nk.Node(a.tape, np.cos(a.value), (a,), None, "cos")
+    s.vjp = lambda g: (g * c.value,)
+    c.vjp = lambda g: (-(g * s.value),)
+    return s, c
+
+
+def mlp_apply_tangent_per_op(spec, param_nodes, x):
+    """Output and d(output)/d(input) at the constant (N, 1) array x as a
+    chain of primitive ops, the tangent s = (s @ W) * σ'(a) carried
+    beside each layer from s = 1: the reference the fused
+    `mlp_tangent` node must match bit for bit."""
+    tape = param_nodes[0][0].tape
+    h, s = tape.constant(x), tape.constant(np.ones_like(x))
+    for W, b in param_nodes[:-1]:
+        a = h @ W + b
+        if spec.activation == "sin":
+            h, cos_a = sincos(a)
+            s = (s @ W) * cos_a
+        else:
+            h = nk.tanh(a)
+            s = (s @ W) * (1.0 - h * h)
+    W, b = param_nodes[-1]
+    return h @ W + b, s @ W
 
 
 def concat(nodes, axis=0):

@@ -259,6 +259,35 @@ def test_node_refine_checks_come_before_simulating(tmp_path, capsys,
     assert all(key in err for key in keys), err
 
 
+@pytest.mark.parametrize("method,line,key", [
+    ("pinn-discovery", "n_obs = -3", "[pinn-discovery] n_obs"),
+    ("pinn-discovery", "n_obs = 65", "[pinn-discovery] n_obs"),
+    ("gp-se", "stride = 64", "[gp-se] stride"),
+    ("gp-sdof", "stride = 100", "[gp-sdof] stride")])
+def test_observation_counts_are_checked_before_simulating(
+        tmp_path, capsys, monkeypatch, method, line, key):
+    monkeypatch.setattr(cli, "simulate", refuse_to_simulate)
+    cfg = write_cfg(tmp_path, f"[experiment]\nmethod = {method}\n"
+                              f"out = {tmp_path / 'out'}\n\n[simulator]\n"
+                              f"n = 64\n\n[{method}]\n{line}\n")
+    assert cli.main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "[simulator] n = 64" in err, err
+
+
+@pytest.mark.parametrize("method,line", [
+    ("pinn-discovery", "n_obs = 1"), ("pinn-discovery", "n_obs = 64"),
+    ("gp-se", "stride = 63")])
+def test_observation_counts_at_their_limits_reach_the_simulator(
+        tmp_path, monkeypatch, method, line):
+    monkeypatch.setattr(cli, "simulate", refuse_to_simulate)
+    cfg = write_cfg(tmp_path, f"[experiment]\nmethod = {method}\n\n"
+                              f"[simulator]\nn = 64\n\n[{method}]\n{line}\n")
+    with pytest.raises(Simulated):
+        cli.run_experiment(cli.Config.from_file(cfg),
+                           out_override=tmp_path / "out")
+
+
 def test_refine_runs_on_the_shortest_record(tmp_path):
     """66 samples make 65 pairs: one window for the 64-step stage."""
     out = tmp_path / "out"
@@ -286,7 +315,19 @@ HOSTILE = {
                        2),
     "one-gp-observation": ("gp-se",
                            "[simulator]\nn = 256\n\n[gp-se]\nstride = 300\n",
-                           2),
+                           2, "[gp-se] stride"),
+    "one-gp-sdof-observation": ("gp-sdof", "[simulator]\nn = 64\n\n"
+                                "[gp-sdof]\nstride = 64\n", 2,
+                                "[gp-sdof] stride", "[simulator] n"),
+    "zero-discovery-observations": ("pinn-discovery", "[simulator]\nn = 64\n"
+                                    "\n[pinn-discovery]\nn_obs = 0\n", 2,
+                                    "[pinn-discovery] n_obs",
+                                    "[simulator] n"),
+    "discovery-observations-over-n": ("pinn-discovery",
+                                      "[simulator]\nn = 64\n\n"
+                                      "[pinn-discovery]\nn_obs = 65\n", 2,
+                                      "[pinn-discovery] n_obs",
+                                      "[simulator] n"),
     "zero-gp-restarts": ("gp-se",
                          "[simulator]\nn = 256\n\n[gp-se]\nrestarts = 0\n",
                          2),

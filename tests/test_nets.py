@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from duffbench import numkit as nk
-from duffbench import nets, pinn
+from duffbench import nets, neural_ode, pgnn, pinn
 from duffbench.duffing import (
     ForcingSpec,
     OscillatorParams,
@@ -150,10 +150,188 @@ def test_numpy_tangent_equals_tape_tangent_bitwise(spec):
     pairs = [(tape.constant(W), tape.constant(b)) for W, b in params]
     z_node, dz_node = nets.mlp_apply_tangent(spec, pairs, x)
     z, dz = nets.mlp_predict_tangent(spec, params, x)
-    assert np.array_equal(z, z_node.value)
-    assert np.array_equal(dz, dz_node.value)
+    assert z.shape == z_node.shape and z.tobytes() == z_node.value.tobytes()
+    assert dz.shape == dz_node.shape
+    assert dz.tobytes() == dz_node.value.tobytes()
     with pytest.raises(ValueError):
         nets.mlp_predict_tangent(spec, params, np.zeros((3, 2)))
+
+
+def _tangent_loss(y, d, reads, wy, wd):
+    """A scalar that reads y, d or both: tanh(y) and d² weighted."""
+    tape = y.tape
+    terms = []
+    if "y" in reads:
+        terms.append(nk.vsum(nk.tanh(y) * tape.constant(wy)))
+    if "d" in reads:
+        terms.append(nk.vsum(d * d * tape.constant(wd)))
+    return terms[0] if len(terms) == 1 else terms[0] + terms[1]
+
+
+def _tangent_runs(spec, arrays, x, losses):
+    """y, d and every parameter adjoint of each loss in `losses(y, d)`,
+    in turn on one graph: through the fused node on a plain tape, again
+    on the second of two tapes sharing a workspace (the first evaluated
+    elsewhere, so every array is reused with other values in it), and
+    through the per-op chain."""
+    def run(apply, tape, arrays):
+        leaves = [tape.leaf(a) for a in arrays]
+        y, d = apply(spec, nets.arrays_to_pairs(leaves), x)
+        out = [y.value, d.value]
+        for loss in losses(y, d):
+            out += nk.backward(loss, leaves)
+        return out
+
+    workspace = nk.Workspace()
+    run(nets.mlp_apply_tangent, nk.Tape(workspace), [0.5 * a for a in arrays])
+    return [run(nets.mlp_apply_tangent, nk.Tape(), arrays),
+            run(nets.mlp_apply_tangent, nk.Tape(workspace), arrays),
+            run(oracles.mlp_apply_tangent_per_op, nk.Tape(), arrays)]
+
+
+TANGENT_WIDTHS = [(1, 32, 32, 1), (1, 32, 32, 32, 2), (1, 1, 1), (1, 2)]
+
+
+@pytest.mark.parametrize("reads", ["d", "y", "yd"])
+@pytest.mark.parametrize("n", [1, 1024])
+@pytest.mark.parametrize("widths", TANGENT_WIDTHS,
+                         ids=lambda w: "-".join(map(str, w)))
+@pytest.mark.parametrize("activation", ["tanh", "sin"])
+def test_fused_tangent_matches_per_op_chain_bitwise(activation, widths, n,
+                                                    reads):
+    """One `mlp_tangent` node against the per-op chain: y, d and every
+    parameter adjoint byte for byte, reading d alone (HNN), y alone,
+    or both (PINN, PGNN)."""
+    spec = nets.MlpSpec(widths=widths, activation=activation, omega0=3.0)
+    stream = nk.RngStream(29).substream(f"fused-tangent-{activation}")
+    arrays = nets.pairs_to_arrays(nets.init_params(spec, stream))
+    x = stream.normal(size=(n, 1))
+    wy, wd = stream.normal(size=(2, n, widths[-1]))
+    *fused, chain = _tangent_runs(
+        spec, arrays, x, lambda y, d: [_tangent_loss(y, d, reads, wy, wd)])
+    for run in fused:
+        assert len(run) == len(chain) == 2 + len(arrays)
+        for a, b in zip(run, chain):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("activation", ["tanh", "sin"])
+def test_fused_tangent_sweeps_mark_their_own_readers(activation):
+    """Two sweeps over one graph, from a loss reading y and d and then
+    from one reading d alone, each give the per-op chain's adjoints;
+    in the second the unread output's bias gets +0.0."""
+    spec = nets.MlpSpec(widths=(1, 8, 8, 2), activation=activation,
+                        omega0=3.0)
+    stream = nk.RngStream(30).substream("tangent-sweeps")
+    arrays = nets.pairs_to_arrays(nets.init_params(spec, stream))
+    x = stream.normal(size=(6, 1))
+    wy, wd = stream.normal(size=(2, 6, 2))
+    *fused, chain = _tangent_runs(spec, arrays, x, lambda y, d: [
+        _tangent_loss(y, d, "yd", wy, wd), _tangent_loss(y, d, "d", wy, wd)])
+    for run in fused:
+        for a, b in zip(run, chain):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert run[-1].tobytes() == np.zeros(2).tobytes()
+
+
+@pytest.mark.parametrize("widths", [(1, 8, 2), (1, 2)],
+                         ids=lambda w: "-".join(map(str, w)))
+def test_tangent_graph_dies_when_a_later_tape_takes_the_workspace(widths):
+    """A later tape overwrites the arrays of a graph on the same
+    workspace, so a sweep over that graph raises instead of reading
+    them; also with no hidden layer, whose sweep takes no product."""
+    spec = nets.MlpSpec(widths=widths)
+    arrays = nets.pairs_to_arrays(
+        nets.init_params(spec, nk.RngStream(32).substream("dead-graph")))
+    x = np.linspace(-1.0, 1.0, 5).reshape(-1, 1)
+    workspace = nk.Workspace()
+    losses = []
+    for _ in range(2):
+        tape = nk.Tape(workspace)
+        leaves = [tape.leaf(a) for a in arrays]
+        _, d = nets.mlp_apply_tangent(spec, nets.arrays_to_pairs(leaves), x)
+        losses.append((nk.vsum(d * d), leaves))
+    with pytest.raises(RuntimeError, match="later tape"):
+        nk.backward(*losses[0])
+    assert all(np.all(np.isfinite(g)) for g in nk.backward(*losses[1]))
+
+
+def _hnn_loss(monkeypatch):
+    params = OscillatorParams(c=0.0)
+    traj = simulate(params, ForcingSpec(amplitudes=0.0), n=128, z0=(1.0, 0.0))
+    return _captured_loss(monkeypatch, lambda: neural_ode.hnn_train(
+        *neural_ode.conservative_batch(traj, params.m)))
+
+
+def _pinn_loss(monkeypatch):
+    traj = simulate(n=128)
+    config = pinn.PinnConfig(weights=pinn.LossWeights(1.0, 1.0, 1.0),
+                             trainable=("c", "k", "k3"), bc=(0.0, 0.0))
+    prob = pinn.PinnProblem(config, traj.t, traj.f,
+                            z_obs=np.column_stack([traj.u, traj.v]),
+                            obs_rows=slice(None))
+    return prob.init_arrays(nk.RngStream(3)), prob.total_loss
+
+
+def _pgnn_loss(monkeypatch):
+    traj = simulate(n=128)
+    return _captured_loss(monkeypatch, lambda: pgnn.run_guided(
+        traj, ForcingSpec(), OscillatorParams(), stride=4))
+
+
+def _captured_loss(monkeypatch, run):
+    """The initial arrays and loss builder that `run` hands to
+    `fit_arrays`, with training replaced by returning them untrained."""
+    captured = {}
+
+    def capture(arrays0, build, config):
+        captured.update(arrays=arrays0, build=build)
+        return arrays0, []
+
+    monkeypatch.setattr(nets, "fit_arrays", capture)
+    run()
+    return captured["arrays"], captured["build"]
+
+
+@pytest.mark.parametrize("loss, applications", [
+    (_hnn_loss, 2), (_pinn_loss, 1), (_pgnn_loss, 1)],
+    ids=["hnn", "pinn", "pgnn"])
+def test_physics_losses_record_one_tangent_node_per_application(
+        monkeypatch, passes, loss, applications):
+    """The HNN's ∂H/∂p and ∂H/∂q, the PINN's residual and the PGNN's
+    Δu̇ each take one `mlp_tangent` node; no per-op activation or
+    tangent chain is left on the tape."""
+    arrays, build = loss(monkeypatch)
+    passes["tangent"] = 0
+    tape = nk.Tape()
+    build(tape, [tape.leaf(a) for a in arrays])
+    ops = [node.op for node in tape.nodes]
+    assert passes["tangent"] == ops.count("mlp_tangent") == applications
+    assert not {"tanh", "sin", "cos", "matmul"} & set(ops)
+
+
+@pytest.mark.parametrize("activation", ["tanh", "sin"])
+def test_fused_tangent_adjoints_match_central_differences(activation):
+    spec = nets.MlpSpec(widths=(1, 6, 5, 2), activation=activation,
+                        omega0=2.0)
+    stream = nk.RngStream(31).substream("tangent-fd")
+    arrays = nets.pairs_to_arrays(nets.init_params(spec, stream))
+    x = stream.normal(size=(7, 1))
+    wy, wd = stream.normal(size=(2, 7, 2))
+    flat, metas = nets.flatten(arrays)
+
+    def value(theta):
+        params = nets.arrays_to_pairs(nets.unflatten(np.array(theta), metas))
+        y, d = nets.mlp_predict_tangent(spec, params, x)
+        return float(np.sum(np.tanh(y) * wy) + np.sum(d * d * wd))
+
+    tape = nk.Tape()
+    leaves = [tape.leaf(a) for a in arrays]
+    y, d = nets.mlp_apply_tangent(spec, nets.arrays_to_pairs(leaves), x)
+    grads = nk.backward(_tangent_loss(y, d, "yd", wy, wd), leaves)
+    g = np.concatenate([np.ravel(a) for a in grads])
+    ref = np.array(oracles.central_difference(value, flat))
+    assert np.all(np.abs(g - ref) <= 1e-6 * np.maximum(1.0, np.abs(ref)))
 
 
 def test_observation_loss_values():
@@ -450,7 +628,8 @@ def test_gradient_is_refused_once_its_graph_is_released(monkeypatch):
 def test_fit_arrays_releases_every_graph(diverge):
     """Evaluation k's graph is gone when evaluation k+1 is built, and no
     tape keeps a node once `fit_arrays` returns, also when the last
-    evaluation was a rejected trial whose gradient nobody took."""
+    evaluation was a rejected trial whose gradient nobody took. All the
+    evaluations' tapes share one workspace."""
     cfg = nets.TrainConfig(adam_iters=7, adam_lr=1e-2, lbfgs_iters=30)
     tapes, losses = [], []
 
@@ -468,6 +647,9 @@ def test_fit_arrays_releases_every_graph(diverge):
         assert len(history) == cfg.adam_iters + 1
         assert len(tapes) == cfg.adam_iters + 1 + 25
     assert all(not tape.nodes for tape in tapes)
+    workspace = tapes[0].workspace
+    assert workspace is not None
+    assert all(tape.workspace is workspace for tape in tapes)
 
 
 def test_seed_determinism_of_training():
