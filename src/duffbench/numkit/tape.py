@@ -3,8 +3,9 @@
 Values are float64 numpy arrays. Every operation appends a node to the
 tape of its operands, so construction order is a topological order by
 design. Each node's backward rule (VJP) maps the output adjoint to one
-adjoint per parent with plain numpy on the parents' forward values, so
-a backward sweep accumulates arrays and never grows the tape.
+adjoint per parent (None where no path leads) with plain numpy on the
+parents' forward values, so a backward sweep accumulates arrays and
+never grows the tape.
 
 Supported matmul shapes are (2D, 2D) and (2D, 1D); everything else is
 elementwise with numpy broadcasting. `mlp` records a whole network
