@@ -95,6 +95,15 @@ def multisine_force(spec: ForcingSpec, t):
     return out
 
 
+def write_table(path, header, rows):
+    """Write a CSV file: `header`, then one line per row of numbers, each
+    value as f"{x:.17g}" gives it, through one %-template for the
+    header's width."""
+    line = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n" + "".join([line % tuple(row) for row in rows]))
+
+
 @dataclass
 class Trajectory:
     """Time-indexed record of t, u, u̇, ü and f, all equal length."""
@@ -124,10 +133,8 @@ class Trajectory:
                           self.a[idx], self.f[idx])
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            fh.write("t,u,v,a,f\n")
-            for row in zip(self.t, self.u, self.v, self.a, self.f):
-                fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        write_table(path, "t,u,v,a,f",
+                    zip(self.t, self.u, self.v, self.a, self.f))
 
 
 DEFAULT_SUBSTEPS = 16

@@ -26,6 +26,7 @@ from .duffing import (
     acceleration,
     rk4_increment,
     stage_forces,
+    write_table,
 )
 from .errors import ConfigError, NumericFailure
 from .numkit import linalg
@@ -40,7 +41,7 @@ UKF_KAPPA = 0.0
 
 class FilterDivergenceError(NumericFailure):
     """Covariance lost positive definiteness beyond jitter repair, or a
-    sigma point's propagation went non-finite."""
+    sigma point's or a particle's propagation went non-finite."""
 
 
 class DegeneracyError(NumericFailure):
@@ -232,20 +233,25 @@ def pf_step(ensemble: ParticleEnsemble, layout: AugmentedState,
             noise: NoiseConfig, stream: nk.RngStream) -> ParticleEnsemble:
     """Bootstrap particle-filter step with systematic resampling."""
     n, dim = ensemble.particles.shape
-    pts = _propagate(ensemble.particles, layout, base, h, f_stages)
-    if noise.q_velocity > 0:
-        pts[:, 1] += stream.normal(size=n, scale=np.sqrt(noise.q_velocity))
-    if noise.q_param > 0 and dim > 2:
-        pts[:, 2:] += stream.normal(size=(n, dim - 2),
-                                    scale=np.sqrt(noise.q_param))
-    y_hat = measurement(pts, layout, base, f_next)
+    # the RK4 stages turn an overflow into NaN, and a NaN particle makes
+    # a NaN weight: the peak weight's check below also catches those
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        pts = _propagate(ensemble.particles, layout, base, h, f_stages)
+        if noise.q_velocity > 0:
+            pts[:, 1] += stream.normal(size=n,
+                                       scale=np.sqrt(noise.q_velocity))
+        if noise.q_param > 0 and dim > 2:
+            pts[:, 2:] += stream.normal(size=(n, dim - 2),
+                                        scale=np.sqrt(noise.q_param))
+        y_hat = measurement(pts, layout, base, f_next)
         log_lik = -0.5 * (y_next - y_hat) ** 2 / noise.r_measurement
         log_lik = np.where((y_next - y_hat) == 0.0, 0.0, log_lik)
         log_w = np.where(ensemble.weights > 0.0,
                          np.log(ensemble.weights), -np.inf) + log_lik
     peak = log_w.max()
     if not np.isfinite(peak):
+        if not np.isfinite(pts).all():
+            raise FilterDivergenceError("particle propagation went non-finite")
         raise DegeneracyError("all particle weights vanished")
     w = np.exp(log_w - peak)
     total = w.sum()
@@ -283,11 +289,8 @@ class FilterResult:
         names = list(self.layout.theta_names)
         cols = ["u_hat", "v_hat"] + [f"{n}_hat" for n in names]
         sds = ["sd_u", "sd_v"] + [f"sd_{n}" for n in names]
-        with open(path, "w", newline="") as fh:
-            fh.write("t," + ",".join(cols + sds) + "\n")
-            for i in range(len(self.t)):
-                row = [self.t[i], *self.mean[i], *self.std[i]]
-                fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        write_table(path, ",".join(["t"] + cols + sds),
+                    zip(self.t, *self.mean.T, *self.std.T))
 
 
 def _run(traj: Trajectory, forcing: ForcingSpec, y_meas,

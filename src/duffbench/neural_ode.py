@@ -4,13 +4,13 @@ The neural ODE approximates ż from (u, v, f) and is trained through its
 RK4 integrator (discretise-then-optimise), first as a k+1 predictor,
 then on multi-step rollout windows. Each of those losses is one tape
 node, `rk4_windows_loss`, whose backward rule is the discrete RK4
-adjoint in numpy. Each fit owns a `WindowWorkspace`: the loss writes
-every stage application's layer values and adjoints into its stacked
-buffers on every evaluation instead of allocating fresh ones, and takes
-the weight adjoints of many applications in one batched product per
-layer. The Hamiltonian route learns a separable H(q, p) = T(p) + V(q)
-from conservative data by matching its partial derivatives to observed
-rates, and is integrated symplectically.
+adjoint in numpy. Each fit owns a `WindowWorkspace`, whose stacked
+buffers every evaluation writes (the scaled forces only the first) and
+which takes the weight adjoints of many applications in one batched
+product per layer. A trained `OdeFunc` calls `nk.mlp_forward` directly
+on one array of scaled (u, v, f) rows. The Hamiltonian route learns a
+separable H(q, p) = T(p) + V(q) from conservative data by matching its
+partial derivatives to observed rates, and is integrated symplectically.
 """
 
 from __future__ import annotations
@@ -51,7 +51,8 @@ class IntegratorSpec:
 
 
 class OdeFunc:
-    """Network flow estimate (u, v, f) -> (u̇, v̇)."""
+    """Network flow estimate (u, v, f) -> (u̇, v̇) of states (..., 2) under
+    forces that broadcast against their batch shape."""
 
     def __init__(self, spec: nets.MlpSpec, params, scale=None):
         if spec.n_in != 3 or spec.n_out != 2:
@@ -63,11 +64,12 @@ class OdeFunc:
 
     def __call__(self, z, f):
         z = np.asarray(z, dtype=float)
-        x = np.concatenate([z, np.broadcast_to(np.asarray(f, float),
-                                               z.shape[:-1] + (1,))], axis=-1)
-        out = nets.mlp_predict(self.spec, self.params,
-                               (x / self.scale).reshape(-1, 3))
-        return out.reshape(z.shape)
+        x = np.empty(z.shape[:-1] + (3,))
+        x[..., :2] = z
+        x[..., 2:] = f
+        x /= self.scale
+        return nk.mlp_forward(x.reshape(-1, 3), self.params,
+                              self.spec.activation).reshape(z.shape)
 
 
 class StepDivergenceError(NumericFailure, FloatingPointError):
@@ -90,7 +92,7 @@ def node_step(func, z, f_stages, integ: IntegratorSpec):
     """
     z = np.asarray(z, dtype=float)
     out = z + _INCREMENTS[integ.kind](func, z, f_stages, integ.h)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise StepDivergenceError("non-finite state after step")
     return out
 
@@ -137,7 +139,8 @@ class WindowWorkspace:
     Forward slabs hold, for each of the 4·horizon stage applications of
     `windows`, the scaled (z, f) input and every hidden layer's output
     (and cosine, for sin), in the order the backward sweep visits them:
-    the last step's last stage first. The sweep writes each layer's
+    the last step's last stage first; the first evaluation fills the
+    scaled force columns (`bind`). The sweep writes each layer's
     adjoint into chunk slabs of at most ADJOINT_ROWS rows, takes tanh's
     1 − h² for a whole chunk at once, and `products` holds a chunk's
     per-application weight adjoints. One evaluation owns the buffers at
@@ -151,6 +154,8 @@ class WindowWorkspace:
         sin = spec.activation == "sin"
         # what each layer reads: the scaled input, then each hidden output
         self.inputs = [np.empty((apps, n, w)) for w in widths[:-1]]
+        self.states = [x[:, :2] for x in self.inputs[0]]
+        self.windows = self.scale = None  # bound by the first evaluation
         cos = [np.empty((apps, n, w)) if sin else None for w in widths[1:-1]]
         self.hidden = [[(h[a], None if c is None else c[a])
                         for h, c in zip(self.inputs[1:], cos)]
@@ -168,6 +173,18 @@ class WindowWorkspace:
                           np.empty((self.chunk, b)))
                          for a, b in zip(widths[:-1], widths[1:])]
         self.owner = None
+
+    def bind(self, windows, scale):
+        """Fill the scaled force columns at the first evaluation; later
+        ones must pass the same windows and an equal input scale."""
+        if self.windows is None:
+            forces = [f for f1, f2, f4 in windows[1] for f in (f1, f2, f2, f4)]
+            np.divide(forces[::-1], scale[2], out=self.inputs[0][:, :, 2:])
+            self.windows, self.scale = windows, np.array(scale)
+        elif (windows is not self.windows
+              or not np.array_equal(scale, self.scale)):
+            raise ValueError("window workspace holds the forces of other "
+                             "windows or of another input scale")
 
 
 def rk4_windows_loss(func: OdeFunc, pairs, windows, h, workspace=None):
@@ -189,30 +206,33 @@ def rk4_windows_loss(func: OdeFunc, pairs, windows, h, workspace=None):
     The values and adjoints live in `workspace` (a fresh one if None),
     which a fit reuses for all its evaluations. Evaluating through it
     again takes it over: the earlier node's backward then raises
-    RuntimeError instead of reading overwritten values.
+    RuntimeError instead of reading overwritten values. A workspace
+    whose force columns hold other windows or another input scale
+    raises ValueError.
     """
     z0, forces, targets = windows
     n, horizon = len(z0), len(targets)
     ws = workspace or WindowWorkspace(func.spec, windows)
+    ws.bind(windows, func.scale)
     weights = [(W.value, b.value) for W, b in pairs]
-    activation, scale = func.spec.activation, func.scale
+    activation, scale = func.spec.activation, func.scale[:2]
     token = ws.owner = object()
     # forward stage applications fill the slabs from the back
     order = iter(range(4 * horizon - 1, -1, -1))
     residuals = []
 
-    def flow(z, f):
+    def flow(z, f):  # the slab holds f / scale already
         a = next(order)
-        x = np.concatenate([z, f], axis=1, out=ws.inputs[0][a])
-        x /= scale
-        return nk.mlp_forward(x, weights, activation, slots=ws.hidden[a])
+        np.divide(z, scale, out=ws.states[a])
+        return nk.mlp_forward(ws.inputs[0][a], weights, activation,
+                              slots=ws.hidden[a])
 
     z, total = z0, None
     for f_stages, target in zip(forces, targets):
         z = z + rk4_increment(flow, z, f_stages, h)
         r = z - target
         residuals.append(r)
-        term = np.sum(r * r) / float(n)
+        term = np.add.reduce(r * r, axis=None) / float(n)
         total = term if total is None else total + term
 
     def backward(g):
@@ -253,7 +273,7 @@ def rk4_windows_loss(func: OdeFunc, pairs, windows, h, workspace=None):
             swept += 1
             if k + 1 == ws.chunk:
                 flush()
-            return (gx / scale)[:, :2]
+            return gx[:, :2] / scale
 
         gz = None  # adjoint of the state after step j
         for j in range(horizon - 1, -1, -1):
@@ -271,6 +291,22 @@ def rk4_windows_loss(func: OdeFunc, pairs, windows, h, workspace=None):
                    backward, "rk4_windows")
 
 
+def _fit_windows(func: OdeFunc, dataset, starts, horizon, train) -> tuple:
+    """(fitted flow, loss history) of `func`'s parameters fitted to
+    `rk4_windows_loss` on the windows at `starts`, through one workspace."""
+    windows = rollout_windows(dataset, starts, horizon)
+    workspace = WindowWorkspace(func.spec, windows)
+
+    def build(tape, leaves):
+        return rk4_windows_loss(func, nets.arrays_to_pairs(leaves), windows,
+                                dataset.h, workspace)
+
+    arrays, history = nets.fit_arrays(nets.pairs_to_arrays(func.params),
+                                      build, train)
+    fitted = OdeFunc(func.spec, nets.arrays_to_pairs(arrays), func.scale)
+    return fitted, history
+
+
 def node_train(dataset: OneStepDataset, spec: nets.MlpSpec = FLOW_NET,
                seed=1234, train: nets.TrainConfig = None) -> tuple:
     """Fit the flow so one RK4 step reproduces z_{k+1}.
@@ -285,16 +321,8 @@ def node_train(dataset: OneStepDataset, spec: nets.MlpSpec = FLOW_NET,
                       max(np.abs(dataset.f_stages[0]).max(), 1e-9)])
     stream = nk.RngStream(seed).substream("node-init")
     func = OdeFunc(spec, nets.init_params(spec, stream), scale)
-    windows = rollout_windows(dataset, np.arange(len(dataset)), 1)
-    workspace = WindowWorkspace(spec, windows)
-
-    def build(tape, leaves):
-        return rk4_windows_loss(func, nets.arrays_to_pairs(leaves), windows,
-                                dataset.h, workspace)
-
-    arrays, history = nets.fit_arrays(nets.pairs_to_arrays(func.params),
-                                      build, train or nets.TrainConfig())
-    return OdeFunc(spec, nets.arrays_to_pairs(arrays), scale), history
+    return _fit_windows(func, dataset, np.arange(len(dataset)), 1,
+                        train or nets.TrainConfig())
 
 
 def multistep_refine(func: OdeFunc, dataset: OneStepDataset, horizon: int,
@@ -310,16 +338,7 @@ def multistep_refine(func: OdeFunc, dataset: OneStepDataset, horizon: int,
     if horizon < 1 or horizon >= n_pairs:
         raise ConfigError("horizon must fit inside the dataset")
     starts = np.arange(0, n_pairs - horizon, max(horizon // 2, 1))
-    windows = rollout_windows(dataset, starts, horizon)
-    workspace = WindowWorkspace(func.spec, windows)
-
-    def build(tape, leaves):
-        return rk4_windows_loss(func, nets.arrays_to_pairs(leaves), windows,
-                                dataset.h, workspace)
-
-    arrays, _ = nets.fit_arrays(nets.pairs_to_arrays(func.params), build,
-                                train)
-    return OdeFunc(func.spec, nets.arrays_to_pairs(arrays), func.scale)
+    return _fit_windows(func, dataset, starts, horizon, train)[0]
 
 
 REFINE_HORIZONS = (4, 16, 64)

@@ -5,9 +5,10 @@ computation paths: finite differences, random scalar graphs evaluated
 with plain numpy, a checked gradient map over the tape (order and
 finiteness checks, which the package's own sweep skips), a hand-rolled
 discrete Kalman filter, and the earlier
-forms of eight fast paths (the per-op network on the tape, the per-op
+forms of nine fast paths (the per-op network on the tape, the per-op
 tangent pass and its sin/cos pair on the tape, the per-op neural-ODE
-loss on the tape, the simulator with scalar forcing, the
+loss on the tape, the neural-ODE flow call through its wrapper chain,
+the simulator with scalar forcing, the
 PINN and PGNN losses that applied their network once per term, the
 oscillator-kernel GP likelihood from a Cholesky factor per evaluation,
 and L-BFGS with a gradient at every line-search trial) that the fast
@@ -299,6 +300,19 @@ def mlp_apply_per_op(spec, param_nodes, x):
         h = act(h @ W + b)
     W, b = param_nodes[-1]
     return h @ W + b
+
+
+def ode_flow_chain(func, z, f):
+    """`OdeFunc.__call__` as the wrapper chain it was: concatenate the
+    broadcast force to z, divide by the scale, reshape to rows, then
+    `nets.mlp_predict` and reshape back. The direct call must match it
+    bit for bit."""
+    z = np.asarray(z, dtype=float)
+    x = np.concatenate([z, np.broadcast_to(np.asarray(f, float),
+                                           z.shape[:-1] + (1,))], axis=-1)
+    out = nets.mlp_predict(func.spec, func.params,
+                           (x / func.scale).reshape(-1, 3))
+    return out.reshape(z.shape)
 
 
 def sincos(a):

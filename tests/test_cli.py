@@ -303,6 +303,10 @@ def test_refine_runs_on_the_shortest_record(tmp_path):
 HOSTILE = {
     "one-sample": ("sindy", "[simulator]\nn = 1\n", 2),
     "diverging-simulation": ("sindy", "[simulator]\nk3 = -1e6\nu0 = 5\n", 3),
+    # the 16-substep truth stays finite; the filter's one RK4 step does not
+    "diverging-particle-step": ("pf", "[simulator]\nn = 64\namplitude = 3000\n"
+                                "\n[pf]\nparticles = 50\n", 3,
+                                "particle propagation went non-finite"),
     "overdamped-gp-sdof": ("gp-sdof", "[simulator]\nn = 256\nc = 100\n", 2),
     "zero-forward-windows": ("pinn-forward",
                              "[simulator]\nn = 256\n\n"

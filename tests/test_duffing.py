@@ -254,3 +254,21 @@ def test_csv_round_trip_lossless(tmp_path, default_traj):
         assert np.array_equal(back[:, col], getattr(default_traj, name))
     header = path.read_text().splitlines()[0]
     assert header == "t,u,v,a,f"
+
+
+def test_table_writer_matches_per_value_fstring(tmp_path):
+    """Every CSV table goes through one %-template; its bytes are those
+    of joining f"{x:.17g}" per value, special and non-float values too."""
+    stream = nk.RngStream(11)
+    table = stream.normal(size=(1024, 12)) * 10.0 ** stream.uniform(
+        -300.0, 300.0, size=(1024, 12))
+    table[0, :6] = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 2.5e-310]
+    rows = [tuple(r) for r in table]
+    rows.append((1, -2, True, False, 2 ** 60, np.int64(-7), np.float32(0.1),
+                 np.float64(1 / 3), np.bool_(True), 0, 1e16, -1e-5))
+    header = ",".join(f"c{i}" for i in range(12))
+    path = tmp_path / "table.csv"
+    duffing.write_table(path, header, iter(rows))
+    expected = header + "\n" + "".join(
+        ",".join(f"{x:.17g}" for x in row) + "\n" for row in rows)
+    assert path.read_bytes() == expected.encode()

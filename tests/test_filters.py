@@ -241,6 +241,18 @@ def test_degeneracy_error():
                     0.1, noise, nk.RngStream(1))
 
 
+def test_one_diverging_particle_is_a_filter_divergence():
+    """u³ of one particle overflows in its RK4 step while the others
+    stay at rest: a named divergence, not vanished weights or a warning."""
+    layout = flt.AugmentedState(theta_names=())
+    particles = np.zeros((50, 2))
+    particles[3, 0] = 1e103
+    ens = flt.ParticleEnsemble(particles, np.full(50, 1 / 50))
+    with pytest.raises(flt.FilterDivergenceError, match="particle"):
+        flt.pf_step(ens, layout, TRUTH, (0.0, 0.0, 0.0), 0.0, 0.1, 0.1,
+                    flt.NoiseConfig(r_measurement=1.0), nk.RngStream(1))
+
+
 def test_state_estimates_track_truth(default_setup):
     traj, forcing, y, noise = default_setup
     layout = flt.AugmentedState()

@@ -128,6 +128,68 @@ def test_non_finite_step_raises():
                        node.IntegratorSpec("euler", 0.1))
 
 
+# -- the flow call ------------------------------------------------------------
+
+FLOW_CALL_NETS = [node.FLOW_NET,
+                  nets.MlpSpec(widths=(3, 16, 16, 2), activation="sin",
+                               omega0=3.0)]
+
+
+def _chain(func):
+    return lambda z, f: oracles.ode_flow_chain(func, z, f)
+
+
+@pytest.mark.parametrize("spec", FLOW_CALL_NETS, ids=lambda s: s.activation)
+def test_flow_call_matches_wrapper_chain_bitwise(spec):
+    func = _flow(spec)
+    stream = nk.RngStream(5)
+    z = stream.uniform(-1.0, 1.0, size=(40, 2))
+    f = stream.uniform(-1.0, 1.0, size=(40, 1))
+    cases = [(z[0], np.float64(0.3)), (z[0].tolist(), 2), (z, 0.3), (z, f),
+             (z.reshape(5, 8, 2), f.reshape(5, 8, 1))]
+    for zs, fs in cases:
+        assert _same_bits(func(zs, fs), _chain(func)(zs, fs))
+
+
+@pytest.mark.parametrize("kind", node.INTEGRATORS)
+@pytest.mark.parametrize("spec", FLOW_CALL_NETS, ids=lambda s: s.activation)
+def test_rollout_matches_wrapper_chain_at_every_step(spec, kind):
+    func = _flow(spec)
+    integ = node.IntegratorSpec(kind, 1.0 / DEFAULT_RATE)
+    args = (np.array([0.1, -0.2]), ForcingSpec(), 96, DEFAULT_RATE, integ)
+    path = node.rollout(func, *args)
+    ref = node.rollout(_chain(func), *args)
+    assert np.all(path[1:] != path[:-1])
+    for k in range(len(path)):
+        assert _same_bits(path[k], ref[k]), k
+
+
+def _calls_until_divergence(flow, n):
+    calls = []
+
+    def counted(z, f):
+        calls.append(None)
+        return flow(z, f)
+
+    with pytest.raises(node.StepDivergenceError), \
+            np.errstate(over="ignore", invalid="ignore"):
+        node.rollout(counted, np.zeros(2), ForcingSpec(), n, DEFAULT_RATE)
+    return len(calls)
+
+
+def test_diverging_flow_raises_at_the_same_step_as_the_wrapper_chain():
+    """An output layer scaled by 1e306 around a 1e307 bias drives the
+    state past the float range after some dozens of steps; both calls
+    raise at the same one."""
+    func = _flow(node.FLOW_NET)
+    W, b = func.params[-1]
+    params = func.params[:-1] + [(1e306 * W, 1e306 * b + 1e307)]
+    func = node.OdeFunc(func.spec, params, func.scale)
+    calls = _calls_until_divergence(func, 1024)
+    assert calls == _calls_until_divergence(_chain(func), 1024)
+    assert 4 < calls < 4 * 1023 and calls % 4 == 0
+
+
 @pytest.fixture(scope="module")
 def trained_flow():
     forcing = ForcingSpec()
@@ -348,6 +410,28 @@ def test_workspace_reuse_matches_fresh_evaluations(short_dataset, spec):
     # the first adjoints are the caller's, not views of the workspace
     for adjoints, (_, ref_adj) in zip(results, fresh):
         assert all(_same_bits(a, b) for a, b in zip(adjoints, ref_adj))
+
+
+def test_workspace_refuses_other_windows_or_input_scale(short_dataset):
+    """The first evaluation fills the workspace's scaled force columns.
+    Later ones with another windows object (even an equal one) or another
+    scale are refused, since a changed one would read stale columns."""
+    spec = node.FLOW_NET
+    windows = _case_windows(short_dataset, "h4")
+    func = _flow(spec)
+    workspace = node.WindowWorkspace(spec, windows)
+
+    def evaluate(f, w):
+        return _loss_and_adjoints(node.rk4_windows_loss, f, w,
+                                  short_dataset.h, workspace)[0].value
+
+    first = evaluate(func, windows)
+    with pytest.raises(ValueError):
+        evaluate(func, _case_windows(short_dataset, "h4"))
+    with pytest.raises(ValueError):
+        evaluate(node.OdeFunc(spec, func.params, 2.0 * func.scale), windows)
+    equal = node.OdeFunc(spec, func.params, func.scale.copy())
+    assert evaluate(equal, windows) == first
 
 
 @pytest.mark.parametrize("case", sorted(WINDOWS))
