@@ -41,7 +41,7 @@ UKF_KAPPA = 0.0
 
 class FilterDivergenceError(NumericFailure):
     """Covariance lost positive definiteness beyond jitter repair, or a
-    sigma point's or a particle's propagation went non-finite."""
+    sigma point, a particle or every squared innovation went non-finite."""
 
 
 class DegeneracyError(NumericFailure):
@@ -243,15 +243,19 @@ def pf_step(ensemble: ParticleEnsemble, layout: AugmentedState,
         if noise.q_param > 0 and dim > 2:
             pts[:, 2:] += stream.normal(size=(n, dim - 2),
                                         scale=np.sqrt(noise.q_param))
-        y_hat = measurement(pts, layout, base, f_next)
-        log_lik = -0.5 * (y_next - y_hat) ** 2 / noise.r_measurement
-        log_lik = np.where((y_next - y_hat) == 0.0, 0.0, log_lik)
+        innovation = y_next - measurement(pts, layout, base, f_next)
+        squared = innovation ** 2
+        log_lik = -0.5 * squared / noise.r_measurement
+        log_lik = np.where(innovation == 0.0, 0.0, log_lik)
         log_w = np.where(ensemble.weights > 0.0,
                          np.log(ensemble.weights), -np.inf) + log_lik
     peak = log_w.max()
     if not np.isfinite(peak):
         if not np.isfinite(pts).all():
             raise FilterDivergenceError("particle propagation went non-finite")
+        if not np.isfinite(squared).any():
+            raise FilterDivergenceError("particle ensemble diverged: every "
+                                        "squared innovation is non-finite")
         raise DegeneracyError("all particle weights vanished")
     w = np.exp(log_w - peak)
     total = w.sum()

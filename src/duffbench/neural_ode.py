@@ -4,9 +4,9 @@ The neural ODE approximates ż from (u, v, f) and is trained through its
 RK4 integrator (discretise-then-optimise), first as a k+1 predictor,
 then on multi-step rollout windows. Each of those losses is one tape
 node, `rk4_windows_loss`, whose backward rule is the discrete RK4
-adjoint in numpy. Each fit owns a `WindowWorkspace`, whose stacked
-buffers every evaluation writes (the scaled forces only the first) and
-which takes the weight adjoints of many applications in one batched
+adjoint in numpy. Its stacked slabs come from the tape's `empty`, so
+the one `nk.Workspace` of a fit serves them, as it serves the tangent
+node; it takes the weight adjoints of many applications in one batched
 product per layer. A trained `OdeFunc` calls `nk.mlp_forward` directly
 on one array of scaled (u, v, f) rows. The Hamiltonian route learns a
 separable H(q, p) = T(p) + V(q) from conservative data by matching its
@@ -16,6 +16,7 @@ partial derivatives to observed rates, and is integrated symplectically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -118,14 +119,14 @@ class OneStepDataset:
 
 
 def rollout_windows(dataset: OneStepDataset, starts, horizon):
-    """(start states, force columns per step, targets per step) of the
-    `horizon`-step windows beginning at the pair indices `starts`; each
-    step's force columns are (N, 1) arrays at (t, t+h/2, t+h)."""
+    """(start states, forces, targets) of the `horizon`-step windows
+    beginning at the pair indices `starts`. Forces (horizon, 3, N, 1)
+    holds each step's force columns at (t, t+h/2, t+h) and targets
+    (horizon, N, 2) each step's target states."""
     starts = np.asarray(starts)
-    forces = [tuple(s[starts + j].reshape(-1, 1) for s in dataset.f_stages)
-              for j in range(horizon)]
-    targets = [dataset.z_next[starts + j] for j in range(horizon)]
-    return dataset.z[starts], forces, targets
+    steps = starts + np.arange(horizon)[:, None]
+    forces = np.stack(dataset.f_stages)[:, steps].transpose(1, 0, 2)
+    return dataset.z[starts], forces[..., None], dataset.z_next[steps]
 
 
 # Rows of one chunk buffer of the window loss's backward sweep, which
@@ -133,99 +134,51 @@ def rollout_windows(dataset: OneStepDataset, starts, horizon):
 ADJOINT_ROWS = 1024
 
 
-class WindowWorkspace:
-    """The arrays `rk4_windows_loss` writes on each evaluation of one fit.
-
-    Forward slabs hold, for each of the 4·horizon stage applications of
-    `windows`, the scaled (z, f) input and every hidden layer's output
-    (and cosine, for sin), in the order the backward sweep visits them:
-    the last step's last stage first; the first evaluation fills the
-    scaled force columns (`bind`). The sweep writes each layer's
-    adjoint into chunk slabs of at most ADJOINT_ROWS rows, takes tanh's
-    1 − h² for a whole chunk at once, and `products` holds a chunk's
-    per-application weight adjoints. One evaluation owns the buffers at
-    a time; the next one takes them over.
-    """
-
-    def __init__(self, spec: nets.MlpSpec, windows):
-        z0, _, targets = windows
-        n, apps = len(z0), 4 * len(targets)
-        widths = spec.widths
-        sin = spec.activation == "sin"
-        # what each layer reads: the scaled input, then each hidden output
-        self.inputs = [np.empty((apps, n, w)) for w in widths[:-1]]
-        self.states = [x[:, :2] for x in self.inputs[0]]
-        self.windows = self.scale = None  # bound by the first evaluation
-        cos = [np.empty((apps, n, w)) if sin else None for w in widths[1:-1]]
-        self.hidden = [[(h[a], None if c is None else c[a])
-                        for h, c in zip(self.inputs[1:], cos)]
-                       for a in range(apps)]
-        self.chunk = max(1, min(apps, ADJOINT_ROWS // max(n, *widths[:-1])))
-        self.adjoints = [np.empty((self.chunk, n, w)) for w in widths[1:]]
-        self.slots = [[g[k] for g in self.adjoints[:-1]]
-                      for k in range(self.chunk)]
-        # tanh's 1 - h * h of a chunk's applications, taken at once
-        self.slopes = None if sin else [np.empty((self.chunk, n, w))
-                                        for w in widths[1:-1]]
-        self.slope_hidden = None if sin else [
-            [(None, d[k]) for d in self.slopes] for k in range(self.chunk)]
-        self.products = [(np.empty((self.chunk, a, b)),
-                          np.empty((self.chunk, b)))
-                         for a, b in zip(widths[:-1], widths[1:])]
-        self.owner = None
-
-    def bind(self, windows, scale):
-        """Fill the scaled force columns at the first evaluation; later
-        ones must pass the same windows and an equal input scale."""
-        if self.windows is None:
-            forces = [f for f1, f2, f4 in windows[1] for f in (f1, f2, f2, f4)]
-            np.divide(forces[::-1], scale[2], out=self.inputs[0][:, :, 2:])
-            self.windows, self.scale = windows, np.array(scale)
-        elif (windows is not self.windows
-              or not np.array_equal(scale, self.scale)):
-            raise ValueError("window workspace holds the forces of other "
-                             "windows or of another input scale")
-
-
-def rk4_windows_loss(func: OdeFunc, pairs, windows, h, workspace=None):
+def rk4_windows_loss(func: OdeFunc, pairs, windows, h):
     """Mean over the horizon of `nets.observation_loss` after every RK4
     step of the flow on all `windows` at once, as one tape node.
 
-    `pairs` holds the flow's (W, b) nodes, which are the node's parents;
-    `func` gives the activation and input scale. The value equals that
-    of the per-op chain (the network on the scaled (z, f) input inside
-    `rk4_increment`, one observation loss per step, their mean over the
-    horizon) bit for bit. The VJP runs the discrete RK4 adjoint in numpy
-    from the last step back to the first: per stage application only
-    the input-adjoint chain, writing each layer's adjoint into a chunk
-    slab, then per full chunk one batched weight product per layer
-    (`nk.stacked_weight_adjoints`). Every contribution is added in the
-    order the chain's `backward` would add it, so the weight adjoints
-    are bit-identical too.
+    `pairs` holds the flow's (W, b) nodes, the node's parents; `func`
+    gives the activation and input scale. The value equals the per-op
+    chain's (the network on the scaled (z, f) input inside
+    `rk4_increment`, one observation loss per step, their mean) bit for
+    bit. The VJP runs the discrete RK4 adjoint from the last step back:
+    per stage application only the input-adjoint chain, writing each
+    layer's adjoint into a chunk slab of at most ADJOINT_ROWS rows, then
+    per chunk one batched weight product per layer
+    (`nk.stacked_weight_adjoints`). It adds every contribution in the
+    chain's order, so the weight adjoints are bit-identical too.
 
-    The values and adjoints live in `workspace` (a fresh one if None),
-    which a fit reuses for all its evaluations. Evaluating through it
-    again takes it over: the earlier node's backward then raises
-    RuntimeError instead of reading overwritten values. A workspace
-    whose force columns hold other windows or another input scale
-    raises ValueError.
+    Every slab comes from `tape.empty`, so a fit's workspace serves them
+    again and again: the scaled inputs and hidden outputs (and cosines,
+    for sin) of the 4·horizon stage applications, in the order the sweep
+    visits them, the last step's last stage first; and the sweep's chunk
+    slabs, drawn when it starts, so a sweep over a graph whose workspace
+    went to a later tape raises RuntimeError.
     """
     z0, forces, targets = windows
-    n, horizon = len(z0), len(targets)
-    ws = workspace or WindowWorkspace(func.spec, windows)
-    ws.bind(windows, func.scale)
-    weights = [(W.value, b.value) for W, b in pairs]
+    n, horizon, widths = len(z0), len(targets), func.spec.widths
+    apps, tape = 4 * horizon, pairs[0][0].tape
     activation, scale = func.spec.activation, func.scale[:2]
-    token = ws.owner = object()
+    sin = activation == "sin"
+    weights = [(W.value, b.value) for W, b in pairs]
+    inputs = [tape.empty((apps, n, w)) for w in widths[:-1]]
+    cos = [tape.empty((apps, n, w)) if sin else repeat(None)
+           for w in widths[1:-1]]
+    # each application's (output, cos or None) per hidden layer
+    hidden = list(zip(*map(zip, inputs[1:], cos))) or [()] * apps
+    # each step's forces of stages k4, k3, k2, k1, the last step first
+    np.divide(forces[::-1, [2, 1, 1, 0]], func.scale[2],
+              out=inputs[0].reshape(horizon, 4, n, 3)[..., 2:])
     # forward stage applications fill the slabs from the back
-    order = iter(range(4 * horizon - 1, -1, -1))
+    forward = zip(inputs[0][::-1], inputs[0][::-1, :, :2], reversed(hidden))
+    chunk = max(1, min(apps, ADJOINT_ROWS // max(n, *widths[:-1])))
     residuals = []
 
     def flow(z, f):  # the slab holds f / scale already
-        a = next(order)
-        np.divide(z, scale, out=ws.states[a])
-        return nk.mlp_forward(ws.inputs[0][a], weights, activation,
-                              slots=ws.hidden[a])
+        x, state, slots = next(forward)
+        np.divide(z, scale, out=state)
+        return nk.mlp_forward(x, weights, activation, slots=slots)
 
     z, total = z0, None
     for f_stages, target in zip(forces, targets):
@@ -236,9 +189,14 @@ def rk4_windows_loss(func: OdeFunc, pairs, windows, h, workspace=None):
         total = term if total is None else total + term
 
     def backward(g):
-        if ws.owner is not token:
-            raise RuntimeError("rk4_windows backward after a later "
-                               "evaluation took over its workspace")
+        adjoints = [tape.empty((chunk, n, w)) for w in widths[1:]]
+        slots = list(zip(*adjoints[:-1])) or [()] * chunk
+        # tanh's 1 - h * h of a chunk's applications, taken at once
+        slopes = [] if sin else [tape.empty((chunk, n, w))
+                                 for w in widths[1:-1]]
+        slope_hidden = list(zip(*(zip(repeat(None), d) for d in slopes)))
+        products = [(tape.empty((chunk, a, b)), tape.empty((chunk, b)))
+                    for a, b in zip(widths[:-1], widths[1:])]
         g_term = g / float(horizon) / float(n)
         grads = [np.full_like(a, -0.0) for pair in weights for a in pair]
         swept = done = 0  # applications reversed; of them, in `grads`
@@ -246,32 +204,26 @@ def rk4_windows_loss(func: OdeFunc, pairs, windows, h, workspace=None):
         def flush():
             nonlocal done
             nk.stacked_weight_adjoints(
-                [x[done:swept] for x in ws.inputs],
-                [slab[:swept - done] for slab in ws.adjoints], ws.products,
-                grads)
+                [x[done:swept] for x in inputs],
+                [slab[:swept - done] for slab in adjoints], products, grads)
             done = swept
-
-        def tanh_slopes():  # 1 - h * h of the chunk starting at `swept`
-            end = min(swept + ws.chunk, len(ws.hidden))
-            for out, slope in zip(ws.inputs[1:], ws.slopes):
-                slope = np.multiply(out[swept:end], out[swept:end],
-                                    out=slope[:end - swept])
-                np.subtract(1.0, slope, out=slope)
 
         def stage_vjp(s, g_k):  # called in slab order, last stage first
             nonlocal swept
             k = swept - done
-            hidden = ws.hidden[swept]
-            if ws.slopes is not None:
-                if not k:
-                    tanh_slopes()
-                hidden = ws.slope_hidden[k]
-            out = ws.adjoints[-1][k]
+            if slope_hidden and not k:  # the chunk starting here
+                end = min(swept + chunk, apps)
+                for out, slope in zip(inputs[1:], slopes):
+                    slope = np.multiply(out[swept:end], out[swept:end],
+                                        out=slope[:end - swept])
+                    np.subtract(1.0, slope, out=slope)
+            layers = slope_hidden[k] if slope_hidden else hidden[swept]
+            out = adjoints[-1][k]
             out[...] = g_k
-            gx, _ = nk.mlp_vjp(out, weights, ws.inputs[0][swept], hidden,
-                               ws.slots[k])
+            gx, _ = nk.mlp_vjp(out, weights, inputs[0][swept], layers,
+                               slots[k])
             swept += 1
-            if k + 1 == ws.chunk:
+            if k + 1 == chunk:
                 flush()
             return gx[:, :2] / scale
 
@@ -287,19 +239,18 @@ def rk4_windows_loss(func: OdeFunc, pairs, windows, h, workspace=None):
         return tuple(grads)
 
     parents = tuple(node for pair in pairs for node in pair)
-    return nk.Node(parents[0].tape, total / float(horizon), parents,
-                   backward, "rk4_windows")
+    return nk.Node(tape, total / float(horizon), parents, backward,
+                   "rk4_windows")
 
 
 def _fit_windows(func: OdeFunc, dataset, starts, horizon, train) -> tuple:
     """(fitted flow, loss history) of `func`'s parameters fitted to
-    `rk4_windows_loss` on the windows at `starts`, through one workspace."""
+    `rk4_windows_loss` on the windows at `starts`."""
     windows = rollout_windows(dataset, starts, horizon)
-    workspace = WindowWorkspace(func.spec, windows)
 
     def build(tape, leaves):
         return rk4_windows_loss(func, nets.arrays_to_pairs(leaves), windows,
-                                dataset.h, workspace)
+                                dataset.h)
 
     arrays, history = nets.fit_arrays(nets.pairs_to_arrays(func.params),
                                       build, train)

@@ -18,8 +18,9 @@ in the order of the per-application chain so the bits stay the same.
 `mlp_tangent` records a network application together with the
 derivative of its output with respect to its scalar input as one node
 too, a tangent pass, whose VJP repeats the per-op tangent chain bit for
-bit. A tape made with a `Workspace` hands such a node arrays that the
-previous tape of the same fit used, instead of fresh ones.
+bit. A tape made with a `Workspace` hands such nodes arrays that the
+previous tape of the same fit used, instead of fresh ones: one
+workspace serves the tangent node and the neural-ODE window loss.
 """
 
 from __future__ import annotations

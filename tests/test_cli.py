@@ -307,6 +307,16 @@ HOSTILE = {
     "diverging-particle-step": ("pf", "[simulator]\nn = 64\namplitude = 3000\n"
                                 "\n[pf]\nparticles = 50\n", 3,
                                 "particle propagation went non-finite"),
+    # finite particles whose every squared innovation overflows; at 1e5
+    # the predicted measurement itself is inf
+    "diverging-particle-ensemble": ("pf", "[simulator]\nn = 64\n"
+                                    "amplitude = 1e4\n\n[pf]\n"
+                                    "particles = 50\n", 3,
+                                    "every squared innovation"),
+    "overflowing-particle-measurement": ("pf", "[simulator]\nn = 64\n"
+                                         "amplitude = 1e5\n\n[pf]\n"
+                                         "particles = 50\n", 3,
+                                         "every squared innovation"),
     "overdamped-gp-sdof": ("gp-sdof", "[simulator]\nn = 256\nc = 100\n", 2),
     "zero-forward-windows": ("pinn-forward",
                              "[simulator]\nn = 256\n\n"

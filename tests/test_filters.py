@@ -253,6 +253,29 @@ def test_one_diverging_particle_is_a_filter_divergence():
                     flt.NoiseConfig(r_measurement=1.0), nk.RngStream(1))
 
 
+def test_finite_particles_past_every_innovation_are_a_filter_divergence():
+    """Particles far out at u = 1e70, stepped over a tiny interval, stay
+    finite, but k3·u³ puts every predicted measurement near 1e210, whose
+    squared innovation overflows: a named divergence, not vanished
+    weights or a warning."""
+    layout = flt.AugmentedState(theta_names=())
+    particles = np.zeros((50, 2))
+    particles[:, 0] = np.linspace(1e70, 2e70, 50)
+    ens = flt.ParticleEnsemble(particles, np.full(50, 1 / 50))
+    with pytest.raises(flt.FilterDivergenceError, match="innovation"):
+        flt.pf_step(ens, layout, TRUTH, (0.0, 0.0, 0.0), 0.0, 0.1, 1e-100,
+                    flt.NoiseConfig(r_measurement=1.0), nk.RngStream(1))
+
+
+def test_zero_measurement_variance_with_finite_innovations_is_degeneracy():
+    layout = flt.AugmentedState(theta_names=())
+    ens = flt.ParticleEnsemble(np.zeros((4, 2)), np.full(4, 1 / 4))
+    with pytest.raises(flt.DegeneracyError):
+        flt.pf_step(ens, layout, TRUTH, (0.0, 0.0, 0.0), 0.0, 5.0, 0.1,
+                    flt.NoiseConfig(q_velocity=0.0, q_param=0.0,
+                                    r_measurement=0.0), nk.RngStream(1))
+
+
 def test_state_estimates_track_truth(default_setup):
     traj, forcing, y, noise = default_setup
     layout = flt.AugmentedState()

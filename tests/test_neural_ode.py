@@ -303,16 +303,34 @@ def short_dataset():
         simulate(TRUTH, forcing, n=160), forcing)
 
 
-def _flow(spec):
-    return node.OdeFunc(spec, nets.init_params(spec, nk.RngStream(3)),
+def _flow(spec, seed=3):
+    return node.OdeFunc(spec, nets.init_params(spec, nk.RngStream(seed)),
                         np.array([1.5, 2.0, 0.7]))
 
 
-def _loss_and_adjoints(build, func, windows, h, *workspace):
-    tape = nk.Tape()
+def _loss_and_adjoints(build, func, windows, h, workspace=None):
+    tape = nk.Tape(workspace)
     leaves = [tape.leaf(a) for a in nets.pairs_to_arrays(func.params)]
-    loss = build(func, nets.arrays_to_pairs(leaves), windows, h, *workspace)
+    loss = build(func, nets.arrays_to_pairs(leaves), windows, h)
     return loss, nk.backward(loss, leaves), len(tape.nodes) - len(leaves)
+
+
+def _fused_on_second_tape(func, windows, h):
+    """(loss, adjoints, node count, forward slabs, sweep slabs) of the
+    fused loss on the second of two tapes sharing one workspace. The
+    first evaluated other parameters, so every slab the second draws
+    holds stale values."""
+    workspace = nk.Workspace()
+    _loss_and_adjoints(node.rk4_windows_loss, _flow(func.spec, seed=4),
+                       windows, h, workspace)
+    tape = nk.Tape(workspace)
+    leaves = [tape.leaf(a) for a in nets.pairs_to_arrays(func.params)]
+    loss = node.rk4_windows_loss(func, nets.arrays_to_pairs(leaves),
+                                 windows, h)
+    forward = workspace.used
+    adjoints = nk.backward(loss, leaves)
+    return (loss, adjoints, len(tape.nodes) - len(leaves),
+            workspace.arrays[:forward], workspace.arrays[forward:])
 
 
 def _same_bits(a, b):
@@ -330,25 +348,31 @@ ROW_BUDGETS = {"one-row": (lambda rows: 1, 1),
                "remainder": (lambda rows: 3 * rows, 3)}
 
 
-def _assert_matches_per_op_chain(dataset, spec, case, workspace):
-    windows = _case_windows(dataset, case)
+def _assert_matches_per_op_chain(windows, spec, h, nonzero=True):
+    """The fused loss's value and adjoints equal the chain's bit for bit;
+    returns the chunk size, read off the sweep's slabs."""
     func = _flow(spec)
-    fused, fused_adj, fused_nodes = _loss_and_adjoints(
-        node.rk4_windows_loss, func, windows, dataset.h, workspace)
+    fused, fused_adj, fused_nodes, slabs, sweep = _fused_on_second_tape(
+        func, windows, h)
     chain, chain_adj, _ = _loss_and_adjoints(
-        oracles.rk4_windows_loss_per_op, func, windows, dataset.h)
+        oracles.rk4_windows_loss_per_op, func, windows, h)
     assert fused_nodes == 1 and fused.op == "rk4_windows"
     assert fused.value == chain.value
     for a, b in zip(fused_adj, chain_adj):
         assert _same_bits(a, b)
-        assert np.any(a != 0.0)
+        assert np.any(a != 0.0) or not nonzero
+    # forward slabs stack every stage application, sweep slabs a chunk
+    assert {len(slab) for slab in slabs} == {4 * len(windows[2])}
+    chunks = {len(slab) for slab in sweep}
+    assert len(chunks) == 1
+    return chunks.pop()
 
 
 @pytest.mark.parametrize("spec", WINDOW_NETS, ids=lambda s: s.activation)
 @pytest.mark.parametrize("case", sorted(WINDOWS))
 def test_window_loss_matches_per_op_chain_bitwise(short_dataset, spec, case):
-    workspace = node.WindowWorkspace(spec, _case_windows(short_dataset, case))
-    _assert_matches_per_op_chain(short_dataset, spec, case, workspace)
+    _assert_matches_per_op_chain(_case_windows(short_dataset, case), spec,
+                                 short_dataset.h)
 
 
 @pytest.mark.parametrize("budget", sorted(ROW_BUDGETS))
@@ -362,11 +386,10 @@ def test_window_loss_chunks_match_per_op_chain_bitwise(short_dataset, spec,
     rows = max(len(windows[0]), *spec.widths[:-1])
     budget_of, chunk = ROW_BUDGETS[budget]
     monkeypatch.setattr(node, "ADJOINT_ROWS", budget_of(rows))
-    workspace = node.WindowWorkspace(spec, windows)
     applications = 4 * len(windows[2])
-    assert workspace.chunk == min(chunk, applications)
-    assert applications % workspace.chunk or workspace.chunk == 1
-    _assert_matches_per_op_chain(short_dataset, spec, case, workspace)
+    drawn = _assert_matches_per_op_chain(windows, spec, short_dataset.h)
+    assert drawn == min(chunk, applications)
+    assert applications % drawn or drawn == 1
 
 
 def test_window_loss_with_unit_width_layers_matches_per_op_chain_bitwise(
@@ -374,34 +397,36 @@ def test_window_loss_with_unit_width_layers_matches_per_op_chain_bitwise(
     """One-unit layers make one-element weight and bias products, which a
     plain sum over the stack would add pairwise, not in order."""
     spec = nets.MlpSpec(widths=(3, 1, 1, 2))
-    windows = _case_windows(short_dataset, "h16")
-    assert node.WindowWorkspace(spec, windows).chunk >= 8
-    func = _flow(spec)
-    fused, fused_adj, _ = _loss_and_adjoints(
-        node.rk4_windows_loss, func, windows, short_dataset.h)
-    chain, chain_adj, _ = _loss_and_adjoints(
-        oracles.rk4_windows_loss_per_op, func, windows, short_dataset.h)
-    assert fused.value == chain.value
-    for a, b in zip(fused_adj, chain_adj):
-        assert _same_bits(a, b)
+    chunk = _assert_matches_per_op_chain(
+        _case_windows(short_dataset, "h16"), spec, short_dataset.h,
+        nonzero=False)
+    assert chunk >= 8
+
+
+@pytest.mark.parametrize("activation", ["tanh", "sin"])
+def test_window_loss_without_hidden_layers_matches_per_op_chain_bitwise(
+        short_dataset, activation):
+    """`[node] widths = 3, 2` makes an affine flow: no hidden slabs."""
+    spec = nets.MlpSpec(widths=(3, 2), activation=activation)
+    _assert_matches_per_op_chain(_case_windows(short_dataset, "h4"), spec,
+                                 short_dataset.h)
 
 
 @pytest.mark.parametrize("spec", WINDOW_NETS, ids=lambda s: s.activation)
 def test_workspace_reuse_matches_fresh_evaluations(short_dataset, spec):
     windows = _case_windows(short_dataset, "h16")
-    other = nets.init_params(spec, nk.RngStream(4))
-    funcs = [_flow(spec), node.OdeFunc(spec, other, _flow(spec).scale)]
+    funcs = [_flow(spec), _flow(spec, seed=4)]
     fresh = [_loss_and_adjoints(node.rk4_windows_loss, f, windows,
                                 short_dataset.h)[:2] for f in funcs]
-    workspace = node.WindowWorkspace(spec, windows)
+    workspace = nk.Workspace()
     graphs, results = [], []
     for func, (ref, ref_adj) in zip(funcs, fresh):
-        tape = nk.Tape()
+        tape = nk.Tape(workspace)
         leaves = [tape.leaf(a) for a in nets.pairs_to_arrays(func.params)]
         loss = node.rk4_windows_loss(func, nets.arrays_to_pairs(leaves),
-                                     windows, short_dataset.h, workspace)
-        if graphs:  # the second evaluation took the workspace over
-            with pytest.raises(RuntimeError):
+                                     windows, short_dataset.h)
+        if graphs:  # the second tape took the workspace over
+            with pytest.raises(RuntimeError, match="later tape"):
                 nk.backward(*graphs[-1])
         graphs.append((loss, leaves))
         assert loss.value == ref.value
@@ -412,36 +437,62 @@ def test_workspace_reuse_matches_fresh_evaluations(short_dataset, spec):
         assert all(_same_bits(a, b) for a, b in zip(adjoints, ref_adj))
 
 
-def test_workspace_refuses_other_windows_or_input_scale(short_dataset):
-    """The first evaluation fills the workspace's scaled force columns.
-    Later ones with another windows object (even an equal one) or another
-    scale are refused, since a changed one would read stale columns."""
-    spec = node.FLOW_NET
-    windows = _case_windows(short_dataset, "h4")
-    func = _flow(spec)
-    workspace = node.WindowWorkspace(spec, windows)
+def test_one_workspace_serves_other_windows_and_input_scales(short_dataset):
+    """The loss writes its scaled force columns on every evaluation, so
+    one workspace that served other windows of the same shape, then
+    another input scale, gives a fresh evaluation's bits."""
+    n, h = len(short_dataset), short_dataset.h
+    func = _flow(node.FLOW_NET)
+    shifted = node.rollout_windows(short_dataset, np.arange(1, n - 3, 2), 4)
+    cases = [(func, _case_windows(short_dataset, "h4")), (func, shifted),
+             (node.OdeFunc(func.spec, func.params, 2.0 * func.scale),
+              shifted)]
+    workspace, values = nk.Workspace(), []
+    for f, windows in cases:
+        loss, adjoints, _ = _loss_and_adjoints(node.rk4_windows_loss, f,
+                                               windows, h, workspace)
+        ref, ref_adj, _ = _loss_and_adjoints(node.rk4_windows_loss, f,
+                                             windows, h)
+        assert loss.value == ref.value
+        assert all(_same_bits(a, b) for a, b in zip(adjoints, ref_adj))
+        if values:  # the same slabs served the other case
+            assert all(a is b for a, b in zip(workspace.arrays, arrays))
+        arrays = list(workspace.arrays)
+        values.append(loss.value)
+    assert len(set(values)) == len(cases)
 
-    def evaluate(f, w):
-        return _loss_and_adjoints(node.rk4_windows_loss, f, w,
-                                  short_dataset.h, workspace)[0].value
 
-    first = evaluate(func, windows)
-    with pytest.raises(ValueError):
-        evaluate(func, _case_windows(short_dataset, "h4"))
-    with pytest.raises(ValueError):
-        evaluate(node.OdeFunc(spec, func.params, 2.0 * func.scale), windows)
-    equal = node.OdeFunc(spec, func.params, func.scale.copy())
-    assert evaluate(equal, windows) == first
+def test_neural_ode_fit_reuses_its_slabs(short_dataset, monkeypatch):
+    """From its second evaluation on, a fit's workspace hands the window
+    loss the array objects it handed the first."""
+    served, loss = [], node.rk4_windows_loss
+
+    def recording(func, pairs, windows, h):
+        tape, drawn = pairs[0][0].tape, []
+        draw = tape.empty
+        tape.empty = lambda shape: drawn.append(draw(shape)) or drawn[-1]
+        served.append(drawn)
+        return loss(func, pairs, windows, h)
+
+    monkeypatch.setattr(node, "rk4_windows_loss", recording)
+    node.multistep_refine(_flow(node.FLOW_NET), short_dataset, 4,
+                          nets.TrainConfig(adam_iters=4, lbfgs_iters=3))
+    first = served[0]
+    assert len(first) == 14  # three forward slabs, eleven for the sweep
+    assert len(served) > 5
+    for drawn in served[1:]:
+        assert len(drawn) in (3, 14)  # a rejected trial takes no gradient
+        assert all(a is b for a, b in zip(drawn, first))
 
 
 @pytest.mark.parametrize("case", sorted(WINDOWS))
 def test_workspace_chunk_buffers_stay_within_the_row_budget(short_dataset,
                                                             case):
-    workspace = node.WindowWorkspace(node.FLOW_NET,
-                                     _case_windows(short_dataset, case))
-    slabs = workspace.adjoints + workspace.slopes + [
-        p for pair in workspace.products for p in pair]
-    for slab in slabs:
+    *_, sweep = _fused_on_second_tape(
+        _flow(node.FLOW_NET), _case_windows(short_dataset, case),
+        short_dataset.h)
+    assert sweep
+    for slab in sweep:
         width = slab.shape[-1]
         assert slab.nbytes <= node.ADJOINT_ROWS * width * slab.itemsize
 

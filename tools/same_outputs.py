@@ -8,8 +8,9 @@ of every method in both benchmark workloads (the text of
 each through `duffbench run` in a fresh single-threaded interpreter
 that imports the tree's `src/`. It prints every run's exit code in both
 trees, then every CSV that differs or exists in one tree only
-(`manifest.txt`, which holds the run time, is not compared). Exits 1 if
-anything differs, else 0. Nothing is written inside either tree.
+(`manifest.txt`, which holds the run time, is not compared), and last
+each tree's `wc -l src/**/*.py`. Exits 1 if anything differs, else 0.
+Nothing is written inside either tree.
 """
 
 from __future__ import annotations
@@ -62,6 +63,12 @@ def csvs(out):
     return {p.relative_to(out): p.read_bytes() for p in out.rglob("*.csv")}
 
 
+def source_lines(tree):
+    """What `wc -l src/**/*.py` counts: newlines in every module."""
+    return sum(p.read_bytes().count(b"\n")
+               for p in (tree / "src").rglob("*.py"))
+
+
 def main(argv):
     if len(argv) != 2:
         sys.exit(__doc__.strip().splitlines()[2])
@@ -87,7 +94,9 @@ def main(argv):
             print(f"{name}: exit {codes[0]} / {codes[1]}, {len(a)} CSVs, "
                   f"{mark}" + "".join(f"\n  differs: {k}" for k in bad),
                   flush=True)
-        print(f"{n_csv} CSVs compared; {differ} runs differ")
+        lines = " / ".join(str(source_lines(t)) for t in (parent, change))
+        print(f"{n_csv} CSVs compared; {differ} runs differ; "
+              f"wc -l src/**/*.py {lines}")
     return 1 if differ else 0
 
 
