@@ -119,10 +119,9 @@ class OneStepDataset:
 
 
 def rollout_windows(dataset: OneStepDataset, starts, horizon):
-    """(start states, forces, targets) of the `horizon`-step windows
-    beginning at the pair indices `starts`. Forces (horizon, 3, N, 1)
-    holds each step's force columns at (t, t+h/2, t+h) and targets
-    (horizon, N, 2) each step's target states."""
+    """(start states, forces (horizon, 3, N, 1) at (t, t+h/2, t+h),
+    targets (horizon, N, 2)) of the `horizon`-step windows beginning at
+    the pair indices `starts`."""
     starts = np.asarray(starts)
     steps = starts + np.arange(horizon)[:, None]
     forces = np.stack(dataset.f_stages)[:, steps].transpose(1, 0, 2)

@@ -25,6 +25,8 @@ workspace serves the tangent node and the neural-ODE window loss.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 
@@ -41,16 +43,17 @@ class Workspace:
     evaluation. A tape made with a workspace hands its k-th `empty`
     request the array the previous such tape handed its k-th, when the
     shape is the same; so the graph of a tape dies once a later tape
-    takes the workspace over, and a sweep over it raises.
+    takes the workspace over, and a sweep over it raises. It knows that
+    tape by a weak reference, so no cycle keeps a finished fit's arrays.
     """
 
     def __init__(self):
         self.arrays = []
-        self.tape = None
+        self.tape = None  # weak reference to the tape it serves
         self.used = 0
 
     def empty(self, tape, shape):
-        if tape is not self.tape:
+        if tape is not self.tape():
             raise RuntimeError("the workspace went to a later tape; this "
                                "graph's arrays are overwritten")
         k = self.used
@@ -69,7 +72,7 @@ class Tape:
         self.nodes = []
         self.workspace = workspace
         if workspace is not None:
-            workspace.tape, workspace.used = self, 0
+            workspace.tape, workspace.used = weakref.ref(self), 0
 
     def empty(self, shape):
         """An uninitialised float array for an op to fill: fresh, or

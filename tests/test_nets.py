@@ -1,5 +1,6 @@
 """Network forward/loss/training contracts."""
 
+import gc
 import weakref
 
 import numpy as np
@@ -650,6 +651,25 @@ def test_fit_arrays_releases_every_graph(diverge):
     workspace = tapes[0].workspace
     assert workspace is not None
     assert all(tape.workspace is workspace for tape in tapes)
+
+
+def test_fit_arrays_frees_its_workspace_without_the_cyclic_gc():
+    """A workspace and its tape must not hold each other: the arrays of a
+    finished fit go when it returns, not at some later collection."""
+    workspaces = []
+
+    def build(tape, leaves):
+        workspaces.append(weakref.ref(tape.workspace))
+        tape.empty((64, 64)).fill(0.0)
+        return _rosenbrock(tape, leaves)
+
+    gc.disable()
+    try:
+        nets.fit_arrays(ROSENBROCK_START, build,
+                        nets.TrainConfig(adam_iters=3, lbfgs_iters=3))
+        assert workspaces and all(ref() is None for ref in workspaces)
+    finally:
+        gc.enable()
 
 
 def test_seed_determinism_of_training():
