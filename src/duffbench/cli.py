@@ -31,6 +31,7 @@ from .duffing import (
     ForcingSpec,
     OscillatorParams,
     add_noise,
+    noise_variance,
     rms,
     simulate,
     subsample,
@@ -240,10 +241,20 @@ def param_metrics(path, truth, estimates):
 # seed, and returns the run's metrics.
 
 
-def _noisy_filter_setup(opts, traj, seed):
+def finite_noise_variance(method, opts, variance):
+    """`variance`, the noise variance that [method] noise_ratio sets; a
+    config error naming the key where it is not finite."""
+    if not math.isfinite(variance):
+        raise ConfigError(f"[{method}] noise_ratio = {opts['noise_ratio']} "
+                          f"puts the noise variance beyond the float range")
+    return variance
+
+
+def _noisy_filter_setup(method, opts, traj, seed):
+    noise = flt.NoiseConfig.matched(traj.a, opts["noise_ratio"])
+    finite_noise_variance(method, opts, noise.r_measurement)
     master = nk.RngStream(seed)
     y = add_noise(traj.a, opts["noise_ratio"], master.substream("sim-noise"))
-    noise = flt.NoiseConfig.matched(traj.a, opts["noise_ratio"])
     return master, y, noise
 
 
@@ -256,7 +267,7 @@ def _filter_metrics(result, params, traj, out):
 
 def run_ukf(opts, sim, out, seed):
     params, forcing, traj = build_simulation(sim)
-    _, y, noise = _noisy_filter_setup(opts, traj, seed)
+    _, y, noise = _noisy_filter_setup("ukf", opts, traj, seed)
     layout = flt.AugmentedState()
     theta0 = {"k": opts["k0"], "c": opts["c0"], "k3": opts["k30"]}
     init = flt.default_ukf_init(layout, (sim["u0"], sim["v0"]), theta0)
@@ -266,7 +277,7 @@ def run_ukf(opts, sim, out, seed):
 
 def run_pf(opts, sim, out, seed):
     params, forcing, traj = build_simulation(sim)
-    master, y, noise = _noisy_filter_setup(opts, traj, seed)
+    master, y, noise = _noisy_filter_setup("pf", opts, traj, seed)
     layout = flt.AugmentedState()
     init = flt.default_pf_init(layout, opts["particles"],
                                (sim["u0"], sim["v0"]),
@@ -373,10 +384,11 @@ def run_gp(kind, opts, sim, out, seed):
                           f"{opts['stride']}")
     params, forcing, traj = build_simulation(sim)
     ratio = opts["noise_ratio"]
+    noise_var = max(finite_noise_variance(
+        f"gp-{kind}", opts, noise_variance(traj.u, ratio)), 1e-12)
     obs = subsample(traj, stride=opts["stride"])
     master = nk.RngStream(seed)
     y = add_noise(obs.u, ratio, master.substream("sim-noise"))
-    noise_var = max((ratio * rms(traj.u)) ** 2, 1e-12)
     spec = gp.KernelSpec(kind=kind, m=params.m, c=params.c, k=params.k,
                          noise_var=noise_var)
     model = gp.fit(obs.t, y, spec, seed=seed, restarts=opts["restarts"],
@@ -513,6 +525,9 @@ def run_experiment(cfg: Config, seed_override=None, out_override=None):
     if opts.get("stride", 1) < 1:
         raise ConfigError(f"[{method}] stride must be >= 1, got "
                           f"{opts['stride']}")
+    if opts.get("noise_ratio", 0.0) < 0:
+        raise ConfigError(f"[{method}] noise_ratio must be >= 0, got "
+                          f"{opts['noise_ratio']}")
     if opts.get("adam_lr", 1.0) <= 0:
         raise ConfigError(f"[{method}] adam_lr must be > 0, got "
                           f"{opts['adam_lr']}")

@@ -264,6 +264,15 @@ def rms(x):
     return float(np.sqrt(np.mean(np.square(np.asarray(x, dtype=float)))))
 
 
+def noise_variance(signal, ratio):
+    """(ratio · RMS(signal))², the variance of `add_noise`'s noise; inf
+    where it is beyond the float range."""
+    try:
+        return (ratio * rms(signal)) ** 2
+    except OverflowError:
+        return math.inf
+
+
 def add_noise(signal, ratio, stream: RngStream):
     """Add zero-mean Gaussian noise with std = ratio · RMS(signal)."""
     if ratio < 0:

@@ -9,11 +9,15 @@ augmented with a scalar velocity process noise and a scalar
 measurement noise, 2·(n_x + 2) + 1 points in total.
 
 Both filters run through one loop over the record (`_run`): a filter
-is its belief type, which reports raw-unit moments, and its step.
+is its belief type, which reports raw-unit moments, and its step. A
+step takes exp of the log-parameters once: the particle ensemble
+carries the raw-unit θ for its measurement, moments and next
+propagation. Both filters propagate (u, v) as contiguous (2, N) rows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +28,7 @@ from .duffing import (
     OscillatorParams,
     Trajectory,
     acceleration,
+    noise_variance,
     rk4_increment,
     stage_forces,
     write_table,
@@ -65,8 +70,8 @@ class NoiseConfig:
 
     @classmethod
     def matched(cls, clean_signal, ratio):
-        from .duffing import rms
-        return cls(r_measurement=max((ratio * rms(clean_signal)) ** 2, 1e-18))
+        return cls(r_measurement=max(noise_variance(clean_signal, ratio),
+                                     1e-18))
 
     def validate(self):
         if min(self.q_velocity, self.q_param, self.r_measurement) < 0:
@@ -88,11 +93,11 @@ class AugmentedState:
     def dim(self):
         return 2 + len(self.theta_names)
 
-    def params_from(self, x, base: OscillatorParams):
-        """Oscillator parameters at an augmented-state vector."""
+    def params(self, theta, base: OscillatorParams):
+        """Oscillator parameters with the estimated ones read from
+        `theta`, raw-unit rows in the order of `theta_names`."""
         values = {"m": base.m, "c": base.c, "k": base.k, "k3": base.k3}
-        for i, name in enumerate(self.theta_names):
-            values[name] = np.exp(x[..., 2 + i])
+        values.update(zip(self.theta_names, theta))
         return values
 
 
@@ -110,16 +115,21 @@ class GaussianBelief:
         delta-method std."""
         mean = self.mean.copy()
         std = np.sqrt(np.maximum(np.diag(self.cov), 0.0))
-        for i in range(2, len(mean)):
-            mean[i] = np.exp(self.mean[i])
-            std[i] = mean[i] * std[i]
+        mean[2:] = np.exp(self.mean[2:])
+        std[2:] = mean[2:] * std[2:]
         return mean, std
 
 
 @dataclass
 class ParticleEnsemble:
+    """Weighted particles with `theta`, their raw-unit parameters
+    exp(particles[:, 2:]) as rows (taken here when not given), and
+    `ess`, the effective sample size of the normalized weights."""
+
     particles: np.ndarray  # (N, dim)
     weights: np.ndarray  # (N,)
+    theta: np.ndarray = None  # (dim - 2, N)
+    ess: float = field(init=False)
 
     def __post_init__(self):
         self.particles = np.asarray(self.particles, dtype=float)
@@ -128,44 +138,33 @@ class ParticleEnsemble:
         if not np.isfinite(total) or total <= 0:
             raise DegeneracyError("weights do not sum to a positive number")
         self.weights = self.weights / total
-
-    @property
-    def ess(self):
-        return 1.0 / float(np.sum(self.weights ** 2))
+        if self.theta is None:
+            self.theta = np.exp(self.particles[:, 2:].T, order="C")
+        self.ess = 1.0 / float(np.sum(self.weights ** 2))
 
     def mean(self):
         return self.weights @ self.particles
 
     def raw_moments(self):
-        """Weighted raw-unit mean/std; log-parameters mapped by exp per
-        particle."""
+        """Weighted raw-unit mean/std, the parameters read from `theta`."""
         raw = self.particles.copy()
-        raw[:, 2:] = np.exp(raw[:, 2:])
+        raw[:, 2:] = self.theta.T
         mu = self.weights @ raw
         var = self.weights @ (raw - mu) ** 2
         return mu, np.sqrt(np.maximum(var, 0.0))
 
 
-def measurement(x, layout: AugmentedState, base: OscillatorParams, f):
-    """Acceleration measurement model at augmented state(s) x."""
-    return acceleration(**layout.params_from(x, base),
-                        u=x[..., 0], v=x[..., 1], f=f)
-
-
-def _propagate(x, layout, base, h, f_stages):
-    """One RK4 step of every augmented state row; parameters ride along."""
-    p = layout.params_from(x, base)
+def _rk4_rows(z, p, h, f_stages):
+    """The (u, v) rows z, shape (2, N), after one RK4 step under the
+    oscillator parameters p (scalars or (N,) rows)."""
 
     def flow(z, f):
         dz = np.empty_like(z)
-        dz[..., 0] = z[..., 1]
-        dz[..., 1] = acceleration(**p, u=z[..., 0], v=z[..., 1], f=f)
+        dz[0] = z[1]
+        dz[1] = acceleration(**p, u=z[0], v=z[1], f=f)
         return dz
 
-    out = np.array(x, copy=True)
-    z = x[..., :2]
-    out[..., :2] = z + rk4_increment(flow, z, f_stages, h)
-    return out
+    return z + rk4_increment(flow, z, f_stages, h)
 
 
 def _sigma_points(mean_a, cov_a):
@@ -195,6 +194,10 @@ def ukf_step(belief: GaussianBelief, layout: AugmentedState,
     noise entering the velocity after propagation, and a scalar
     measurement noise. Parameter random-walk noise is added to the
     predicted covariance diagonal.
+
+    A sigma point whose state goes non-finite in propagation makes the
+    innovation variance non-finite: a FilterDivergenceError, with no
+    warning printed before it under `run_ukf`.
     """
     n_x = len(belief.mean)
     n_a = n_x + 2
@@ -205,11 +208,12 @@ def ukf_step(belief: GaussianBelief, layout: AugmentedState,
     cov_a[n_x + 1, n_x + 1] = max(noise.r_measurement, 1e-300)
     pts, w_mean, w_cov = _sigma_points(mean_a, cov_a)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        x_pts = _propagate(pts[:, :n_x], layout, base, h, f_stages)
-    if not np.isfinite(x_pts).all():
-        raise FilterDivergenceError("sigma-point propagation went non-finite")
-    x_pts[:, 1] += pts[:, n_x]  # velocity process noise
+    p = layout.params(np.exp(pts[:, 2:n_x].T), base)
+    z = _rk4_rows(pts[:, :2].T.copy(), p, h, f_stages)
+    z[1] += pts[:, n_x]  # velocity process noise
+    x_pts = np.empty((len(pts), n_x))
+    x_pts[:, :2] = z.T
+    x_pts[:, 2:] = pts[:, 2:n_x]
     x_mean = w_mean @ x_pts
     dx = x_pts - x_mean
     p_pred = (w_cov[:, None] * dx).T @ dx
@@ -217,10 +221,12 @@ def ukf_step(belief: GaussianBelief, layout: AugmentedState,
         p_pred[i, i] += noise.q_param
     p_pred = linalg.symmetrize(p_pred)
 
-    y_pts = measurement(x_pts, layout, base, f_next) + pts[:, n_x + 1]
+    y_pts = acceleration(**p, u=z[0], v=z[1], f=f_next) + pts[:, n_x + 1]
     y_mean = float(w_mean @ y_pts)
     dy = y_pts - y_mean
     s = float(w_cov @ (dy * dy))
+    if not math.isfinite(s):
+        raise FilterDivergenceError("sigma-point propagation went non-finite")
     p_xy = (w_cov * dy) @ dx
     gain = p_xy / s
     mean_new = x_mean + gain * (y_next - y_mean)
@@ -236,14 +242,20 @@ def pf_step(ensemble: ParticleEnsemble, layout: AugmentedState,
     # the RK4 stages turn an overflow into NaN, and a NaN particle makes
     # a NaN weight: the peak weight's check below also catches those
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        pts = _propagate(ensemble.particles, layout, base, h, f_stages)
+        z = _rk4_rows(ensemble.particles[:, :2].T.copy(),
+                      layout.params(ensemble.theta, base), h, f_stages)
         if noise.q_velocity > 0:
-            pts[:, 1] += stream.normal(size=n,
-                                       scale=np.sqrt(noise.q_velocity))
+            z[1] += stream.normal(size=n, scale=np.sqrt(noise.q_velocity))
+        pts = np.empty_like(ensemble.particles)
+        pts[:, :2] = z.T
+        pts[:, 2:] = ensemble.particles[:, 2:]
+        theta = ensemble.theta
         if noise.q_param > 0 and dim > 2:
             pts[:, 2:] += stream.normal(size=(n, dim - 2),
                                         scale=np.sqrt(noise.q_param))
-        innovation = y_next - measurement(pts, layout, base, f_next)
+            theta = np.exp(pts[:, 2:].T, order="C")
+        innovation = y_next - acceleration(**layout.params(theta, base),
+                                           u=z[0], v=z[1], f=f_next)
         squared = innovation ** 2
         log_lik = -0.5 * squared / noise.r_measurement
         log_lik = np.where(innovation == 0.0, 0.0, log_lik)
@@ -262,10 +274,10 @@ def pf_step(ensemble: ParticleEnsemble, layout: AugmentedState,
     if not np.isfinite(total) or total <= 0.0:
         raise DegeneracyError("all particle weights vanished")
     w = w / total
-    new = ParticleEnsemble(pts, w)
+    new = ParticleEnsemble(pts, w, theta)
     if new.ess < n / 2.0:
         idx = systematic_resample(new.weights, stream)
-        new = ParticleEnsemble(new.particles[idx], np.full(n, 1.0 / n))
+        new = ParticleEnsemble(pts[idx], np.full(n, 1.0 / n), theta[:, idx])
     return new
 
 
@@ -318,9 +330,12 @@ def run_ukf(traj: Trajectory, forcing: ForcingSpec, y_meas,
             base: OscillatorParams, noise: NoiseConfig) -> FilterResult:
     """Sequential UKF over a trajectory of noisy acceleration measurements."""
     noise.validate()
-    return _run(traj, forcing, y_meas, layout, init,
-                lambda belief, *inputs: ukf_step(belief, layout, base,
-                                                 *inputs, noise))
+    # once for the run: a step's own divergence check stands in for the
+    # overflow and invalid-value warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _run(traj, forcing, y_meas, layout, init,
+                    lambda belief, *inputs: ukf_step(belief, layout, base,
+                                                     *inputs, noise))
 
 
 def run_pf(traj: Trajectory, forcing: ForcingSpec, y_meas,
@@ -348,17 +363,27 @@ def default_ukf_init(layout: AugmentedState, z0,
 
     State prior N(z0, diag(1e-2, 1e-2)); parameter priors diag(25, 0.25,
     900) in raw (k, c, k3) units, mapped to log-space by the delta method
-    at the initial guess.
+    at the initial guess. A guess that is not positive, or whose
+    log-variance raw_var/guess² is not a finite positive number (the
+    quotient left the float range), is a config error naming its [ukf]
+    key.
     """
     theta0 = dict({"k": 1.0, "c": 0.5, "k3": 40.0}, **(theta0 or {}))
-    bad = [f"{n}0" for n in layout.theta_names if not theta0[n] > 0.0]
-    if bad:
-        raise ConfigError(f"initial guess {', '.join(bad)} must be positive")
     raw_var = {"k": 25.0, "c": 0.25, "k3": 900.0}
+    var = [1e-2, 1e-2]
+    for n in layout.theta_names:
+        key, guess = f"[ukf] {n}0", theta0[n]
+        if not guess > 0.0:
+            raise ConfigError(f"{key} must be > 0, got {guess}")
+        with np.errstate(over="ignore", divide="ignore"):
+            log_var = float(raw_var[n] / np.float64(guess) ** 2)
+        if not 0.0 < log_var < math.inf:
+            raise ConfigError(f"{key} = {guess} gives the prior "
+                              f"log-variance {log_var}, which is not finite "
+                              f"and positive")
+        var.append(log_var)
     mean = np.concatenate([np.asarray(z0, dtype=float),
                            [np.log(theta0[n]) for n in layout.theta_names]])
-    var = [1e-2, 1e-2] + [raw_var[n] / theta0[n] ** 2
-                          for n in layout.theta_names]
     return GaussianBelief(mean, np.diag(var))
 
 
@@ -367,7 +392,7 @@ def default_pf_init(layout: AugmentedState, n_particles, z0,
     """Particles at z0, their parameters drawn from `stream` in the
     paper's uniform box: k∈[5,20], c∈[0.5,2], k3∈[50,160]."""
     if n_particles < 1:
-        raise ConfigError("need at least one particle")
+        raise ConfigError(f"[pf] particles must be >= 1, got {n_particles}")
     box = {"k": (5.0, 20.0), "c": (0.5, 2.0), "k3": (50.0, 160.0)}
     cols = [np.full(n_particles, z0[0]), np.full(n_particles, z0[1])]
     for name in layout.theta_names:

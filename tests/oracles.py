@@ -5,13 +5,14 @@ computation paths: finite differences, random scalar graphs evaluated
 with plain numpy, a checked gradient map over the tape (order and
 finiteness checks, which the package's own sweep skips), a hand-rolled
 discrete Kalman filter, and the earlier
-forms of nine fast paths (the per-op network on the tape, the per-op
+forms of eleven fast paths (the per-op network on the tape, the per-op
 tangent pass and its sin/cos pair on the tape, the per-op neural-ODE
 loss on the tape, the neural-ODE flow call through its wrapper chain,
 the simulator with scalar forcing, the
 PINN and PGNN losses that applied their network once per term, the
 oscillator-kernel GP likelihood from a Cholesky factor per evaluation,
-and L-BFGS with a gradient at every line-search trial) that the fast
+L-BFGS with a gradient at every line-search trial, and the PF and UKF
+steps that took exp of the log-parameters at every use) that the fast
 ones must match: bit for bit, or to rounding.
 """
 
@@ -19,9 +20,10 @@ import math
 
 import numpy as np
 
+from duffbench import filters as flt
 from duffbench import nets
 from duffbench import numkit as nk
-from duffbench.duffing import rk4_increment
+from duffbench.duffing import acceleration, rk4_increment
 from duffbench.errors import NumericFailure
 from duffbench.numkit import linalg
 
@@ -511,3 +513,119 @@ def assert_loss_matches(build, oracle, arrays, exact=True):
     for g, ref in zip(grads, ref_grads):
         err = np.abs(g - ref).max(initial=0.0)
         assert err <= 1e-12 * np.abs(ref).max(initial=0.0)
+
+
+def filter_params(layout, x, base):
+    """Oscillator parameters at augmented-state vector(s) x: each
+    estimated one is exp of its log column."""
+    values = {"m": base.m, "c": base.c, "k": base.k, "k3": base.k3}
+    for i, name in enumerate(layout.theta_names):
+        values[name] = np.exp(x[..., 2 + i])
+    return values
+
+
+def measurement(x, layout, base, f):
+    """The filters' acceleration measurement at augmented state(s) x."""
+    return acceleration(**filter_params(layout, x, base),
+                        u=x[..., 0], v=x[..., 1], f=f)
+
+
+def propagate(x, layout, base, h, f_stages):
+    """One RK4 step of every augmented state row on strided (u, v)
+    columns; the parameters ride along."""
+    p = filter_params(layout, x, base)
+
+    def flow(z, f):
+        dz = np.empty_like(z)
+        dz[..., 0] = z[..., 1]
+        dz[..., 1] = acceleration(**p, u=z[..., 0], v=z[..., 1], f=f)
+        return dz
+
+    out = np.array(x, copy=True)
+    z = x[..., :2]
+    out[..., :2] = z + rk4_increment(flow, z, f_stages, h)
+    return out
+
+
+def particle_raw_moments_per_op(ensemble):
+    """Weighted raw-unit mean/std of an ensemble, exp taken per particle."""
+    raw = ensemble.particles.copy()
+    raw[:, 2:] = np.exp(raw[:, 2:])
+    mu = ensemble.weights @ raw
+    var = ensemble.weights @ (raw - mu) ** 2
+    return mu, np.sqrt(np.maximum(var, 0.0))
+
+
+def gaussian_raw_moments_per_op(belief):
+    """Raw-unit mean/std of a Gaussian belief, one log-parameter at a time."""
+    mean = belief.mean.copy()
+    std = np.sqrt(np.maximum(np.diag(belief.cov), 0.0))
+    for i in range(2, len(mean)):
+        mean[i] = np.exp(belief.mean[i])
+        std[i] = mean[i] * std[i]
+    return mean, std
+
+
+def pf_step_per_op(ensemble, layout, base, f_stages, f_next, y_next, h,
+                   noise, stream):
+    """The bootstrap PF step as a chain that takes exp of the particles'
+    log-parameters in propagation and again in the measurement, and
+    steps strided (u, v) columns: the reference `filters.pf_step` must
+    match bit for bit, draws included."""
+    n, dim = ensemble.particles.shape
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        pts = propagate(ensemble.particles, layout, base, h, f_stages)
+        if noise.q_velocity > 0:
+            pts[:, 1] += stream.normal(size=n,
+                                       scale=np.sqrt(noise.q_velocity))
+        if noise.q_param > 0 and dim > 2:
+            pts[:, 2:] += stream.normal(size=(n, dim - 2),
+                                        scale=np.sqrt(noise.q_param))
+        innovation = y_next - measurement(pts, layout, base, f_next)
+        squared = innovation ** 2
+        log_lik = -0.5 * squared / noise.r_measurement
+        log_lik = np.where(innovation == 0.0, 0.0, log_lik)
+        log_w = np.where(ensemble.weights > 0.0,
+                         np.log(ensemble.weights), -np.inf) + log_lik
+    peak = log_w.max()
+    if not np.isfinite(peak):
+        raise flt.DegeneracyError("all particle weights vanished")
+    w = np.exp(log_w - peak)
+    w = w / w.sum()
+    new = flt.ParticleEnsemble(pts, w)
+    if new.ess < n / 2.0:
+        idx = flt.systematic_resample(new.weights, stream)
+        new = flt.ParticleEnsemble(new.particles[idx], np.full(n, 1.0 / n))
+    return new
+
+
+def ukf_step_per_op(belief, layout, base, f_stages, f_next, y_next, h,
+                    noise):
+    """The UKF step as a chain that takes exp of the sigma points'
+    log-parameters in propagation and again in the measurement: the
+    reference `filters.ukf_step` must match bit for bit."""
+    n_x = len(belief.mean)
+    n_a = n_x + 2
+    mean_a = np.concatenate([belief.mean, [0.0, 0.0]])
+    cov_a = np.zeros((n_a, n_a))
+    cov_a[:n_x, :n_x] = belief.cov
+    cov_a[n_x, n_x] = max(noise.q_velocity, 1e-300)
+    cov_a[n_x + 1, n_x + 1] = max(noise.r_measurement, 1e-300)
+    pts, w_mean, w_cov = flt._sigma_points(mean_a, cov_a)
+    x_pts = propagate(pts[:, :n_x], layout, base, h, f_stages)
+    x_pts[:, 1] += pts[:, n_x]
+    x_mean = w_mean @ x_pts
+    dx = x_pts - x_mean
+    p_pred = (w_cov[:, None] * dx).T @ dx
+    for i in range(2, n_x):
+        p_pred[i, i] += noise.q_param
+    p_pred = linalg.symmetrize(p_pred)
+    y_pts = measurement(x_pts, layout, base, f_next) + pts[:, n_x + 1]
+    y_mean = float(w_mean @ y_pts)
+    dy = y_pts - y_mean
+    s = float(w_cov @ (dy * dy))
+    p_xy = (w_cov * dy) @ dx
+    gain = p_xy / s
+    mean_new = x_mean + gain * (y_next - y_mean)
+    cov_new = p_pred - np.outer(gain, gain) * s
+    return flt.GaussianBelief(mean_new, cov_new)

@@ -326,7 +326,7 @@ HOSTILE = {
                         "[simulator]\nn = 256\n\n"
                         "[nn-baseline]\nactivation = relu\n", 2),
     "zero-particles": ("pf", "[simulator]\nn = 64\n\n[pf]\nparticles = 0\n",
-                       2),
+                       2, "[pf] particles"),
     "one-gp-observation": ("gp-se",
                            "[simulator]\nn = 256\n\n[gp-se]\nstride = 300\n",
                            2, "[gp-se] stride"),
@@ -455,6 +455,39 @@ HOSTILE = {
     "zero-adam-lr": ("pgnn", "[simulator]\nn = 64\n\n[pgnn]\n"
                      "adam_iters = 1\nlbfgs_iters = 0\nadam_lr = 0\n", 2,
                      "[pgnn] adam_lr"),
+    # a prior log-variance raw_var/guess² that leaves the float range:
+    # 0 past the top, inf past the bottom
+    "huge-ukf-stiffness-guess": ("ukf", "[simulator]\nn = 64\n\n"
+                                 "[ukf]\nk0 = 1e300\n", 2, "[ukf] k0"),
+    "tiny-ukf-stiffness-guess": ("ukf", "[simulator]\nn = 64\n\n"
+                                 "[ukf]\nk0 = 1e-300\n", 2, "[ukf] k0"),
+    "huge-ukf-damping-guess": ("ukf", "[simulator]\nn = 64\n\n"
+                               "[ukf]\nc0 = 1e300\n", 2, "[ukf] c0"),
+    "tiny-ukf-damping-guess": ("ukf", "[simulator]\nn = 64\n\n"
+                               "[ukf]\nc0 = 1e-300\n", 2, "[ukf] c0"),
+    "huge-ukf-cubic-guess": ("ukf", "[simulator]\nn = 64\n\n"
+                             "[ukf]\nk30 = 1e300\n", 2, "[ukf] k30"),
+    "tiny-ukf-cubic-guess": ("ukf", "[simulator]\nn = 64\n\n"
+                             "[ukf]\nk30 = 1e-300\n", 2, "[ukf] k30"),
+    # a noise variance (ratio·rms)² beyond the float range
+    "huge-ukf-noise-ratio": ("ukf", "[simulator]\nn = 64\n\n"
+                             "[ukf]\nnoise_ratio = 1e300\n", 2,
+                             "[ukf] noise_ratio"),
+    "huge-pf-noise-ratio": ("pf", "[simulator]\nn = 64\n\n"
+                            "[pf]\nnoise_ratio = 1e300\n", 2,
+                            "[pf] noise_ratio"),
+    "huge-gp-se-noise-ratio": ("gp-se", "[simulator]\nn = 64\n\n"
+                               "[gp-se]\nnoise_ratio = 1e300\n", 2,
+                               "[gp-se] noise_ratio"),
+    "huge-gp-sdof-noise-ratio": ("gp-sdof", "[simulator]\nn = 64\n\n"
+                                 "[gp-sdof]\nnoise_ratio = 1e300\n", 2,
+                                 "[gp-sdof] noise_ratio"),
+    "negative-pf-noise-ratio": ("pf", "[simulator]\nn = 64\n\n"
+                                "[pf]\nnoise_ratio = -0.1\n", 2,
+                                "[pf] noise_ratio"),
+    "negative-gp-se-noise-ratio": ("gp-se", "[simulator]\nn = 64\n\n"
+                                   "[gp-se]\nnoise_ratio = -0.1\n", 2,
+                                   "[gp-se] noise_ratio"),
     "negative-sindy-ridge": ("sindy", "[simulator]\nn = 64\n\n"
                              "[sindy]\nridge = -1\n", 2, "[sindy] ridge"),
     "negative-sindy-threshold": ("sindy", "[simulator]\nn = 64\n\n"

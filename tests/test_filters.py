@@ -14,6 +14,7 @@ from duffbench.duffing import (
     add_noise,
     multisine_force,
     simulate,
+    stage_forces,
 )
 from duffbench.metrics import rmse
 
@@ -44,7 +45,7 @@ def test_measurement_model_identity(default_setup):
     traj, _, _, _ = default_setup
     layout = flt.AugmentedState(theta_names=())
     x = np.column_stack([traj.u, traj.v])
-    y = flt.measurement(x, layout, TRUTH, traj.f)
+    y = oracles.measurement(x, layout, TRUTH, traj.f)
     assert np.array_equal(y, traj.a)
 
 
@@ -129,11 +130,95 @@ def test_pf_single_particle_at_truth_keeps_weight(default_setup):
                 float(multisine_force(forcing, 0.5 * h)),
                 float(multisine_force(forcing, h)))
     # measurement from the particle's own one-step prediction: residual 0
-    pred = flt._propagate(particle[None, :], layout, TRUTH, h, f_stages)
-    y_next = float(flt.measurement(pred, layout, TRUTH, traj.f[1])[0])
+    pred = oracles.propagate(particle[None, :], layout, TRUTH, h, f_stages)
+    y_next = float(oracles.measurement(pred, layout, TRUTH, traj.f[1])[0])
     out = flt.pf_step(ensemble, layout, TRUTH, f_stages, float(traj.f[1]),
                       y_next, h, noise, nk.RngStream(1))
     assert out.weights[0] == 1.0
+
+
+def _stepped_inputs(traj, forcing, y, samples):
+    """(f_stages, f_next, y_next, h) of the first `samples` - 1 steps, as
+    `filters._run` hands them to a step."""
+    h = 1.0 / traj.rate
+    stages = stage_forces(forcing, traj.t[:samples - 1], h)
+    return [(f_stages, float(traj.f[k]), float(y[k]), h)
+            for k, f_stages in enumerate(zip(*stages), start=1)]
+
+
+def test_pf_step_matches_per_op_chain_bitwise(default_setup):
+    """One exp per step on the ensemble's θ and RK4 stages on rows give
+    the bits of the chain that took exp at every use on strided columns:
+    particles, weights, θ, raw moments, ESS and the stream's next draw,
+    over 300 samples with resampling."""
+    traj, forcing, y, noise = default_setup
+    layout = flt.AugmentedState()
+    ens = ref = flt.default_pf_init(layout, 500, REST,
+                                    nk.RngStream(6).substream("init"))
+    stream, ref_stream = nk.RngStream(8), nk.RngStream(8)
+    resampled = 0
+    for inputs in _stepped_inputs(traj, forcing, y, 300):
+        ens = flt.pf_step(ens, layout, TRUTH, *inputs, noise, stream)
+        ref = oracles.pf_step_per_op(ref, layout, TRUTH, *inputs, noise,
+                                     ref_stream)
+        assert np.array_equal(ens.particles, ref.particles)
+        assert np.array_equal(ens.weights, ref.weights)
+        assert np.array_equal(ens.theta, ref.theta)
+        assert ens.ess == ref.ess
+        for got, want in zip(ens.raw_moments(),
+                             oracles.particle_raw_moments_per_op(ref)):
+            assert np.array_equal(got, want)
+        resampled += bool(np.all(ens.weights == ens.weights[0]))
+    assert resampled > 0
+    assert np.array_equal(stream.normal(size=4), ref_stream.normal(size=4))
+
+
+def test_ukf_step_matches_per_op_chain_bitwise(default_setup):
+    """One exp of the sigma points' log-parameters, shared by propagation
+    and measurement, gives the bits of the chain that took it twice:
+    mean, covariance and raw moments over 300 samples."""
+    traj, forcing, y, noise = default_setup
+    layout = flt.AugmentedState()
+    belief = ref = flt.default_ukf_init(layout, REST)
+    for inputs in _stepped_inputs(traj, forcing, y, 300):
+        belief = flt.ukf_step(belief, layout, TRUTH, *inputs, noise)
+        ref = oracles.ukf_step_per_op(ref, layout, TRUTH, *inputs, noise)
+        assert np.array_equal(belief.mean, ref.mean)
+        assert np.array_equal(belief.cov, ref.cov)
+        for got, want in zip(belief.raw_moments(),
+                             oracles.gaussian_raw_moments_per_op(ref)):
+            assert np.array_equal(got, want)
+
+
+def test_ensemble_theta_is_exp_of_the_log_parameters():
+    """A given θ is kept as it is; a missing one is exp of the log
+    columns, as contiguous rows, for any subset of the parameters."""
+    stream = nk.RngStream(9)
+    for names in ((), ("c",), ("k", "c", "k3")):
+        layout = flt.AugmentedState(theta_names=names)
+        ens = flt.default_pf_init(layout, 7, REST, stream)
+        assert ens.theta.shape == (len(names), 7)
+        assert ens.theta.flags["C_CONTIGUOUS"]
+        assert np.array_equal(ens.theta, np.exp(ens.particles[:, 2:]).T)
+    given = np.ones((3, 7))
+    assert flt.ParticleEnsemble(ens.particles, ens.weights, given).theta \
+        is given
+
+
+def test_run_pf_records_each_ensembles_ess(default_setup, monkeypatch):
+    """`diagnostics["ess"]` holds the ESS each step's ensemble keeps."""
+    traj, forcing, y, noise = default_setup
+    layout = flt.AugmentedState()
+    init = flt.default_pf_init(layout, 100, REST, nk.RngStream(3))
+    ensembles = []
+    step = flt.pf_step
+    monkeypatch.setattr(flt, "pf_step",
+                        lambda *args: ensembles.append(step(*args))
+                        or ensembles[-1])
+    res = flt.run_pf(traj.select(np.arange(60)), forcing, y[:60], layout,
+                     init, TRUTH, noise, nk.RngStream(5))
+    assert len(ensembles) == 59
+    assert list(res.diagnostics["ess"]) == [e.ess for e in [init] + ensembles]
 
 
 def test_pf_init_box(default_setup):

@@ -36,16 +36,17 @@ def test_zero_flow_is_identity():
 
 
 def test_rk4_step_matches_filter_propagation_bitwise():
-    """The neural-ODE step and the filters' propagation of the true flow
-    agree bit for bit."""
+    """The neural-ODE step and the filters' per-op propagation of the
+    true flow (which the filter steps match bit for bit) agree bit for
+    bit."""
     forcing = ForcingSpec()
     h = 1.0 / DEFAULT_RATE
     z = nk.RngStream(0).uniform(-1.0, 1.0, size=(200, 2))
     stages = stage_forces(forcing, 3.0, h)
     stepped = node.node_step(true_flow(TRUTH), z, stages,
                              node.IntegratorSpec("rk4", h))
-    propagated = flt._propagate(z, flt.AugmentedState(theta_names=()),
-                                TRUTH, h, stages)
+    propagated = oracles.propagate(z, flt.AugmentedState(theta_names=()),
+                                   TRUTH, h, stages)
     assert np.array_equal(stepped, propagated)
 
 
