@@ -168,6 +168,12 @@ def check_seed(key, value):
 def build_model(sim):
     """(params, forcing) of the parsed [simulator] section."""
     check_seed("[simulator] phase_seed", sim["phase_seed"])
+    if not sim["m"] > 0:
+        raise ConfigError(f"[simulator] m must be positive, got {sim['m']}")
+    for key in ("c", "k"):
+        if sim[key] < 0:
+            raise ConfigError(f"[simulator] {key} must be >= 0, got "
+                              f"{sim[key]}")
     return (OscillatorParams(m=sim["m"], c=sim["c"], k=sim["k"],
                              k3=sim["k3"]),
             ForcingSpec(frequencies=sim["frequencies"],
@@ -382,6 +388,9 @@ def run_gp(kind, opts, sim, out, seed):
         raise ConfigError(f"[gp-{kind}] stride must be < [simulator] n = "
                           f"{sim['n']} to keep two training points, got "
                           f"{opts['stride']}")
+    if opts["restarts"] < 1:
+        raise ConfigError(f"[gp-{kind}] restarts must be >= 1, got "
+                          f"{opts['restarts']}")
     params, forcing, traj = build_simulation(sim)
     ratio = opts["noise_ratio"]
     noise_var = max(finite_noise_variance(
@@ -436,12 +445,15 @@ def run_hnn(opts, sim, out, seed):
         raise ConfigError(f"[hnn] step must be positive, got {h_step}")
     if steps < 1:
         raise ConfigError(f"[hnn] steps must be >= 1, got {steps}")
-    if u0 == 0.0:
-        # the conservative record would rest at H = 0: nothing to learn,
-        # and the energy drift is relative to H[0]
-        raise ConfigError("[hnn] u0 must be nonzero")
     # trains and scores on its own unforced, undamped record
     params, _ = build_model(sim)
+    energy = 0.5 * params.k * u0 * u0 + 0.25 * params.k3 * u0 * u0 * u0 * u0
+    if not (math.isfinite(energy) and energy > 0.0):
+        # at H = 0 the record rests: nothing to learn, and the energy
+        # drift and field error are relative to zero
+        raise ConfigError(f"[hnn] u0 = {u0} gives the conservative record "
+                          f"the energy {energy}; it must be finite and "
+                          f"positive")
     cons = OscillatorParams(m=params.m, c=0.0, k=params.k, k3=params.k3)
     cons_traj = simulate(cons, ForcingSpec(amplitudes=0.0),
                          n=sim["n"], rate=sim["rate"], z0=(u0, 0.0))
@@ -531,6 +543,9 @@ def run_experiment(cfg: Config, seed_override=None, out_override=None):
     if opts.get("adam_lr", 1.0) <= 0:
         raise ConfigError(f"[{method}] adam_lr must be > 0, got "
                           f"{opts['adam_lr']}")
+    if opts.get("omega0", 0.0) < 0:
+        raise ConfigError(f"[{method}] omega0 must be >= 0, got "
+                          f"{opts['omega0']}")
     seed = seed_override if seed_override is not None else exp["seed"]
     check_seed("--seed" if seed_override is not None else "[experiment] seed",
                seed)

@@ -103,12 +103,16 @@ class AugmentedState:
 
 @dataclass
 class GaussianBelief:
+    """Mean and covariance of the augmented state. The covariance must
+    be symmetric, as `ukf_step` builds it; the next step's Cholesky
+    factorization checks that."""
+
     mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float)
-        self.cov = linalg.symmetrize(np.asarray(self.cov, dtype=float))
+        self.cov = np.asarray(self.cov, dtype=float)
 
     def raw_moments(self):
         """Raw-unit mean/std; log-parameters mapped by exp with

@@ -1,13 +1,13 @@
 """Fully-connected network machinery shared by the learning modules.
 
 A network is a list of (W, b) numpy pairs described by an MlpSpec.
-Forward evaluation happens on the autodiff tape, one `mlp` node per
-application; a tangent-propagation variant returns the derivative of
-the outputs with respect to the scalar input alongside the outputs,
-which is what the physics losses differentiate, also as one node per
-application (`mlp_tangent`). Frozen networks are
-evaluated by the plain-numpy twins of both. Training is Adam followed
-by an optional L-BFGS refinement, both deterministic.
+Forward evaluation happens on the autodiff tape, one `mlp_tangent`
+node per application: it returns the outputs and their derivative with
+respect to the scalar input, which is what the physics losses
+differentiate; a data-only loss reads the outputs alone, and the
+derivative's adjoint path is then skipped. Frozen networks are
+evaluated by plain-numpy twins. Training is Adam followed by an
+optional L-BFGS refinement, both deterministic.
 
 Both optimizers take a closure theta -> (loss, grad): `loss` is a float
 and `grad` a zero-argument callable that returns the gradient at theta
@@ -82,12 +82,6 @@ def init_params(spec: MlpSpec, stream: nk.RngStream):
             b = np.zeros(n_out)
         params.append((W, b))
     return params
-
-
-def mlp_apply(spec: MlpSpec, param_nodes, x):
-    """Feed-forward pass on the tape as one `mlp` node; x is a (N, n_in)
-    node."""
-    return nk.mlp(x, param_nodes, spec.activation)
 
 
 def _tangent_input(x):

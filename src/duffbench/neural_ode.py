@@ -219,8 +219,7 @@ def rk4_windows_loss(func: OdeFunc, pairs, windows, h):
             layers = slope_hidden[k] if slope_hidden else hidden[swept]
             out = adjoints[-1][k]
             out[...] = g_k
-            gx, _ = nk.mlp_vjp(out, weights, inputs[0][swept], layers,
-                               slots[k])
+            gx = nk.mlp_vjp(out, weights, layers, slots[k])
             swept += 1
             if k + 1 == chunk:
                 flush()

@@ -17,7 +17,6 @@ from .tape import (
     sin,
     softplus,
     matmul,
-    mlp,
     mlp_forward,
     mlp_vjp,
     mlp_tangent,
@@ -32,7 +31,7 @@ from .sobol import sobol_sequence, sobol_indices
 __all__ = [
     "Tape", "Workspace", "Node", "TapeError", "backward",
     "add", "sub", "mul", "div", "neg", "powc", "tanh", "sin", "softplus",
-    "matmul", "mlp", "mlp_forward", "mlp_vjp", "mlp_tangent",
+    "matmul", "mlp_forward", "mlp_vjp", "mlp_tangent",
     "mlp_tangent_forward", "stacked_weight_adjoints", "vsum", "take",
     "RngStream", "sobol_sequence", "sobol_indices",
 ]

@@ -8,19 +8,20 @@ parents' forward values, so a backward sweep accumulates arrays and
 never grows the tape.
 
 Supported matmul shapes are (2D, 2D) and (2D, 1D); everything else is
-elementwise with numpy broadcasting. `mlp` records a whole network
-application as one node. Its layer loops, `mlp_forward` and `mlp_vjp`,
-also serve ops that fuse many applications into one node: such an op
-can hand them preallocated slots to write into, and take the weight
-adjoints of a whole stack of applications at once with
-`stacked_weight_adjoints`, one batched product per layer, adding them
-in the order of the per-application chain so the bits stay the same.
-`mlp_tangent` records a network application together with the
-derivative of its output with respect to its scalar input as one node
-too, a tangent pass, whose VJP repeats the per-op tangent chain bit for
-bit. A tape made with a `Workspace` hands such nodes arrays that the
-previous tape of the same fit used, instead of fresh ones: one
-workspace serves the tangent node and the neural-ODE window loss.
+elementwise with numpy broadcasting. Two fused nodes record a whole
+network computation as one node each. `mlp_tangent` records a network
+application together with the derivative of its output with respect to
+its scalar input, a tangent pass, whose VJP repeats the per-op tangent
+chain bit for bit and skips the derivative path when nobody reads the
+derivative, so a data-only fit reads its output half alone. The
+neural-ODE window loss (`rk4_windows`, in `neural_ode`) runs its many
+applications through the layer loops `mlp_forward` and `mlp_vjp`,
+which write into preallocated slots, and takes the weight adjoints of a
+whole stack of applications at once with `stacked_weight_adjoints`, one
+batched product per layer, adding them in the order of the
+per-application chain so the bits stay the same. A tape made with a
+`Workspace` hands such nodes arrays that the previous tape of the same
+fit used, instead of fresh ones: one workspace serves both node kinds.
 """
 
 from __future__ import annotations
@@ -266,77 +267,51 @@ def matmul(a, b):
     return Node(a.tape, a.value @ b.value, (a, b), backward, "matmul")
 
 
-def vsum(a, axis=None, keepdims=False):
-    kshape = None
-    if axis is not None:
-        axis = tuple(ax % a.value.ndim for ax in
-                     (axis if isinstance(axis, tuple) else (axis,)))
-        if not keepdims:
-            kshape = tuple(1 if i in axis else n
-                           for i, n in enumerate(a.value.shape))
-
-    def backward(g):
-        if kshape is not None:
-            g = g.reshape(kshape)
-        return (g * np.ones_like(a.value),)
-
-    return Node(a.tape, np.sum(a.value, axis=axis, keepdims=keepdims), (a,),
-                backward, "sum")
+def vsum(a):
+    return Node(a.tape, np.sum(a.value), (a,),
+                lambda g: (g * np.ones_like(a.value),), "sum")
 
 
-def mlp_forward(x, params, activation, hidden=None, slots=None):
+def mlp_forward(x, params, activation, slots=None):
     """Plain-numpy MLP: act(h @ W + b) per hidden layer, affine output.
 
     `params` holds (W, b) arrays and `activation` is "tanh" or "sin".
-    With a `hidden` list, each hidden layer appends (its output, cos of
-    its pre-activation for sin or None for tanh): what `mlp_vjp` reads.
-    `slots` holds one such (output, cos or None) pair of preallocated
-    arrays per hidden layer for the layers to write into instead of
-    fresh arrays; `out=` does not change the bits.
+    `slots` holds one (output, cos or None) pair of preallocated arrays
+    per hidden layer for the layer to write into instead of fresh
+    arrays: its output and, for sin, cos of its pre-activation, what
+    `mlp_vjp` reads; `out=` does not change the bits.
     """
-    sin = activation == "sin"
-    act = np.sin if sin else np.tanh
+    act = np.sin if activation == "sin" else np.tanh
     h = x
     for i, (W, b) in enumerate(params[:-1]):
         out, cos_a = (None, None) if slots is None else slots[i]
         a = np.matmul(h, W, out=out)
         a += b
-        if sin:
-            cos_a = np.cos(a, out=cos_a)
+        if cos_a is not None:
+            np.cos(a, out=cos_a)
         h = act(a, out=a)
-        if hidden is not None:
-            hidden.append((h, cos_a))
     W, b = params[-1]
     return h @ W + b
 
 
-def mlp_vjp(g, weights, x, hidden, slots=None):
-    """Adjoints of one MLP application from its output adjoint `g`.
+def mlp_vjp(g, weights, hidden, slots):
+    """Input adjoint of one MLP application from its output adjoint `g`.
 
-    `weights` holds the (W, b) arrays, `x` and `hidden` what
-    `mlp_forward` read and saved; a hidden layer's second entry may
-    also hold tanh's 1 − h², taken ahead of time. Returns the input's
-    adjoint and [gW0, gb0, gW1, gb1, ...]. The layers are walked in
-    reverse with the float operations and order of the per-op chain
-    (matmul, add, activation), so every adjoint equals that chain's bit
-    for bit.
-
-    `slots`, one array per hidden layer, takes that layer's
-    pre-activation adjoint; the weight adjoints are then left to the
-    caller, which can take those of many applications at once
-    (`stacked_weight_adjoints`), and the list comes back empty.
+    `weights` holds the (W, b) arrays and `hidden` the (output, cos or
+    None) pairs `mlp_forward` wrote per hidden layer; the second entry
+    may also hold tanh's 1 − h², taken ahead of time. `slots`, one array
+    per hidden layer, takes that layer's pre-activation adjoint. The
+    layers are walked in reverse with the float operations and order of
+    the per-op chain (matmul, add, activation), so the input adjoint
+    equals that chain's bit for bit. The weight adjoints are left to
+    the caller, which takes those of many applications at once
+    (`stacked_weight_adjoints`) from the slots.
     """
-    grads = []
     for i in range(len(weights) - 1, 0, -1):
         h, slope = hidden[i - 1]
-        if slots is None:
-            grads[:0] = (h.T @ g, g.sum(axis=0))
-        g = np.matmul(g, weights[i][0].T,
-                      out=None if slots is None else slots[i - 1])
+        g = np.matmul(g, weights[i][0].T, out=slots[i - 1])
         np.multiply(g, 1.0 - h * h if slope is None else slope, out=g)
-    if slots is None:
-        grads[:0] = (x.T @ g, g.sum(axis=0))
-    return g @ weights[0][0].T, grads
+    return g @ weights[0][0].T
 
 
 def stacked_weight_adjoints(inputs, adjoints, products, grads):
@@ -363,20 +338,6 @@ def stacked_weight_adjoints(inputs, adjoints, products, grads):
                 np.add.reduce(stack, axis=0, out=total, initial=-0.0)
             else:  # a reduce would add single elements pairwise
                 total[...] = np.add.accumulate(stack, axis=0)[-1]
-
-
-def mlp(x, params, activation):
-    """One node for a whole MLP application; parents x, W0, b0, W1, b1, ..."""
-    weights = [(W.value, b.value) for W, b in params]
-    hidden = []
-    value = mlp_forward(x.value, weights, activation, hidden)
-
-    def backward(g):
-        gx, grads = mlp_vjp(g, weights, x.value, hidden)
-        return (gx, *grads)
-
-    parents = (x,) + tuple(node for pair in params for node in pair)
-    return Node(x.tape, value, parents, backward, "mlp")
 
 
 def mlp_tangent_forward(x, params, activation, saved=None, empty=None):

@@ -1,9 +1,11 @@
 """Physics-informed training of the state network.
 
 The total objective is λ_o·L_o + λ_p·L_p + λ_bc·L_bc from one network
-pass over the collocation times. L_o is the mean squared state residual
-on the pass's observed rows (in the z-scored outputs the network is
-trained in); L_p is the first-order equation residual in physical units,
+pass over the collocation times, one `mlp_tangent` node whose
+derivative half only the physics term reads. L_o is the mean squared
+state residual on the pass's observed rows (in the z-scored outputs the
+network is trained in); L_p is the first-order equation residual in
+physical units,
 
     r_u = u̇ − v,   r_v = v̇ − (f − c·v − k·u − k3·u³)/m,
 
@@ -127,13 +129,12 @@ class PinnProblem:
 
     # -- losses -------------------------------------------------------------
 
-    def network_pass(self, tape, pairs):
+    def network_pass(self, pairs):
         """The one network application of a loss: (ẑ, dẑ/dτ) over t_col,
-        with dẑ/dτ None unless the physics term is weighted."""
+        one tangent pass; with no physics term dẑ/dτ goes unread, and
+        its adjoint path is skipped."""
         tau = self.norm.t_in(self.t_col).reshape(-1, 1)
-        if self.config.weights.physics != 0:
-            return nets.mlp_apply_tangent(self.config.net, pairs, tau)
-        return nets.mlp_apply(self.config.net, pairs, tape.constant(tau)), None
+        return nets.mlp_apply_tangent(self.config.net, pairs, tau)
 
     def observation_term(self, z_hat):
         target = (self.z_obs - self.norm.z_mean) / self.norm.z_std
@@ -161,7 +162,7 @@ class PinnProblem:
 
     def total_loss(self, tape, leaves):
         pairs, phi = self._split(leaves)
-        z_hat, dz_hat = self.network_pass(tape, pairs)
+        z_hat, dz_hat = self.network_pass(pairs)
         w = self.config.weights
         loss = None
 

@@ -294,8 +294,8 @@ def hnn_loss_value(hamiltonian, q, p, qdot, pdot):
 
 def mlp_apply_per_op(spec, param_nodes, x):
     """The network on the tape as a chain of primitive ops (matmul, add,
-    activation per layer): the reference the fused `mlp` node must match
-    bit for bit."""
+    activation per layer): the reference the output half of the fused
+    `mlp_tangent` node must match bit for bit."""
     act = nk.sin if spec.activation == "sin" else nk.tanh
     h = x
     for W, b in param_nodes[:-1]:
@@ -438,15 +438,15 @@ def simulate_scalar_forcing(params, forcing, n, rate, z0=(0.0, 0.0),
 
 def pinn_loss_per_term(problem, tape, leaves):
     """A PINN total loss with one network application per term: the
-    observed times (`t_col` at `obs_rows`) through an `mlp` node, the
-    collocation times through a tangent pass, t_col[0] through a
-    one-row `mlp` node."""
+    observed times (`t_col` at `obs_rows`) through the per-op network,
+    the collocation times through a tangent pass, t_col[0] through a
+    one-row per-op network."""
     spec, norm, w = problem.config.net, problem.norm, problem.config.weights
     pairs, phi = problem._split(leaves)
     terms = []
     if w.observation != 0:
         tau = norm.t_in(problem.t_col[problem.obs_rows]).reshape(-1, 1)
-        z_hat = nets.mlp_apply(spec, pairs, tape.constant(tau))
+        z_hat = mlp_apply_per_op(spec, pairs, tape.constant(tau))
         target = (problem.z_obs - norm.z_mean) / norm.z_std
         terms.append((nets.observation_loss(z_hat, target), w.observation))
     if w.physics != 0:
@@ -467,7 +467,7 @@ def pinn_loss_per_term(problem, tape, leaves):
                       w.physics))
     if w.boundary != 0:
         tau0 = np.array([[norm.t_in(problem.t_col[0])]])
-        z_hat = nets.mlp_apply(spec, pairs, tape.constant(tau0))
+        z_hat = mlp_apply_per_op(spec, pairs, tape.constant(tau0))
         r = (z_hat[(0,)] * norm.z_std + norm.z_mean
              - np.asarray(problem.config.bc, dtype=float))
         terms.append((nk.vsum(r * r), w.boundary))

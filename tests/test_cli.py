@@ -344,7 +344,7 @@ HOSTILE = {
                                       "[simulator] n"),
     "zero-gp-restarts": ("gp-se",
                          "[simulator]\nn = 256\n\n[gp-se]\nrestarts = 0\n",
-                         2),
+                         2, "[gp-se] restarts"),
     "zero-hnn-step": ("hnn", "[simulator]\nn = 64\n\n[hnn]\nstep = 0\n", 2,
                       "step"),
     "zero-ukf-stiffness-guess": ("ukf", "[simulator]\nn = 64\n\n"
@@ -357,6 +357,30 @@ HOSTILE = {
                        2, "steps"),
     "zero-hnn-amplitude": ("hnn", "[simulator]\nn = 64\n\n[hnn]\nu0 = 0\n",
                            2, "u0"),
+    # ½k·u0² + ¼k3·u0⁴ underflows to 0, or overflows
+    "tiny-hnn-amplitude": ("hnn", "[simulator]\nn = 64\n\n[hnn]\n"
+                           "u0 = 1e-300\n", 2, "[hnn] u0"),
+    "huge-hnn-amplitude": ("hnn", "[simulator]\nn = 64\n\n[hnn]\n"
+                           "u0 = 1e100\n", 2, "[hnn] u0"),
+    "negative-mass": ("sindy", "[simulator]\nn = 64\nm = -1\n", 2,
+                      "[simulator] m"),
+    "negative-stiffness": ("sindy", "[simulator]\nn = 64\nk = -1\n", 2,
+                           "[simulator] k"),
+    "negative-damping": ("sindy", "[simulator]\nn = 64\nc = -1\n", 2,
+                         "[simulator] c"),
+    "negative-gp-sdof-restarts": ("gp-sdof", "[simulator]\nn = 256\n\n"
+                                  "[gp-sdof]\nrestarts = -1\n", 2,
+                                  "[gp-sdof] restarts"),
+    # the sine network's first layer draws from [-omega0, omega0]
+    "negative-baseline-omega0": ("nn-baseline", "[simulator]\nn = 64\n\n"
+                                 "[nn-baseline]\nomega0 = -1\n", 2,
+                                 "[nn-baseline] omega0"),
+    "negative-discovery-omega0": ("pinn-discovery", "[simulator]\nn = 64\n"
+                                  "\n[pinn-discovery]\nomega0 = -1\n", 2,
+                                  "[pinn-discovery] omega0"),
+    "negative-enhanced-omega0": ("pinn-enhanced", "[simulator]\nn = 64\n\n"
+                                 "[pinn-enhanced]\nomega0 = -1\n", 2,
+                                 "[pinn-enhanced] omega0"),
     # config keys and values the run checks before it simulates; the
     # iteration counts only keep the run short where it would go on
     "misspelt-sindy-key": ("sindy", "[simulator]\nn = 64\n\n"

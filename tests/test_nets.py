@@ -12,7 +12,6 @@ from duffbench import nets, neural_ode, pgnn, pinn
 from duffbench.duffing import (
     ForcingSpec,
     OscillatorParams,
-    rk4_increment,
     simulate,
     subsample,
 )
@@ -61,12 +60,11 @@ def test_tape_and_numpy_forward_agree(spec):
     x = stream.normal(size=(11, 1))
     tape = nk.Tape()
     nodes = [(tape.leaf(W), tape.leaf(b)) for W, b in params]
-    xn = tape.constant(x)
     before = len(tape.nodes)
-    out = nets.mlp_apply(spec, nodes, xn)
-    # one fused node per application, sharing mlp_predict's layer loop
-    assert len(tape.nodes) == before + 1
-    assert out.op == "mlp" and out.parents[0] is xn
+    out = nets.mlp_apply_tangent(spec, nodes, x)[0]
+    # one fused node and its output half, sharing mlp_predict's float order
+    assert len(tape.nodes) == before + 3
+    assert out.parents[0].op == "mlp_tangent"
     assert np.array_equal(out.value, nets.mlp_predict(spec, params, x))
 
 
@@ -86,53 +84,35 @@ def test_tangent_matches_finite_difference_input_derivative(spec):
     assert np.allclose(dz.value, fd, rtol=1e-5, atol=1e-8)
 
 
-FLOW_SPECS = [nets.MlpSpec(widths=(3, 16, 16, 2)),
-              nets.MlpSpec(widths=(3, 16, 16, 2), activation="sin",
-                           omega0=3.0)]
+SCALAR_SPECS = [nets.MlpSpec(widths=(1, 16, 16, 2)),
+                nets.MlpSpec(widths=(1, 16, 16, 2), activation="sin",
+                             omega0=3.0)]
 
 
-def _constant_input(tape, apply, pairs, X, F):
-    x = tape.constant(X)
-    return apply(pairs, x), [x]
+def _constant_input(apply, pairs, X):
+    # a data-only fit's graph: the network at constant times
+    return apply(pairs, X)
 
 
-def _input_on_path(tape, apply, pairs, X, F):
-    # the neural-ODE flow's input: a state leaf, a constant force, scaled
-    z = tape.leaf(X[:, :2])
-    x = oracles.concat([z, tape.constant(F)], axis=1) / np.array([1.5, 2.0, 0.5])
-    return apply(pairs, x), [z, x]
-
-
-def _rk4_stages(tape, apply, pairs, X, F):
-    # four applications sharing every W and b, chained through the state
-    z = tape.leaf(X[:, :2])
-    stages = [tape.constant(F), tape.constant(F + 0.25),
-              tape.constant(F + 0.5)]
-
-    def flow(zn, fn):
-        return apply(pairs, oracles.concat([zn, fn], axis=1))
-
-    return z + rk4_increment(flow, z, stages, 0.1), [z]
-
-
-@pytest.mark.parametrize("spec", FLOW_SPECS, ids=lambda s: s.activation)
-@pytest.mark.parametrize("program", [_constant_input, _input_on_path,
-                                     _rk4_stages])
+@pytest.mark.parametrize("spec", SCALAR_SPECS, ids=lambda s: s.activation)
+@pytest.mark.parametrize("program", [_constant_input])
 def test_fused_mlp_matches_per_op_chain_bitwise(spec, program):
+    """The output half of the tangent node, read alone, and every
+    parameter adjoint equal the per-op network chain's bit for bit."""
     stream = nk.RngStream(21).substream("fused-" + spec.activation)
     arrays = nets.pairs_to_arrays(nets.init_params(spec, stream))
-    X = stream.normal(size=(13, 3))
-    F = stream.normal(size=(13, 1))
+    X = stream.normal(size=(13, 1))
     weights = stream.normal(size=(13, 2))
+    applies = (lambda pairs, x: nets.mlp_apply_tangent(spec, pairs, x)[0],
+               lambda pairs, x: oracles.mlp_apply_per_op(
+                   spec, pairs, pairs[0][0].tape.constant(x)))
     runs = []
-    for apply in (nets.mlp_apply, oracles.mlp_apply_per_op):
+    for apply in applies:
         tape = nk.Tape()
         leaves = [tape.leaf(a) for a in arrays]
-        out, inputs = program(
-            tape, lambda pairs, x: apply(spec, pairs, x),
-            nets.arrays_to_pairs(leaves), X, F)
+        out = program(apply, nets.arrays_to_pairs(leaves), X)
         loss = nk.vsum(out * tape.constant(weights))
-        runs.append((out.value, nk.backward(loss, inputs + leaves)))
+        runs.append((out.value, nk.backward(loss, leaves)))
     (fused, fused_adj), (chain, chain_adj) = runs
     assert np.array_equal(fused, chain)
     assert len(fused_adj) == len(chain_adj)
@@ -376,7 +356,7 @@ def test_observation_loss_gradient_matches_fd():
 
     tape = nk.Tape()
     leaves = [tape.leaf(a) for a in nets.unflatten(flat, metas)]
-    out = nets.mlp_apply(spec, nets.arrays_to_pairs(leaves), tape.constant(x))
+    out = nets.mlp_apply_tangent(spec, nets.arrays_to_pairs(leaves), x)[0]
     loss = nets.observation_loss(out, obs)
     gs = nk.backward(loss, leaves)
     g_ad = np.concatenate([np.ravel(g) for g in gs])
@@ -681,8 +661,8 @@ def test_seed_determinism_of_training():
         y = np.sin(2 * x)
 
         def build(tape, leaves):
-            out = nets.mlp_apply(spec, nets.arrays_to_pairs(leaves),
-                                 tape.constant(x))
+            out = nets.mlp_apply_tangent(spec, nets.arrays_to_pairs(leaves),
+                                         x)[0]
             return nets.observation_loss(out, y)
 
         cfg = nets.TrainConfig(adam_iters=50, lbfgs_iters=5)
@@ -748,8 +728,8 @@ def _fit_state(spec, t_obs, z_obs, norm, cfg, seed_label):
     z_hat = (z_obs - norm.z_mean) / norm.z_std
 
     def build(tape, leaves):
-        out = nets.mlp_apply(spec, nets.arrays_to_pairs(leaves),
-                             tape.constant(x_obs))
+        out = nets.mlp_apply_tangent(spec, nets.arrays_to_pairs(leaves),
+                                     x_obs)[0]
         return nets.observation_loss(out, z_hat)
 
     arrays, _ = nets.fit_arrays(nets.pairs_to_arrays(params), build, cfg)

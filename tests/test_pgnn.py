@@ -145,7 +145,7 @@ def test_loss_applies_the_network_once(monkeypatch, passes):
     _, arrays, build = captured_loss(monkeypatch, traj, 4)
     tape = nk.Tape()
     build(tape, [tape.leaf(a) for a in arrays])
-    assert passes == {"tangent": 1, "mlp": 0}
+    assert passes == {"tangent": 1}
 
 
 @pytest.mark.parametrize("stride", [1, 4])

@@ -70,7 +70,7 @@ def test_zero_network_unforced_physics_loss_is_zero(traj):
     tape = nk.Tape()
     leaves = [tape.leaf(a) for a in zero_pairs_arrays]
     pairs, phi = prob._split(leaves)
-    loss = prob.physics_term(*prob.network_pass(tape, pairs),
+    loss = prob.physics_term(*prob.network_pass(pairs),
                              prob._phys_values(phi))
     assert loss.value == 0.0
 
@@ -82,7 +82,7 @@ def test_physics_loss_matches_direct_recomputation(traj):
     tape = nk.Tape()
     leaves = [tape.leaf(a) for a in arrays]
     pairs, phi = prob._split(leaves)
-    loss = prob.physics_term(*prob.network_pass(tape, pairs),
+    loss = prob.physics_term(*prob.network_pass(pairs),
                              prob._phys_values(phi))
 
     # independent recomputation from the frozen network values
@@ -140,7 +140,7 @@ def test_bc_loss_values(traj):
     tape = nk.Tape()
     leaves = [tape.leaf(a) for a in arrays]
     pairs, _ = prob._split(leaves)
-    loss = prob.boundary_term(prob.network_pass(tape, pairs)[0])
+    loss = prob.boundary_term(prob.network_pass(pairs)[0])
     z0 = prob.predict(arrays, traj.t[:1])[0]
     assert loss.value == pytest.approx(np.sum(z0 ** 2), rel=1e-10)
 
@@ -158,7 +158,7 @@ def test_bc_loss_squared_norm_arithmetic(traj):
     tape = nk.Tape()
     leaves = [tape.leaf(a) for a in arrays]
     pairs, _ = prob._split(leaves)
-    loss = prob.boundary_term(prob.network_pass(tape, pairs)[0])
+    loss = prob.boundary_term(prob.network_pass(pairs)[0])
     assert loss.value == pytest.approx(4.0, abs=1e-12)
 
 
@@ -173,7 +173,7 @@ def test_total_loss_mode_algebra(traj):
     leaves = [tape.leaf(a) for a in arrays]
     total = full.total_loss(tape, leaves)
     pairs, _ = full._split(leaves)
-    obs_only = full.observation_term(full.network_pass(tape, pairs)[0])
+    obs_only = full.observation_term(full.network_pass(pairs)[0])
     assert total.value == obs_only.value  # bitwise
 
 
@@ -246,11 +246,11 @@ def test_forward_model_starts_from_the_record_state(monkeypatch):
 
 
 @pytest.mark.parametrize("weights, expected", [
-    ((1.0, 1.0, 0.0), {"tangent": 1, "mlp": 0}),
-    ((1.0, 1.0, 1.0), {"tangent": 1, "mlp": 0}),
-    ((0.0, 1.0, 20.0), {"tangent": 1, "mlp": 0}),
-    ((1.0, 0.0, 0.0), {"tangent": 0, "mlp": 1}),
-    ((1.0, 0.0, 1.0), {"tangent": 0, "mlp": 1}),
+    ((1.0, 1.0, 0.0), {"tangent": 1}),
+    ((1.0, 1.0, 1.0), {"tangent": 1}),
+    ((0.0, 1.0, 20.0), {"tangent": 1}),
+    ((1.0, 0.0, 0.0), {"tangent": 1}),
+    ((1.0, 0.0, 1.0), {"tangent": 1}),
 ])
 def test_total_loss_applies_the_network_once(traj, passes, weights,
                                              expected):

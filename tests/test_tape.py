@@ -273,9 +273,6 @@ PRIMITIVES = {
     "div": (lambda a, b: a / b, [_X, _POS]),
     "cos": (lambda a: oracles.sincos(a)[1], [_X]),
     "sincos": (_sincos_mix, [3.0 * _X]),
-    "vsum-axis": (lambda a: nk.vsum(a, axis=1), [_X]),
-    "vsum-negative-axis": (lambda a: nk.vsum(a, axis=(-2,)), [_X]),
-    "vsum-keepdims": (lambda a: nk.vsum(a, axis=0, keepdims=True), [_X]),
     "take-slice": (lambda a: a[1:, ::2], [_X]),
     "take-repeated-fancy": (lambda a: a[np.array([2, 0, 2, 2])], [_X]),
     "concat-axis1": (lambda a, b: oracles.concat([a, b], axis=1),

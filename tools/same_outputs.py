@@ -9,7 +9,8 @@ each through `duffbench run` in a fresh single-threaded interpreter
 that imports the tree's `src/`. It prints every run's exit code in both
 trees, then every CSV that differs or exists in one tree only
 (`manifest.txt`, which holds the run time, is not compared), and last
-each tree's `wc -l src/**/*.py`. Exits 1 if anything differs, else 0.
+each tree's `wc -l src/**/*.py`. A run that exits non-zero in either
+tree counts as differing. Exits 1 if any run differs, else 0.
 Nothing is written inside either tree.
 """
 
@@ -89,13 +90,13 @@ def main(argv):
             n_csv += len(a)
             bad = sorted(str(k) for k in a.keys() | b.keys()
                          if a.get(k) != b.get(k))
-            mark = "same" if codes[0] == codes[1] and not bad else "DIFFERS"
+            mark = "FAILED" if any(codes) else "DIFFERS" if bad else "same"
             differ += mark != "same"
             print(f"{name}: exit {codes[0]} / {codes[1]}, {len(a)} CSVs, "
                   f"{mark}" + "".join(f"\n  differs: {k}" for k in bad),
                   flush=True)
         lines = " / ".join(str(source_lines(t)) for t in (parent, change))
-        print(f"{n_csv} CSVs compared; {differ} runs differ; "
+        print(f"{n_csv} CSVs compared; {differ} runs differ or fail; "
               f"wc -l src/**/*.py {lines}")
     return 1 if differ else 0
 
