@@ -60,6 +60,19 @@ class KernelSpec:
                 raise KernelError(f"oscillator kernel requires a damped, "
                                   f"underdamped system (0 < zeta < 1), got "
                                   f"zeta = {self.zeta:g} from c = {self.c:g}")
+            # each constant the kernel and its fit take must be a finite
+            # positive float, else its [simulator] keys are out of range
+            for keys, constant in (("m", lambda: self.m ** 2),
+                                   ("k and m", lambda: self.omega_n ** 3),
+                                   ("m, c and k", self.variance_denominator),
+                                   ("m, c and k", self.start_scale)):
+                try:
+                    value = constant()
+                except OverflowError:
+                    value = math.inf
+                if not 0.0 < value < math.inf:
+                    raise KernelError(f"[simulator] {keys} out of range: "
+                                      f"a kernel constant is {value:g}")
 
     @property
     def omega_n(self):
@@ -73,6 +86,15 @@ class KernelSpec:
     def omega_d(self):
         return self.omega_n * math.sqrt(1.0 - self.zeta ** 2)
 
+    def variance_denominator(self):
+        """4m²ζω_n³: the kernel's variance is σ_f² over it."""
+        return (4.0 * self.m ** 2 * (self.zeta * self.omega_n)
+                * self.omega_n ** 2)
+
+    def start_scale(self):
+        """2m·√(ζω_n³): σ_f over the targets' std at the fit's start."""
+        return 2.0 * self.m * math.sqrt(self.zeta * self.omega_n ** 3)
+
 
 def kernel_eval(spec: KernelSpec, t, t_prime):
     """Covariance between time points; broadcasts over arrays."""
@@ -82,7 +104,7 @@ def kernel_eval(spec: KernelSpec, t, t_prime):
                                                / (2.0 * spec.lengthscale ** 2))
     zw = spec.zeta * spec.omega_n
     wd = spec.omega_d
-    front = spec.sigma_f ** 2 / (4.0 * spec.m ** 2 * zw * spec.omega_n ** 2)
+    front = spec.sigma_f ** 2 / spec.variance_denominator()
     return front * np.exp(-zw * np.abs(tau)) * (np.cos(wd * tau)
                                                 + zw / wd * np.sin(wd * np.abs(tau)))
 
@@ -229,9 +251,8 @@ def fit(inputs, targets, spec: KernelSpec, seed=7, restarts=8, steps=200,
                                                 math.log(0.3)),
                 math.log(std_y) + stream.uniform(-1.0, 1.0),
             ])
-        scale = 2.0 * spec.m * math.sqrt(spec.zeta * spec.omega_n ** 3)
         return np.array([
-            math.log(std_y * scale) + stream.uniform(-1.5, 1.5),
+            math.log(std_y * spec.start_scale()) + stream.uniform(-1.5, 1.5),
         ])
 
     best = None

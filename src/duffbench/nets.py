@@ -246,8 +246,10 @@ def fit_arrays(arrays0, loss_builder, config: TrainConfig):
         live = (token, loss, leaves)
         return float(loss.value), functools.partial(gradient, token)
 
+    # `_finite` turns an overflow or NaN into TrainingDivergedError
     try:
-        theta, history = train(closure, flat, config)
+        with np.errstate(over="ignore", invalid="ignore"):
+            theta, history = train(closure, flat, config)
     finally:
         release()
     return unflatten(theta, metas), history

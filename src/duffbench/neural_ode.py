@@ -4,19 +4,20 @@ The neural ODE approximates ż from (u, v, f) and is trained through its
 RK4 integrator (discretise-then-optimise), first as a k+1 predictor,
 then on multi-step rollout windows. Each of those losses is one tape
 node, `rk4_windows_loss`, whose backward rule is the discrete RK4
-adjoint in numpy. Its stacked slabs come from the tape's `empty`, so
-the one `nk.Workspace` of a fit serves them, as it serves the tangent
-node; it takes the weight adjoints of many applications in one batched
-product per layer. A trained `OdeFunc` calls `nk.mlp_forward` directly
-on one array of scaled (u, v, f) rows. The Hamiltonian route learns a
-separable H(q, p) = T(p) + V(q) from conservative data by matching its
-partial derivatives to observed rates, and is integrated symplectically.
+adjoint in numpy. Its slabs (stacks of all stage applications, which the
+layer loops index, bias and input-scale rows, and one residual slab per
+horizon) come from the tape's `empty`, so the one `nk.Workspace` of a
+fit serves them, as it serves the tangent node; it takes the weight
+adjoints of many applications in one batched product per layer. A
+trained `OdeFunc` calls `nk.mlp_forward` directly on one array of scaled
+(u, v, f) rows. The Hamiltonian route learns a separable
+H(q, p) = T(p) + V(q) from conservative data by matching its partial
+derivatives to observed rates, and is integrated symplectically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -149,11 +150,15 @@ def rk4_windows_loss(func: OdeFunc, pairs, windows, h):
     chain's order, so the weight adjoints are bit-identical too.
 
     Every slab comes from `tape.empty`, so a fit's workspace serves them
-    again and again: the scaled inputs and hidden outputs (and cosines,
-    for sin) of the 4·horizon stage applications, in the order the sweep
-    visits them, the last step's last stage first; and the sweep's chunk
-    slabs, drawn when it starts, so a sweep over a graph whose workspace
-    went to a later tape raises RuntimeError.
+    again and again. The forward draws the scaled inputs and hidden
+    outputs (and cosines, for sin) of the 4·horizon stage applications,
+    in the order the sweep visits them, the last step's last stage
+    first, which the layer loops index by application; (n, width) rows
+    of the input scale and of each bias; and one (horizon, n, 2) slab of
+    step states, then residuals, over which the step terms and residual
+    adjoints are taken at once. The sweep draws its chunk slabs when it
+    starts, so a sweep over a graph whose workspace went to a later tape
+    raises RuntimeError.
     """
     z0, forces, targets = windows
     n, horizon, widths = len(z0), len(targets), func.spec.widths
@@ -162,43 +167,46 @@ def rk4_windows_loss(func: OdeFunc, pairs, windows, h):
     sin = activation == "sin"
     weights = [(W.value, b.value) for W, b in pairs]
     inputs = [tape.empty((apps, n, w)) for w in widths[:-1]]
-    cos = [tape.empty((apps, n, w)) if sin else repeat(None)
-           for w in widths[1:-1]]
-    # each application's (output, cos or None) per hidden layer
-    hidden = list(zip(*map(zip, inputs[1:], cos))) or [()] * apps
+    cos = [tape.empty((apps, n, w)) for w in widths[1:-1]] if sin else []
+    # the input scale and each layer's bias as (n, width) rows: a
+    # contiguous operand costs half a broadcast one, with the same bits
+    rows = [tape.empty((n, w)) for w in (2, *widths[1:])]
+    for row, b in zip(rows, (scale, *(b for _, b in weights))):
+        row[...] = b
+    scale_rows, slabs = rows[0], (inputs[1:], cos, rows[1:])
+    states = inputs[0][..., :2]
     # each step's forces of stages k4, k3, k2, k1, the last step first
     np.divide(forces[::-1, [2, 1, 1, 0]], func.scale[2],
               out=inputs[0].reshape(horizon, 4, n, 3)[..., 2:])
-    # forward stage applications fill the slabs from the back
-    forward = zip(inputs[0][::-1], inputs[0][::-1, :, :2], reversed(hidden))
     chunk = max(1, min(apps, ADJOINT_ROWS // max(n, *widths[:-1])))
-    residuals = []
+    # the state after each step, then its residual
+    residuals = tape.empty((horizon, n, 2))
+    k = apps  # forward stage applications fill the slabs from the back
 
     def flow(z, f):  # the slab holds f / scale already
-        x, state, slots = next(forward)
-        np.divide(z, scale, out=state)
-        return nk.mlp_forward(x, weights, activation, slots=slots)
+        nonlocal k
+        k -= 1
+        np.divide(z, scale_rows, out=states[k])
+        return nk.mlp_forward(inputs[0][k], weights, activation, slabs, k)
 
-    z, total = z0, None
-    for f_stages, target in zip(forces, targets):
-        z = z + rk4_increment(flow, z, f_stages, h)
-        r = z - target
-        residuals.append(r)
-        term = np.add.reduce(r * r, axis=None) / float(n)
-        total = term if total is None else total + term
+    z = z0
+    for state in residuals:
+        z = np.add(z, rk4_increment(flow, z, (None,) * 3, h), out=state)
+    np.subtract(residuals, targets, out=residuals)
+    terms = np.add.reduce(residuals * residuals, axis=(1, 2)) / float(n)
+    total = np.add.accumulate(terms)[-1]  # in step order, as the chain
 
     def backward(g):
         adjoints = [tape.empty((chunk, n, w)) for w in widths[1:]]
-        slots = list(zip(*adjoints[:-1])) or [()] * chunk
         # tanh's 1 - h * h of a chunk's applications, taken at once
         slopes = [] if sin else [tape.empty((chunk, n, w))
                                  for w in widths[1:-1]]
-        slope_hidden = list(zip(*(zip(repeat(None), d) for d in slopes)))
         products = [(tape.empty((chunk, a, b)), tape.empty((chunk, b)))
                     for a, b in zip(widths[:-1], widths[1:])]
-        g_term = g / float(horizon) / float(n)
+        transposed = [W.T for W, _ in weights]
         grads = [np.full_like(a, -0.0) for pair in weights for a in pair]
         swept = done = 0  # applications reversed; of them, in `grads`
+        chunk_slopes = slopes
 
         def flush():
             nonlocal done
@@ -208,30 +216,31 @@ def rk4_windows_loss(func: OdeFunc, pairs, windows, h):
             done = swept
 
         def stage_vjp(s, g_k):  # called in slab order, last stage first
-            nonlocal swept
+            nonlocal swept, chunk_slopes
             k = swept - done
-            if slope_hidden and not k:  # the chunk starting here
+            if not k:  # the chunk starting here
                 end = min(swept + chunk, apps)
+                if sin:
+                    chunk_slopes = [c[swept:end] for c in cos]
                 for out, slope in zip(inputs[1:], slopes):
                     slope = np.multiply(out[swept:end], out[swept:end],
                                         out=slope[:end - swept])
                     np.subtract(1.0, slope, out=slope)
-            layers = slope_hidden[k] if slope_hidden else hidden[swept]
             out = adjoints[-1][k]
             out[...] = g_k
-            gx = nk.mlp_vjp(out, weights, layers, slots[k])
+            gx = nk.mlp_vjp(out, transposed, chunk_slopes, adjoints, k)
             swept += 1
             if k + 1 == chunk:
                 flush()
-            return gx[:, :2] / scale
+            return np.divide(gx[:, :2], scale_rows)
 
-        gz = None  # adjoint of the state after step j
-        for j in range(horizon - 1, -1, -1):
-            # r * r's VJP adds g·r once per factor, as the chain does
-            g_res = g_term * residuals[j]
-            g_res = g_res + g_res
-            gz = g_res if gz is None else gz + g_res
-            gz = rk4_step_vjp(stage_vjp, gz, h)
+        # r * r's VJP adds g·r once per factor, as the chain does
+        g_res = (g / float(horizon) / float(n)) * residuals
+        g_res += g_res
+        # the adjoint of the state before each step, the last step first
+        gz = rk4_step_vjp(stage_vjp, g_res[-1], h)
+        for g_step in g_res[-2::-1]:
+            gz = rk4_step_vjp(stage_vjp, gz + g_step, h)
         if swept > done:
             flush()
         return tuple(grads)

@@ -11,12 +11,7 @@ from .tape import (
     sub,
     mul,
     div,
-    neg,
-    powc,
-    tanh,
-    sin,
     softplus,
-    matmul,
     mlp_forward,
     mlp_vjp,
     mlp_tangent,
@@ -30,8 +25,8 @@ from .sobol import sobol_sequence, sobol_indices
 
 __all__ = [
     "Tape", "Workspace", "Node", "TapeError", "backward",
-    "add", "sub", "mul", "div", "neg", "powc", "tanh", "sin", "softplus",
-    "matmul", "mlp_forward", "mlp_vjp", "mlp_tangent",
+    "add", "sub", "mul", "div", "softplus", "mlp_forward", "mlp_vjp",
+    "mlp_tangent",
     "mlp_tangent_forward", "stacked_weight_adjoints", "vsum", "take",
     "RngStream", "sobol_sequence", "sobol_indices",
 ]

@@ -7,21 +7,21 @@ adjoint per parent (None where no path leads) with plain numpy on the
 parents' forward values, so a backward sweep accumulates arrays and
 never grows the tape.
 
-Supported matmul shapes are (2D, 2D) and (2D, 1D); everything else is
-elementwise with numpy broadcasting. Two fused nodes record a whole
-network computation as one node each. `mlp_tangent` records a network
-application together with the derivative of its output with respect to
-its scalar input, a tangent pass, whose VJP repeats the per-op tangent
-chain bit for bit and skips the derivative path when nobody reads the
-derivative, so a data-only fit reads its output half alone. The
-neural-ODE window loss (`rk4_windows`, in `neural_ode`) runs its many
-applications through the layer loops `mlp_forward` and `mlp_vjp`,
-which write into preallocated slots, and takes the weight adjoints of a
-whole stack of applications at once with `stacked_weight_adjoints`, one
-batched product per layer, adding them in the order of the
-per-application chain so the bits stay the same. A tape made with a
-`Workspace` hands such nodes arrays that the previous tape of the same
-fit used, instead of fresh ones: one workspace serves both node kinds.
+The primitive ops are elementwise with numpy broadcasting, plus a sum
+and indexing. Two fused nodes record a whole network computation as one
+node each. `mlp_tangent` records a network application together with the
+derivative of its output with respect to its scalar input, a tangent
+pass, whose VJP repeats the per-op tangent chain bit for bit and skips
+the derivative path when nobody reads the derivative, so a data-only fit
+reads its output half alone. The neural-ODE window loss (`rk4_windows`,
+in `neural_ode`) runs its many applications through the layer loops
+`mlp_forward` and `mlp_vjp`, which index stacked slabs by application
+and add each bias from a row slab, and takes the weight adjoints of a
+whole stack at once with `stacked_weight_adjoints`, one batched product
+per layer, adding them in the order of the per-application chain so the
+bits stay the same. A tape made with a `Workspace` hands such nodes
+arrays that the previous tape of the same fit used, instead of fresh
+ones: one workspace serves both node kinds.
 """
 
 from __future__ import annotations
@@ -154,15 +154,6 @@ class Node:
     def __rtruediv__(self, other):
         return div(_lift(other, self.tape), self)
 
-    def __pow__(self, exponent):
-        return powc(self, exponent)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _lift(other, self.tape))
-
     def __getitem__(self, index):
         return take(self, index)
 
@@ -208,10 +199,6 @@ def sub(a, b):
                 "sub")
 
 
-def neg(a):
-    return Node(a.tape, -a.value, (a,), lambda g: (-g,), "neg")
-
-
 def mul(a, b):
     return Node(a.tape, a.value * b.value, (a, b),
                 lambda g: (_shrink(g * b.value, a.value.shape),
@@ -225,23 +212,6 @@ def div(a, b):
                            _shrink(-((g * a.value) / (b.value * b.value)),
                                    b.value.shape)),
                 "div")
-
-
-def powc(a, exponent):
-    c = float(exponent)
-    return Node(a.tape, a.value ** c, (a,),
-                lambda g: (g * (c * a.value ** (c - 1.0)),), "pow")
-
-
-def tanh(a):
-    out = Node(a.tape, np.tanh(a.value), (a,), None, "tanh")
-    out.vjp = lambda g: (g * (1.0 - out.value * out.value),)
-    return out
-
-
-def sin(a):
-    return Node(a.tape, np.sin(a.value), (a,),
-                lambda g: (g * np.cos(a.value),), "sin")
 
 
 def _sigmoid_stable(x):
@@ -259,59 +229,54 @@ def softplus(a):
                 lambda g: (g * _sigmoid_stable(a.value),), "softplus")
 
 
-def matmul(a, b):
-    def backward(g):
-        ga = g @ b.value.T if b.value.ndim == 2 else np.outer(g, b.value)
-        return (ga, a.value.T @ g)
-
-    return Node(a.tape, a.value @ b.value, (a, b), backward, "matmul")
-
-
 def vsum(a):
     return Node(a.tape, np.sum(a.value), (a,),
                 lambda g: (g * np.ones_like(a.value),), "sum")
 
 
-def mlp_forward(x, params, activation, slots=None):
+def mlp_forward(x, params, activation, slabs=None, k=None):
     """Plain-numpy MLP: act(h @ W + b) per hidden layer, affine output.
 
     `params` holds (W, b) arrays and `activation` is "tanh" or "sin".
-    `slots` holds one (output, cos or None) pair of preallocated arrays
-    per hidden layer for the layer to write into instead of fresh
-    arrays: its output and, for sin, cos of its pre-activation, what
-    `mlp_vjp` reads; `out=` does not change the bits.
+    With `slabs` = (outputs, cosines, rows), x is application k of a
+    stack: hidden layer l writes its output into outputs[l][k] and, for
+    sin, cos of its pre-activation into cosines[l][k], what `mlp_vjp`
+    reads, and layer l adds its bias from rows[l], (N, width) copies of
+    b. `out=`, a contiguous add and np.dot for np.matmul keep the bits;
+    on a few dozen rows each call costs less.
     """
     act = np.sin if activation == "sin" else np.tanh
+    outputs, cosines, rows = slabs or (None, (), None)
     h = x
     for i, (W, b) in enumerate(params[:-1]):
-        out, cos_a = (None, None) if slots is None else slots[i]
-        a = np.matmul(h, W, out=out)
-        a += b
-        if cos_a is not None:
-            np.cos(a, out=cos_a)
+        a = h @ W if slabs is None else np.dot(h, W, outputs[i][k])
+        a += b if slabs is None else rows[i]
+        if cosines:
+            np.cos(a, out=cosines[i][k])
         h = act(a, out=a)
     W, b = params[-1]
-    return h @ W + b
+    y = h @ W if slabs is None else np.dot(h, W)
+    y += b if slabs is None else rows[-1]
+    return y
 
 
-def mlp_vjp(g, weights, hidden, slots):
-    """Input adjoint of one MLP application from its output adjoint `g`.
+def mlp_vjp(g, transposed, slopes, adjoints, k):
+    """Input adjoint of application k of a stack from its output adjoint
+    `g`.
 
-    `weights` holds the (W, b) arrays and `hidden` the (output, cos or
-    None) pairs `mlp_forward` wrote per hidden layer; the second entry
-    may also hold tanh's 1 − h², taken ahead of time. `slots`, one array
-    per hidden layer, takes that layer's pre-activation adjoint. The
+    `transposed` holds each layer's Wᵀ, and `slopes[l][k]` hidden layer
+    l's σ′ (cos of the pre-activation for sin, 1 − h² for tanh);
+    `adjoints[l][k]` takes that layer's pre-activation adjoint. The
     layers are walked in reverse with the float operations and order of
     the per-op chain (matmul, add, activation), so the input adjoint
     equals that chain's bit for bit. The weight adjoints are left to
     the caller, which takes those of many applications at once
-    (`stacked_weight_adjoints`) from the slots.
+    (`stacked_weight_adjoints`) from the adjoint slabs.
     """
-    for i in range(len(weights) - 1, 0, -1):
-        h, slope = hidden[i - 1]
-        g = np.matmul(g, weights[i][0].T, out=slots[i - 1])
-        np.multiply(g, 1.0 - h * h if slope is None else slope, out=g)
-    return g @ weights[0][0].T
+    for i in range(len(transposed) - 1, 0, -1):
+        g = np.dot(g, transposed[i], adjoints[i - 1][k])
+        np.multiply(g, slopes[i - 1][k], out=g)
+    return np.dot(g, transposed[0])
 
 
 def stacked_weight_adjoints(inputs, adjoints, products, grads):

@@ -27,8 +27,43 @@ from duffbench.duffing import acceleration, rk4_increment
 from duffbench.errors import NumericFailure
 from duffbench.numkit import linalg
 
-NP_LIB = {"tanh": np.tanh, "sin": np.sin}
-TAPE_LIB = {"tanh": nk.tanh, "sin": nk.sin}
+
+# -- tape ops no package loss records -----------------------------------------
+# Built on `nk.Node` like the package's primitives; the per-op chains, the
+# random graphs and the primitive tests record them.
+
+def neg(a):
+    return nk.Node(a.tape, -a.value, (a,), lambda g: (-g,), "neg")
+
+
+def powc(a, exponent):
+    c = float(exponent)
+    return nk.Node(a.tape, a.value ** c, (a,),
+                   lambda g: (g * (c * a.value ** (c - 1.0)),), "pow")
+
+
+def tanh(a):
+    out = nk.Node(a.tape, np.tanh(a.value), (a,), None, "tanh")
+    out.vjp = lambda g: (g * (1.0 - out.value * out.value),)
+    return out
+
+
+def sin(a):
+    return nk.Node(a.tape, np.sin(a.value), (a,),
+                   lambda g: (g * np.cos(a.value),), "sin")
+
+
+def matmul(a, b):
+    """a @ b for (2D, 2D) and (2D, 1D) nodes."""
+    def backward(g):
+        ga = g @ b.value.T if b.value.ndim == 2 else np.outer(g, b.value)
+        return (ga, a.value.T @ g)
+
+    return nk.Node(a.tape, a.value @ b.value, (a, b), backward, "matmul")
+
+
+NP_LIB = {"tanh": np.tanh, "sin": np.sin, "pow": lambda x, c: x ** c}
+TAPE_LIB = {"tanh": tanh, "sin": sin, "pow": powc}
 
 
 def central_difference(f, xs, h=1e-6):
@@ -112,9 +147,9 @@ def random_graph(stream, n_leaves, size):
             elif kind == "sin":
                 vals.append(lib["sin"](vals[i]))
             elif kind == "pow2":
-                vals.append(vals[i] ** 2)
+                vals.append(lib["pow"](vals[i], 2))
             else:
-                vals.append(vals[i] ** 3)
+                vals.append(lib["pow"](vals[i], 3))
         out = vals[0]
         for v in vals[1:]:
             out = out + v
@@ -296,12 +331,12 @@ def mlp_apply_per_op(spec, param_nodes, x):
     """The network on the tape as a chain of primitive ops (matmul, add,
     activation per layer): the reference the output half of the fused
     `mlp_tangent` node must match bit for bit."""
-    act = nk.sin if spec.activation == "sin" else nk.tanh
+    act = sin if spec.activation == "sin" else tanh
     h = x
     for W, b in param_nodes[:-1]:
-        h = act(h @ W + b)
+        h = act(matmul(h, W) + b)
     W, b = param_nodes[-1]
-    return h @ W + b
+    return matmul(h, W) + b
 
 
 def ode_flow_chain(func, z, f):
@@ -334,15 +369,15 @@ def mlp_apply_tangent_per_op(spec, param_nodes, x):
     tape = param_nodes[0][0].tape
     h, s = tape.constant(x), tape.constant(np.ones_like(x))
     for W, b in param_nodes[:-1]:
-        a = h @ W + b
+        a = matmul(h, W) + b
         if spec.activation == "sin":
             h, cos_a = sincos(a)
-            s = (s @ W) * cos_a
+            s = matmul(s, W) * cos_a
         else:
-            h = nk.tanh(a)
-            s = (s @ W) * (1.0 - h * h)
+            h = tanh(a)
+            s = matmul(s, W) * (1.0 - h * h)
     W, b = param_nodes[-1]
-    return h @ W + b, s @ W
+    return matmul(h, W) + b, matmul(s, W)
 
 
 def concat(nodes, axis=0):

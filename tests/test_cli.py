@@ -517,6 +517,22 @@ HOSTILE = {
     "negative-sindy-threshold": ("sindy", "[simulator]\nn = 64\n\n"
                                  "[sindy]\nthreshold = -1\n", 2,
                                  "[sindy] threshold"),
+    # an oscillator-kernel constant beyond the float range: m² at this
+    # mass, ω_n³ at this stiffness (whose record stays at rest)
+    "huge-gp-sdof-mass": ("gp-sdof", "[simulator]\nn = 96\nm = 1e300\n\n"
+                          "[gp-sdof]\nrestarts = 1\nsteps = 2\n", 2,
+                          "[simulator] m"),
+    "huge-gp-sdof-stiffness": ("gp-sdof", "[simulator]\nn = 96\nk = 1e300\n"
+                               "amplitude = 0\n\n[gp-sdof]\nrestarts = 1\n"
+                               "steps = 2\n", 2, "[simulator] k"),
+    # a rate that overflows the weights: exit 3 with no RuntimeWarning
+    "huge-baseline-adam-lr": ("nn-baseline", "[simulator]\nn = 64\n\n"
+                              "[nn-baseline]\nadam_iters = 3\n"
+                              "lbfgs_iters = 2\nadam_lr = 1e300\n", 3,
+                              "non-finite"),
+    "huge-node-adam-lr": ("node", "[simulator]\nn = 64\n\n[node]\n"
+                          "adam_iters = 3\nlbfgs_iters = 2\nrefine = no\n"
+                          "adam_lr = 1e300\n", 3, "non-finite"),
 }
 
 

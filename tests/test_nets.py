@@ -143,7 +143,7 @@ def _tangent_loss(y, d, reads, wy, wd):
     tape = y.tape
     terms = []
     if "y" in reads:
-        terms.append(nk.vsum(nk.tanh(y) * tape.constant(wy)))
+        terms.append(nk.vsum(oracles.tanh(y) * tape.constant(wy)))
     if "d" in reads:
         terms.append(nk.vsum(d * d * tape.constant(wd)))
     return terms[0] if len(terms) == 1 else terms[0] + terms[1]

@@ -362,8 +362,13 @@ def _assert_matches_per_op_chain(windows, spec, h, nonzero=True):
     for a, b in zip(fused_adj, chain_adj):
         assert _same_bits(a, b)
         assert np.any(a != 0.0) or not nonzero
-    # forward slabs stack every stage application, sweep slabs a chunk
-    assert {len(slab) for slab in slabs} == {4 * len(windows[2])}
+    # forward slabs stack every stage application, then come the rows of
+    # the input scale and of each layer's bias, and the steps' residuals;
+    # sweep slabs a chunk
+    n, horizon = len(windows[0]), len(windows[2])
+    rows = [(n, w) for w in (2, *spec.widths[1:])] + [(horizon, n, 2)]
+    assert {len(slab) for slab in slabs[:-len(rows)]} == {4 * horizon}
+    assert [slab.shape for slab in slabs[-len(rows):]] == rows
     chunks = {len(slab) for slab in sweep}
     assert len(chunks) == 1
     return chunks.pop()
@@ -479,10 +484,15 @@ def test_neural_ode_fit_reuses_its_slabs(short_dataset, monkeypatch):
     node.multistep_refine(_flow(node.FLOW_NET), short_dataset, 4,
                           nets.TrainConfig(adam_iters=4, lbfgs_iters=3))
     first = served[0]
-    assert len(first) == 14  # three forward slabs, eleven for the sweep
+    # three input stacks, the rows of the input scale and of the three
+    # biases, and the residual slab; then eleven for the sweep
+    assert len(first) == 19
+    n = first[0].shape[1]
+    assert [a.shape for a in first[3:8]] == [(n, 2), (n, 32), (n, 32),
+                                             (n, 2), (4, n, 2)]
     assert len(served) > 5
     for drawn in served[1:]:
-        assert len(drawn) in (3, 14)  # a rejected trial takes no gradient
+        assert len(drawn) in (8, 19)  # a rejected trial takes no gradient
         assert all(a is b for a, b in zip(drawn, first))
 
 
