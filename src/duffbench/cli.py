@@ -451,9 +451,10 @@ def run_hnn(opts, sim, out, seed):
     if not (math.isfinite(energy) and energy > 0.0):
         # at H = 0 the record rests: nothing to learn, and the energy
         # drift and field error are relative to zero
-        raise ConfigError(f"[hnn] u0 = {u0} gives the conservative record "
-                          f"the energy {energy}; it must be finite and "
-                          f"positive")
+        raise ConfigError(f"[simulator] k = {params.k}, [simulator] k3 = "
+                          f"{params.k3} and [hnn] u0 = {u0} give the "
+                          f"conservative record the energy {energy}; it "
+                          f"must be finite and positive")
     cons = OscillatorParams(m=params.m, c=0.0, k=params.k, k3=params.k3)
     cons_traj = simulate(cons, ForcingSpec(amplitudes=0.0),
                          n=sim["n"], rate=sim["rate"], z0=(u0, 0.0))

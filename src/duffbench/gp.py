@@ -258,9 +258,12 @@ def fit(inputs, targets, spec: KernelSpec, seed=7, restarts=8, steps=200,
     best = None
     for _ in range(restarts):
         theta0 = random_start()
+        # an overflowing or 0/0 kernel fails the restart, without a warning
         try:
-            theta, _ = adam(closure, theta0, steps, lr=lr)
-            neg, _ = closure(theta)
+            with np.errstate(divide="ignore", over="ignore",
+                             invalid="ignore"):
+                theta, _ = adam(closure, theta0, steps, lr=lr)
+                neg, _ = closure(theta)
         except (linalg.FactorizationError, TrainingDivergedError):
             continue
         if np.isfinite(neg) and (best is None or neg < best[0]):

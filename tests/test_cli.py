@@ -362,6 +362,10 @@ HOSTILE = {
                            "u0 = 1e-300\n", 2, "[hnn] u0"),
     "huge-hnn-amplitude": ("hnn", "[simulator]\nn = 64\n\n[hnn]\n"
                            "u0 = 1e100\n", 2, "[hnn] u0"),
+    # the record energy comes from k and k3 as well as u0
+    "negative-hnn-cubic-stiffness": ("hnn", "[simulator]\nn = 64\n"
+                                     "k3 = -1e300\n", 2, "[simulator] k3",
+                                     "[hnn] u0"),
     "negative-mass": ("sindy", "[simulator]\nn = 64\nm = -1\n", 2,
                       "[simulator] m"),
     "negative-stiffness": ("sindy", "[simulator]\nn = 64\nk = -1\n", 2,
@@ -525,6 +529,11 @@ HOSTILE = {
     "huge-gp-sdof-stiffness": ("gp-sdof", "[simulator]\nn = 96\nk = 1e300\n"
                                "amplitude = 0\n\n[gp-sdof]\nrestarts = 1\n"
                                "steps = 2\n", 2, "[simulator] k"),
+    # at this rate the lengthscale underflows and the kernel is 0/0: the
+    # restart fails with no RuntimeWarning
+    "huge-gp-se-rate": ("gp-se", "[simulator]\nn = 96\nrate = 1e300\n\n"
+                        "[gp-se]\nrestarts = 1\nsteps = 2\n", 3,
+                        "hyperparameter search failed"),
     # a rate that overflows the weights: exit 3 with no RuntimeWarning
     "huge-baseline-adam-lr": ("nn-baseline", "[simulator]\nn = 64\n\n"
                               "[nn-baseline]\nadam_iters = 3\n"

@@ -3,6 +3,7 @@
 import inspect
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -200,6 +201,33 @@ def test_divergence_error_names_step():
     with pytest.raises(DivergenceError) as err:
         simulate(params, ForcingSpec(amplitudes=100.0), n=64, z0=(1.0, 0.0))
     assert err.value.step >= 1
+
+
+@pytest.mark.parametrize("kind", [np.float64, int])
+def test_scalar_input_types_give_the_python_float_record_bitwise(kind):
+    # integral values, so that int() keeps every one of them
+    m, c, k, k3, rate, u0, v0 = 10, 1, 15, 100, 8, 1, 0
+
+    def run(cast):
+        params = OscillatorParams(cast(m), cast(c), cast(k), cast(k3))
+        return simulate(params, ForcingSpec(), n=300, rate=cast(rate),
+                        z0=(cast(u0), cast(v0)))
+
+    expected, traj = run(float), run(kind)
+    for name in ("t", "u", "v", "a", "f"):
+        # int64 views, so that a zero's sign counts
+        assert np.array_equal(getattr(traj, name).view(np.int64),
+                              getattr(expected, name).view(np.int64)), name
+    assert type(traj.rate) is float and traj.rate == expected.rate
+
+
+def test_divergence_on_a_numpy_rate_raises_without_a_warning():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DivergenceError):
+            simulate(forcing=ForcingSpec(amplitudes=1e200), n=64,
+                     rate=np.float64(8.525))
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_add_noise_zero_ratio_identity(default_traj):

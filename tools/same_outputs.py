@@ -9,8 +9,10 @@ each through `duffbench run` in a fresh single-threaded interpreter
 that imports the tree's `src/`. It prints every run's exit code in both
 trees, then every CSV that differs or exists in one tree only
 (`manifest.txt`, which holds the run time, is not compared), and last
-each tree's `wc -l src/**/*.py`. A run that exits non-zero in either
-tree counts as differing. Exits 1 if any run differs, else 0.
+each tree's `wc -l src/**/*.py`. A run that exits non-zero or prints
+anything to stderr (a RuntimeWarning, say) in either tree counts as
+differing, and the first line it printed is shown. Exits 1 if any run
+differs, else 0.
 Nothing is written inside either tree.
 """
 
@@ -57,7 +59,7 @@ def start(tree, config, out):
     return subprocess.Popen(
         [sys.executable, "-c", RUN, "run", str(config), "--out", str(out)],
         env=env, cwd=out.parent, stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL)
+        stderr=subprocess.PIPE, text=True)
 
 
 def csvs(out):
@@ -85,18 +87,23 @@ def main(argv):
             # the two trees run side by side
             procs = [start(tree, config, out)
                      for tree, out in zip((parent, change), outs)]
-            codes = [proc.wait() for proc in procs]
+            errs = [proc.communicate()[1] for proc in procs]
+            codes = [proc.returncode for proc in procs]
             a, b = (csvs(out) if out.exists() else {} for out in outs)
             n_csv += len(a)
             bad = sorted(str(k) for k in a.keys() | b.keys()
                          if a.get(k) != b.get(k))
-            mark = "FAILED" if any(codes) else "DIFFERS" if bad else "same"
+            mark = ("FAILED" if any(codes) else "DIFFERS" if bad
+                    else "PRINTS" if any(errs) else "same")
             differ += mark != "same"
             print(f"{name}: exit {codes[0]} / {codes[1]}, {len(a)} CSVs, "
-                  f"{mark}" + "".join(f"\n  differs: {k}" for k in bad),
+                  f"{mark}" + "".join(f"\n  differs: {k}" for k in bad)
+                  + "".join(f"\n  stderr ({side}): {err.splitlines()[0]}"
+                            for side, err in zip(("parent", "change"), errs)
+                            if err),
                   flush=True)
         lines = " / ".join(str(source_lines(t)) for t in (parent, change))
-        print(f"{n_csv} CSVs compared; {differ} runs differ or fail; "
+        print(f"{n_csv} CSVs compared; {differ} runs differ, fail or print; "
               f"wc -l src/**/*.py {lines}")
     return 1 if differ else 0
 
