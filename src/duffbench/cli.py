@@ -3,10 +3,11 @@
 Configs are INI files with an [experiment] section (method, seed, out),
 an optional [simulator] section and a section for the method. The
 {key: default} tables below are every key a run reads, each typed like
-its default; a run rejects any other key or an unparsable value before
-it simulates. One master seed drives named substreams (sim-noise, init,
-filter, ...), so reruns are byte-identical. Exit codes: 0 ok, 2 config
-error, 3 numeric failure.
+its default; a run rejects any other key, and a value that does not
+parse or lies out of range (LEAST, check_joint), before it simulates.
+One master seed drives named substreams (sim-noise, init, filter, ...),
+so reruns are byte-identical. Exit codes: 0 ok, 2 config error, 3
+numeric failure.
 """
 
 from __future__ import annotations
@@ -80,6 +81,7 @@ class Config:
                 value = _parse(raw, default)
             except (ValueError, KeyError):
                 raise ConfigError(f"bad value for [{section}] {key}: '{raw}'")
+            check_range(section, key, value)
         elif default is not None:
             value = default
         else:
@@ -159,21 +161,8 @@ SIMULATOR = {"m": 10.0, "c": 1.0, "k": 15.0, "k3": 100.0, "n": 1024,
              "frequencies": (0.7, 0.85, 1.6, 1.8), "phase_seed": 101}
 
 
-def check_seed(key, value):
-    """Seeds key Philox streams, which take [0, 2**128)."""
-    if not 0 <= value < 2 ** 128:
-        raise ConfigError(f"{key} must lie in [0, 2**128), got {value}")
-
-
 def build_model(sim):
     """(params, forcing) of the parsed [simulator] section."""
-    check_seed("[simulator] phase_seed", sim["phase_seed"])
-    if not sim["m"] > 0:
-        raise ConfigError(f"[simulator] m must be positive, got {sim['m']}")
-    for key in ("c", "k"):
-        if sim[key] < 0:
-            raise ConfigError(f"[simulator] {key} must be >= 0, got "
-                              f"{sim[key]}")
     return (OscillatorParams(m=sim["m"], c=sim["c"], k=sim["k"],
                              k3=sim["k3"]),
             ForcingSpec(frequencies=sim["frequencies"],
@@ -294,9 +283,6 @@ def run_pf(opts, sim, out, seed):
 
 
 def run_sindy(opts, sim, out, seed):
-    for key in ("threshold", "ridge"):
-        if opts[key] < 0:
-            raise ConfigError(f"[sindy] {key} must be >= 0, got {opts[key]}")
     params, forcing, traj = build_simulation(sim)
     lib = dictionary.build_library(traj)
     target = params.m * traj.a
@@ -329,9 +315,6 @@ def run_nn_baseline(opts, sim, out, seed):
 
 
 def run_pinn_discovery(opts, sim, out, seed):
-    if not 1 <= opts["n_obs"] <= sim["n"]:
-        raise ConfigError(f"[pinn-discovery] n_obs must be >= 1 and <= "
-                          f"[simulator] n = {sim['n']}, got {opts['n_obs']}")
     params, forcing, traj = build_simulation(sim)
     res = pinn.run_equation_discovery(
         traj, nonlinear=opts["nonlinear"], seed=seed, truth=params,
@@ -384,13 +367,6 @@ def run_pgnn(opts, sim, out, seed):
 
 def run_gp(kind, opts, sim, out, seed):
     """Runner of gp-<kind> once `kind` is bound."""
-    if opts["stride"] >= sim["n"]:
-        raise ConfigError(f"[gp-{kind}] stride must be < [simulator] n = "
-                          f"{sim['n']} to keep two training points, got "
-                          f"{opts['stride']}")
-    if opts["restarts"] < 1:
-        raise ConfigError(f"[gp-{kind}] restarts must be >= 1, got "
-                          f"{opts['restarts']}")
     params, forcing, traj = build_simulation(sim)
     ratio = opts["noise_ratio"]
     noise_var = max(finite_noise_variance(
@@ -415,16 +391,6 @@ def run_gp(kind, opts, sim, out, seed):
 
 
 def run_node(opts, sim, out, seed):
-    if opts["refine"]:
-        if opts["refine_iters"] < 1:
-            raise ConfigError(f"[node] refine_iters must be >= 1, got "
-                              f"{opts['refine_iters']}")
-        # the longest refinement windows need one more pair than steps
-        longest = max(node_mod.REFINE_HORIZONS)
-        if sim["n"] - 1 <= longest:
-            raise ConfigError(f"[node] refine needs [simulator] n > "
-                              f"{longest + 1} for its {longest}-step "
-                              f"windows, got n = {sim['n']}")
     params, forcing, traj = build_simulation(sim)
     dataset = node_mod.OneStepDataset.from_trajectory(traj, forcing)
     func, history = node_mod.train_k1_predictor(
@@ -441,10 +407,6 @@ def run_node(opts, sim, out, seed):
 
 def run_hnn(opts, sim, out, seed):
     h_step, steps, u0 = opts["step"], opts["steps"], opts["u0"]
-    if not h_step > 0.0:
-        raise ConfigError(f"[hnn] step must be positive, got {h_step}")
-    if steps < 1:
-        raise ConfigError(f"[hnn] steps must be >= 1, got {steps}")
     # trains and scores on its own unforced, undamped record
     params, _ = build_model(sim)
     energy = 0.5 * params.k * u0 * u0 + 0.25 * params.k3 * u0 * u0 * u0 * u0
@@ -519,6 +481,64 @@ METHODS = {
 }
 
 
+# each key's range (each element's of a tuple): at least LEAST, above it
+# for a key in ABOVE; a (section, key) entry comes first
+LEAST = {"m": 0, "c": 0, "k": 0, "n": 2, "rate": 0, "frequencies": 0, "k0": 0,
+         "c0": 0, "k30": 0, "noise_ratio": 0, "particles": 1, "ridge": 0,
+         "threshold": 0, "widths": 1, "omega0": 0, "adam_iters": 0, "step": 0,
+         "adam_lr": 0, "lbfgs_iters": 0, "stride": 1, "margin": 0,
+         "restarts": 1, "steps": 0, ("hnn", "steps"): 1}
+ABOVE = {"m", "rate", "frequencies", "k0", "c0", "k30", "adam_lr", "step"}
+SEEDS = {"seed", "phase_seed"}  # keys of Philox streams: [0, 2**128)
+
+
+def check_seed(name, value):
+    if not 0 <= value < 2 ** 128:
+        raise ConfigError(f"{name} must lie in [0, 2**128), got {value}")
+
+
+def check_range(section, key, value):
+    """A config error naming [section] key unless `value` is in range."""
+    name = f"[{section}] {key}"
+    least = LEAST.get((section, key), LEAST.get(key))
+    if key in SEEDS:
+        check_seed(name, value)
+    elif key == "activation" and value not in nets.ACTIVATIONS:
+        raise ConfigError(f"{name} must be in {nets.ACTIVATIONS}, got {value}")
+    elif least is not None and any(
+            x < least or x == least and key in ABOVE
+            for x in (value if isinstance(value, tuple) else (value,))):
+        raise ConfigError(f"{name} must be {'>' if key in ABOVE else '>='} "
+                          f"{least}, got {value}")
+
+
+def check_joint(method, n, opts):
+    """A config error naming the keys of the first failing rule that
+    joins two keys ([simulator] n = `n`); checked before simulating."""
+    ends, widths = METHODS[method][1].get("widths", ()), opts.get("widths", ())
+    # the method fixes what its network takes in and gives out
+    if widths[:1] + widths[-1:] != ends[:1] + ends[-1:]:
+        raise ConfigError(f"[{method}] widths must run from {ends[0]} to "
+                          f"{ends[-1]}")
+    if "adam_iters" in opts and opts["adam_iters"] + opts["lbfgs_iters"] < 1:
+        raise ConfigError(f"[{method}] adam_iters and lbfgs_iters are both 0")
+    for key, top, most in (("n_obs", "[simulator] n", n),
+                           ("windows", "[simulator] n // 8", n // 8)):
+        if key in opts and not 1 <= opts[key] <= most:
+            raise ConfigError(f"[{method}] {key} must be >= 1 and <= {top} "
+                              f"= {most}, got {opts[key]}")
+    if method.startswith("gp-") and opts["stride"] >= n:
+        raise ConfigError(f"[{method}] stride must be < [simulator] n = {n} "
+                          f"to keep two training points, got {opts['stride']}")
+    longest = max(node_mod.REFINE_HORIZONS)  # s-step windows take s + 1 pairs
+    if opts.get("refine") and opts["refine_iters"] < 1:
+        raise ConfigError(f"[{method}] refine_iters must be >= 1, got "
+                          f"{opts['refine_iters']}")
+    if opts.get("refine") and n - 1 <= longest:
+        raise ConfigError(f"[{method}] refine needs [simulator] n > "
+                          f"{longest + 1}, got n = {n}")
+
+
 def run_experiment(cfg: Config, seed_override=None, out_override=None):
     method = cfg.get("experiment", "method")
     if method not in METHODS:
@@ -529,27 +549,10 @@ def run_experiment(cfg: Config, seed_override=None, out_override=None):
                              "out": f"results/{method}"},
               "simulator": SIMULATOR, method: keys}
     exp, sim, opts = cfg.read(tables).values()
-    # the method fixes what its network takes in and gives out
-    ends = keys.get("widths")
-    widths = opts.get("widths", ())
-    if ends and widths[:1] + widths[-1:] != (ends[0], ends[-1]):
-        raise ConfigError(f"[{method}] widths must run from {ends[0]} to "
-                          f"{ends[-1]}")
-    if opts.get("stride", 1) < 1:
-        raise ConfigError(f"[{method}] stride must be >= 1, got "
-                          f"{opts['stride']}")
-    if opts.get("noise_ratio", 0.0) < 0:
-        raise ConfigError(f"[{method}] noise_ratio must be >= 0, got "
-                          f"{opts['noise_ratio']}")
-    if opts.get("adam_lr", 1.0) <= 0:
-        raise ConfigError(f"[{method}] adam_lr must be > 0, got "
-                          f"{opts['adam_lr']}")
-    if opts.get("omega0", 0.0) < 0:
-        raise ConfigError(f"[{method}] omega0 must be >= 0, got "
-                          f"{opts['omega0']}")
-    seed = seed_override if seed_override is not None else exp["seed"]
-    check_seed("--seed" if seed_override is not None else "[experiment] seed",
-               seed)
+    check_joint(method, sim["n"], opts)
+    seed = exp["seed"] if seed_override is None else seed_override
+    if seed_override is not None:
+        check_seed("--seed", seed)
     out = Path(out_override if out_override is not None else exp["out"])
     out.mkdir(parents=True, exist_ok=True)
     start = time.time()

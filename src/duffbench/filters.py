@@ -367,9 +367,9 @@ def default_ukf_init(layout: AugmentedState, z0,
 
     State prior N(z0, diag(1e-2, 1e-2)); parameter priors diag(25, 0.25,
     900) in raw (k, c, k3) units, mapped to log-space by the delta method
-    at the initial guess. A guess that is not positive, or whose
+    at the initial guess, which must be positive. A guess whose
     log-variance raw_var/guess² is not a finite positive number (the
-    quotient left the float range), is a config error naming its [ukf]
+    quotient left the float range) is a config error naming its [ukf]
     key.
     """
     theta0 = dict({"k": 1.0, "c": 0.5, "k3": 40.0}, **(theta0 or {}))
@@ -377,8 +377,6 @@ def default_ukf_init(layout: AugmentedState, z0,
     var = [1e-2, 1e-2]
     for n in layout.theta_names:
         key, guess = f"[ukf] {n}0", theta0[n]
-        if not guess > 0.0:
-            raise ConfigError(f"{key} must be > 0, got {guess}")
         with np.errstate(over="ignore", divide="ignore"):
             log_var = float(raw_var[n] / np.float64(guess) ** 2)
         if not 0.0 < log_var < math.inf:
@@ -395,8 +393,6 @@ def default_pf_init(layout: AugmentedState, n_particles, z0,
                     stream: nk.RngStream) -> ParticleEnsemble:
     """Particles at z0, their parameters drawn from `stream` in the
     paper's uniform box: k∈[5,20], c∈[0.5,2], k3∈[50,160]."""
-    if n_particles < 1:
-        raise ConfigError(f"[pf] particles must be >= 1, got {n_particles}")
     box = {"k": (5.0, 20.0), "c": (0.5, 2.0), "k3": (50.0, 160.0)}
     cols = [np.full(n_particles, z0[0]), np.full(n_particles, z0[1])]
     for name in layout.theta_names:

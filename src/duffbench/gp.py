@@ -54,12 +54,12 @@ class KernelSpec:
             raise KernelError("noise variance must be nonnegative")
         if self.kind == "sdof":
             if not self.k > 0:
-                raise KernelError(f"oscillator kernel requires stiffness "
-                                  f"k > 0, got k = {self.k:g}")
+                raise KernelError(f"[simulator] k must be > 0 for the "
+                                  f"kernel's stiffness, got {self.k:g}")
             if not 0.0 < self.zeta < 1.0:
-                raise KernelError(f"oscillator kernel requires a damped, "
-                                  f"underdamped system (0 < zeta < 1), got "
-                                  f"zeta = {self.zeta:g} from c = {self.c:g}")
+                raise KernelError(f"[simulator] m, c and k must give an "
+                                  f"underdamped kernel, 0 < zeta < 1, got "
+                                  f"zeta = {self.zeta:g}")
             # each constant the kernel and its fit take must be a finite
             # positive float, else its [simulator] keys are out of range
             for keys, constant in (("m", lambda: self.m ** 2),

@@ -29,6 +29,8 @@ import numpy as np
 from . import numkit as nk
 from .errors import ConfigError, NumericFailure
 
+ACTIVATIONS = ("tanh", "sin")
+
 
 class TrainingDivergedError(NumericFailure):
     """Loss or gradient became non-finite; carries the history up to the
@@ -57,8 +59,8 @@ class MlpSpec:
             raise ConfigError("need at least input and output widths")
         if any(w < 1 for w in self.widths):
             raise ConfigError("layer widths must be positive")
-        if self.activation not in ("tanh", "sin"):
-            raise ConfigError("activation must be 'tanh' or 'sin'")
+        if self.activation not in ACTIVATIONS:
+            raise ConfigError(f"activation must be one of {ACTIVATIONS}")
 
     @property
     def n_in(self):
@@ -349,7 +351,8 @@ def lbfgs(closure, theta0, iters, memory=10, c1=1e-4, max_linesearch=25,
 
 
 def train(closure, theta0, config: TrainConfig):
-    """Adam then optional L-BFGS; returns (theta, loss history)."""
+    """Adam then optional L-BFGS; returns (theta, loss history) with a
+    finite loss at theta, so an unscored last Adam step is scored."""
     history = []
     theta = np.array(theta0, dtype=float)
     if config.adam_iters > 0:
@@ -358,6 +361,8 @@ def train(closure, theta0, config: TrainConfig):
     if config.lbfgs_iters > 0:
         theta, history = lbfgs(closure, theta, config.lbfgs_iters,
                                history=history)
+    elif not np.isfinite(closure(theta)[0]):
+        raise TrainingDivergedError(history)
     return theta, history
 
 

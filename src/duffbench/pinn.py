@@ -313,18 +313,13 @@ def run_forward_model(traj: Trajectory, params: OscillatorParams,
     solve to ~1e-6 loss each and the handoff errors decay instead of
     compounding. Each window is trained on `margin` extra samples past
     its reporting range so the handoff state is read away from the fit's
-    worst region, the domain edge.
+    worst region, the domain edge. 1 ≤ windows ≤ len(traj) // 8, margin ≥ 0.
     """
     base_net = net or WORKING_NET
     train = train or FORWARD_TRAIN
     t_grid = traj.t
     f_grid = traj.f
     n_grid = len(t_grid)
-    if not 1 <= windows <= n_grid // 8:
-        raise ConfigError(f"[pinn-forward] windows must be between 1 and "
-                          f"n/8 = {n_grid // 8}, got {windows}")
-    if margin < 0:
-        raise ConfigError(f"[pinn-forward] margin must be >= 0, got {margin}")
     edges = np.linspace(0, n_grid, windows + 1).astype(int)
     stream = nk.RngStream(seed).substream("pinn-init")
     state0 = (float(traj.u[0]), float(traj.v[0]))

@@ -1,6 +1,7 @@
 """Harness contracts: config validation, determinism, manifests, compare."""
 
 import configparser
+import re
 import warnings
 from pathlib import Path
 
@@ -234,7 +235,15 @@ def test_shipped_configs_parse_and_name_valid_methods(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("method,line,key", [
     ("sindy", "treshold = 0.5", "[sindy] treshold"),
-    ("gp-se", "restarts = x", "[gp-se] restarts")])
+    ("gp-se", "restarts = x", "[gp-se] restarts"),
+    ("nn-baseline", "activation = relu", "[nn-baseline] activation"),
+    ("pgnn", "adam_iters = -1", "[pgnn] adam_iters"),
+    ("node", "adam_iters = 0\nlbfgs_iters = 0", "[node] adam_iters"),
+    ("gp-se", "steps = -1", "[gp-se] steps"),
+    ("pinn-enhanced", "widths = 1 0 2", "[pinn-enhanced] widths"),
+    ("pinn-forward", "windows = 0", "[pinn-forward] windows"),
+    ("pf", "particles = 0", "[pf] particles"),
+    ("ukf", "k0 = 0", "[ukf] k0")])
 def test_config_errors_exit_before_simulating(tmp_path, capsys, monkeypatch,
                                               method, line, key):
     monkeypatch.setattr(cli, "simulate", refuse_to_simulate)
@@ -242,6 +251,19 @@ def test_config_errors_exit_before_simulating(tmp_path, capsys, monkeypatch,
     cfg = write_cfg(tmp_path, f"[experiment]\nmethod = {method}\n"
                               f"out = {out}\n\n[{method}]\n{line}\n")
     assert cli.main(["run", cfg]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line,key", [("rate = 0", "[simulator] rate"),
+                                      ("n = 1", "[simulator] n")])
+def test_simulate_checks_ranges_before_simulating(tmp_path, capsys,
+                                                 monkeypatch, line, key):
+    monkeypatch.setattr(cli, "simulate", refuse_to_simulate)
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, f"[experiment]\nmethod = sindy\nout = {out}\n"
+                              f"\n[simulator]\n{line}\n")
+    assert cli.main(["simulate", cfg]) == 2
     assert key in capsys.readouterr().err
     assert not out.exists()
 
@@ -301,7 +323,7 @@ def test_refine_runs_on_the_shortest_record(tmp_path):
 # configs that once crashed with a traceback:
 # (method, extra INI, exit code[, a word the one-line error must name])
 HOSTILE = {
-    "one-sample": ("sindy", "[simulator]\nn = 1\n", 2),
+    "one-sample": ("sindy", "[simulator]\nn = 1\n", 2, "[simulator] n"),
     "diverging-simulation": ("sindy", "[simulator]\nk3 = -1e6\nu0 = 5\n", 3),
     # the 16-substep truth stays finite; the filter's one RK4 step does not
     "diverging-particle-step": ("pf", "[simulator]\nn = 64\namplitude = 3000\n"
@@ -317,14 +339,16 @@ HOSTILE = {
                                          "amplitude = 1e5\n\n[pf]\n"
                                          "particles = 50\n", 3,
                                          "every squared innovation"),
-    "overdamped-gp-sdof": ("gp-sdof", "[simulator]\nn = 256\nc = 100\n", 2),
+    "overdamped-gp-sdof": ("gp-sdof", "[simulator]\nn = 256\nc = 100\n", 2,
+                           "[simulator] m, c and k"),
     "zero-forward-windows": ("pinn-forward",
                              "[simulator]\nn = 256\n\n"
                              "[pinn-forward]\nwindows = 0\n", 2,
                              "[pinn-forward] windows"),
     "relu-activation": ("nn-baseline",
                         "[simulator]\nn = 256\n\n"
-                        "[nn-baseline]\nactivation = relu\n", 2),
+                        "[nn-baseline]\nactivation = relu\n", 2,
+                        "[nn-baseline] activation"),
     "zero-particles": ("pf", "[simulator]\nn = 64\n\n[pf]\nparticles = 0\n",
                        2, "[pf] particles"),
     "one-gp-observation": ("gp-se",
@@ -346,15 +370,15 @@ HOSTILE = {
                          "[simulator]\nn = 256\n\n[gp-se]\nrestarts = 0\n",
                          2, "[gp-se] restarts"),
     "zero-hnn-step": ("hnn", "[simulator]\nn = 64\n\n[hnn]\nstep = 0\n", 2,
-                      "step"),
+                      "[hnn] step"),
     "zero-ukf-stiffness-guess": ("ukf", "[simulator]\nn = 64\n\n"
-                                 "[ukf]\nk0 = 0\n", 2, "k0"),
+                                 "[ukf]\nk0 = 0\n", 2, "[ukf] k0"),
     "negative-ukf-cubic-guess": ("ukf", "[simulator]\nn = 64\n\n"
-                                 "[ukf]\nk30 = -40\n", 2, "k30"),
+                                 "[ukf]\nk30 = -40\n", 2, "[ukf] k30"),
     "negative-hnn-steps": ("hnn", "[simulator]\nn = 64\n\n"
-                           "[hnn]\nsteps = -1\n", 2, "steps"),
+                           "[hnn]\nsteps = -1\n", 2, "[hnn] steps"),
     "zero-hnn-steps": ("hnn", "[simulator]\nn = 64\n\n[hnn]\nsteps = 0\n",
-                       2, "steps"),
+                       2, "[hnn] steps"),
     "zero-hnn-amplitude": ("hnn", "[simulator]\nn = 64\n\n[hnn]\nu0 = 0\n",
                            2, "u0"),
     # ½k·u0² + ¼k3·u0⁴ underflows to 0, or overflows
@@ -416,9 +440,9 @@ HOSTILE = {
                                 "[gp-se]\nrestarts = x\n", 2,
                                 "[gp-se] restarts"),
     "undamped-gp-sdof": ("gp-sdof", "[simulator]\nn = 256\nc = 0\n", 2,
-                         "zeta"),
+                         "[simulator] m, c and k"),
     "unsprung-gp-sdof": ("gp-sdof", "[simulator]\nn = 256\nk = 0\n", 2,
-                         "stiffness"),
+                         "[simulator] k"),
     "infinite-rate": ("sindy", "[simulator]\nn = 64\nrate = inf\n", 2,
                       "[simulator] rate"),
     "nan-mass": ("sindy", "[simulator]\nn = 64\nm = nan\n", 2,
@@ -445,7 +469,7 @@ HOSTILE = {
     "negative-forward-margin": ("pinn-forward", "[simulator]\nn = 256\n\n"
                                 "[pinn-forward]\nwindows = 2\nmargin = -1\n"
                                 "adam_iters = 1\nlbfgs_iters = 0\n", 2,
-                                "margin"),
+                                "[pinn-forward] margin"),
     "zero-pgnn-stride": ("pgnn", "[simulator]\nn = 64\n\n"
                          "[pgnn]\nstride = 0\n", 2, "[pgnn] stride"),
     "negative-pgnn-stride": ("pgnn", "[simulator]\nn = 64\n\n"
@@ -462,10 +486,10 @@ HOSTILE = {
                             "[gp-sdof]\nstride = 0\n", 2, "[gp-sdof] stride"),
     "negative-adam-iters": ("pgnn", "[simulator]\nn = 64\n\n[pgnn]\n"
                             "adam_iters = -5\nlbfgs_iters = 6\n", 2,
-                            "adam_iters"),
+                            "[pgnn] adam_iters"),
     "negative-lbfgs-iters": ("hnn", "[simulator]\nn = 64\n\n[hnn]\n"
                              "adam_iters = 1\nlbfgs_iters = -2\nsteps = 4\n",
-                             2, "lbfgs_iters"),
+                             2, "[hnn] lbfgs_iters"),
     "negative-refine-iters": ("node", "[simulator]\nn = 64\n\n[node]\n"
                               "adam_iters = 1\nlbfgs_iters = 0\n"
                               "refine_iters = -1\n", 2,
@@ -475,7 +499,7 @@ HOSTILE = {
                                "adam_iters = 1\nlbfgs_iters = 0\n", 2,
                                "[node] refine", "[simulator] n"),
     "negative-gp-steps": ("gp-se", "[simulator]\nn = 256\n\n[gp-se]\n"
-                          "restarts = 1\nsteps = -3\n", 2, "steps"),
+                          "restarts = 1\nsteps = -3\n", 2, "[gp-se] steps"),
     # Adam ascends on a negative rate and stands still at zero
     "negative-adam-lr": ("hnn", "[simulator]\nn = 64\n\n[hnn]\n"
                          "adam_iters = 1\nlbfgs_iters = 0\nsteps = 4\n"
@@ -557,6 +581,69 @@ def test_hostile_config_exits_with_contract_code(tmp_path, capsys, case):
     assert all(word in err for word in named), err
     if expected == 3:
         assert (out / "manifest.txt").exists()
+
+
+# every key of SIMULATOR and of the method's table is set, one at a time,
+# to each value of its type's set, on a 96-sample record at token budgets
+BOUNDARY_VALUES = {float: ("0", "-1", "1e300", "-1e300", "1e-300"),
+                   int: ("0", "-1", "1"),
+                   tuple: ("", "0", "-1", "1e300", "1 0 2"),
+                   bool: ("maybe",), str: ("bogus",)}
+_NET = {"adam_iters": "1", "lbfgs_iters": "0"}
+_GP_BUDGET = {"restarts": "1", "steps": "2"}
+TOKEN_BUDGETS = {
+    "ukf": {}, "pf": {"particles": "50"}, "sindy": {},
+    "nn-baseline": _NET, "pinn-discovery": {**_NET, "n_obs": "16"},
+    "pinn-enhanced": _NET, "pinn-forward": {**_NET, "windows": "2"},
+    "pgnn": _NET, "gp-se": _GP_BUDGET, "gp-sdof": _GP_BUDGET,
+    "node": {**_NET, "refine_iters": "1"}, "hnn": {**_NET, "steps": "4"}}
+
+
+def names_key(err, section, key):
+    """Whether `err` names [section] key, alone or in a list such as
+    '[simulator] m, c and k'."""
+    return re.search(rf"\[{section}\] (\w+, )*(\w+ and )?{key}\b", err)
+
+
+@pytest.mark.parametrize("method", sorted(cli.METHODS))
+def test_every_key_at_its_boundaries(tmp_path, capsys, method):
+    cases = [(section, key, value)
+             for section, table in (("simulator", cli.SIMULATOR),
+                                    (method, cli.METHODS[method][1]))
+             for key, default in table.items()
+             for value in BOUNDARY_VALUES[type(default)]]
+    wrong = []
+    for i, (section, key, value) in enumerate(cases):
+        sections = {"simulator": {"n": "96"},
+                    method: dict(TOKEN_BUDGETS[method])}
+        sections[section][key] = value
+        out = tmp_path / str(i)
+        text = f"[experiment]\nmethod = {method}\nout = {out}\n" + "".join(
+            f"\n[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+            for name, keys in sections.items())
+        case = f"[{section}] {key} = {value!r}"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = cli.main(["run", write_cfg(tmp_path, text)])
+            except Exception as exc:  # a traceback: record it, go on
+                code = repr(exc)
+        err = capsys.readouterr().err.strip()
+        wrong += [f"{case}: {w.message}" for w in caught
+                  if issubclass(w.category, RuntimeWarning)]
+        if code == 0:
+            metrics = cli.read_metrics(out / "metrics.csv")
+            if not all(np.isfinite(v) for v in metrics.values()):
+                wrong.append(f"{case}: non-finite metric {metrics}")
+        elif code == 2:
+            if len(err.splitlines()) != 1 or not names_key(err, section, key):
+                wrong.append(f"{case}: {err}")
+        elif code == 3:
+            if not (out / "manifest.txt").exists():
+                wrong.append(f"{case}: exit 3 without manifest.txt")
+        else:
+            wrong.append(f"{case}: exit {code}")
+    assert not wrong, "\n".join(wrong)
 
 
 def test_overflowing_ukf_sigma_point_is_a_named_divergence(tmp_path, capsys):
